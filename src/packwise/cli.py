@@ -20,6 +20,7 @@ import numpy as np
 
 from .clustering import save_dendrogram, save_index_table
 from .engine import (
+    FALLBACKS,
     BuildError,
     MissPolicy,
     build_offline,
@@ -253,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="replay a trace against a table")
     _add_common(p, table=True)
-    p.add_argument("--fallback", choices=("greedy", "nearest"), default=None)
+    p.add_argument("--fallback", choices=FALLBACKS, default=None)
     p.add_argument("--miss-buffer", type=int, default=None)
     p.add_argument("--full-recluster", action="store_true")
     p.add_argument("--k-min", type=int, default=None)

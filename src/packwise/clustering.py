@@ -386,8 +386,9 @@ def select_k(patterns, k_range, seed: int = 0):
 
     k_range is an inclusive (lo, hi) pair. Each k runs k-means with seed
     seed+k. Best k minimizes the Davies-Bouldin index; ties go to the
-    larger Dunn index, then the smaller k. Returns (best_k, rows) where
-    rows are (k, db_index, dunn_index) for reporting.
+    larger Dunn index, then the smaller k. Returns (best_model, rows):
+    the fitted k-means model of the best k, and (k, db_index, dunn_index)
+    rows for reporting.
     """
     X = as_float_matrix(patterns, "patterns")
     lo, hi = int(k_range[0]), int(k_range[1])
@@ -397,11 +398,11 @@ def select_k(patterns, k_range, seed: int = 0):
     if lo < 2 or hi > n - 1:
         raise ValueError(f"k range [{lo}, {hi}] must lie within [2, {n - 1}]")
 
-    rows = []
+    models = []
     for k in range(lo, hi + 1):
         model = kmeans(X, k, seed=seed + k)
         if model.db_index is None:
             raise DegenerateModelError(f"k={k}: coincident centroids")
-        rows.append((k, model.db_index, model.dunn_index))
-    best_k, _, _ = min(rows, key=lambda r: (r[1], -r[2], r[0]))
-    return best_k, rows
+        models.append(model)
+    best = min(models, key=lambda m: (m.db_index, -m.dunn_index, m.k))
+    return best, [(m.k, m.db_index, m.dunn_index) for m in models]

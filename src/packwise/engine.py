@@ -20,7 +20,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,6 @@ from .lookup import (
 )
 from .packing import (
     GaParams,
-    PackingSolution,
     best_fit_pack,
     brute_force_pack,
     first_fit_pack,
@@ -49,6 +47,7 @@ from .workload import ServiceCatalog, WorkloadTrace
 log = logging.getLogger(__name__)
 
 BRUTE_FORCE_SLOTS = 3
+FALLBACKS = ("greedy", "nearest")
 
 
 class BuildError(RuntimeError):
@@ -218,6 +217,9 @@ def build_offline(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
 
     Returns (LookupTable, OfflineReport).
     """
+    if similarity == "pearson" and catalog.service_count < 2:
+        raise BuildError("pearson similarity needs at least 2 services, the catalog "
+                         "has 1; use --similarity euclidean")
     timings = {}
     t0 = time.perf_counter()
     series = demand_series(trace, catalog)
@@ -225,9 +227,8 @@ def build_offline(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
     timings["demand"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    best_k, index_rows = select_k(patterns, k_range, seed=seed)
-    model = kmeans(patterns, best_k, seed=seed + best_k)
-    ahc_model, dendrogram = ahc(patterns, best_k, linkage=linkage)
+    model, index_rows = select_k(patterns, k_range, seed=seed)
+    ahc_model, dendrogram = ahc(patterns, model.k, linkage=linkage)
     timings["clustering"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -246,10 +247,9 @@ def build_offline(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
         threshold=threshold,
         magnitude_ratio=magnitude_ratio,
         fingerprint=catalog_fingerprint(catalog, vm_catalog),
-        created_at=datetime.now(timezone.utc).isoformat(),
     )
     report = OfflineReport(
-        best_k=best_k,
+        best_k=model.k,
         index_rows=tuple(index_rows),
         ahc_db_index=ahc_model.db_index,
         ahc_dunn_index=ahc_model.dunn_index,
@@ -273,24 +273,36 @@ def _recluster(table, buffer, catalog, vm_catalog, policy, period_seconds, event
         distinct = np.unique(buffered, axis=0).shape[0]
         k_new = min(math.ceil(len(buffer) / 10), distinct)
         model = kmeans(buffered, k_new, seed=policy.seed + 1000 * event)
-        gp = replace(policy.ga_params, seed=policy.ga_params.seed + 1000 * event)
-        entries, _, skipped = _pack_representatives(
-            model.centroids, catalog, vm_catalog, gp, period_seconds,
-            on_infeasible="skip")
-        return table.extended(entries), skipped
-    union = np.vstack([np.vstack([e.pattern for e in table.entries]), buffered])
-    hi = min(policy.k_range[1], union.shape[0] - 1)
-    lo = min(policy.k_range[0], hi)
-    best_k, _ = select_k(union, (lo, hi), seed=policy.seed + 1000 * event)
-    model = kmeans(union, best_k, seed=policy.seed + 1000 * event + best_k)
+    else:
+        union = np.vstack([table.patterns, buffered])
+        hi = min(policy.k_range[1], union.shape[0] - 1)
+        lo = min(policy.k_range[0], hi)
+        model, _ = select_k(union, (lo, hi), seed=policy.seed + 1000 * event)
     gp = replace(policy.ga_params, seed=policy.ga_params.seed + 1000 * event)
     entries, _, skipped = _pack_representatives(
         model.centroids, catalog, vm_catalog, gp, period_seconds,
         on_infeasible="skip")
+    if policy.mode == "incremental":
+        return replace(table, entries=table.entries + tuple(entries)), skipped
     if not entries:
         log.warning("full recluster produced no feasible entries; keeping old table")
         return table, skipped
-    return table.replaced(entries), skipped
+    return replace(table, entries=entries), skipped
+
+
+def decide(table: LookupTable, dv: DemandVector, fallback: str, vm_catalog,
+           period_seconds: float):
+    """Serve one period: the matched entry's own packing on a hit; on a miss, a
+    best-fit packing of the live demand ("greedy") or the best-scoring entry
+    regardless of threshold ("nearest"). Returns (solution, source, MatchResult)."""
+    if fallback not in FALLBACKS:
+        raise ValueError(f"fallback must be one of {FALLBACKS}, got {fallback!r}")
+    result = match(table, dv)
+    if result.hit:
+        return result.chosen, "table", result
+    if fallback == "greedy":
+        return best_fit_pack(dv, vm_catalog, period_seconds), "fallback-greedy", result
+    return table.entries[result.best_index].solution, "fallback-nearest", result
 
 
 def run_online(table: LookupTable, online_trace: WorkloadTrace,
@@ -299,46 +311,32 @@ def run_online(table: LookupTable, online_trace: WorkloadTrace,
                miss_policy: MissPolicy | None = None) -> SimulationReport:
     """Replay a trace against the table, one configuration per period.
 
-    Hits serve the matched entry's configuration. Misses serve either a
-    best-fit packing of the live demand (fallback_policy="greedy") or the
-    best-scoring entry regardless of threshold ("nearest"), and are
+    Each period is served by decide() with fallback_policy. Misses are
     recorded in the miss buffer; a full buffer triggers reclustering per
-    the miss policy and new entries extend the table for subsequent
-    periods.
+    the miss policy and new entries extend the table for subsequent periods.
 
     Table-sourced configurations are feasible for their representative by
     construction; each emitted configuration is additionally checked
     against the live period demand and mismatches are counted in
-    live_violation_rate (logged, not fatal).
+    live_violation_rate (one summary warning, not fatal).
     """
-    if fallback_policy not in ("greedy", "nearest"):
-        raise ValueError("fallback_policy must be 'greedy' or 'nearest'")
     _check_fingerprint(table, catalog, vm_catalog)
     policy = miss_policy or MissPolicy()
     buffer = MissBuffer(capacity=policy.buffer_size)
 
     records = []
-    hits = 0
     violations = 0
     events = 0
     skipped = 0
     total = 0.0
     for period, counts in enumerate(online_trace.counts):
         dv = demand_for_period(counts, catalog)
-        result = match(table, dv)
-        if result.hit:
-            solution, source = result.chosen, "table"
-            hits += 1
-        elif fallback_policy == "greedy":
-            solution = best_fit_pack(dv, vm_catalog, online_trace.period_seconds)
-            source = "fallback-greedy"
-        else:
-            solution = table.entries[result.best_index].solution
-            source = "fallback-nearest"
+        solution, source, result = decide(table, dv, fallback_policy, vm_catalog,
+                                          online_trace.period_seconds)
         if not verify_solution(solution, dv):
             violations += 1
-            log.warning("period %d: configuration from %s violates live demand",
-                        period, source)
+            log.debug("period %d: configuration from %s violates live demand",
+                      period, source)
         total += solution.total_cost
         records.append(PeriodRecord(period, result.score, result.hit, source,
                                     solution.total_cost))
@@ -352,9 +350,12 @@ def run_online(table: LookupTable, online_trace: WorkloadTrace,
                 buffer.clear()
 
     n = len(records)
+    if violations:
+        log.warning("%d of %d periods served a configuration that violates live demand",
+                    violations, n)
     return SimulationReport(
         records=tuple(records),
-        hit_rate=hits / n if n else 0.0,
+        hit_rate=sum(r.hit for r in records) / n if n else 0.0,
         total_cost=total,
         recluster_events=events,
         live_violation_rate=violations / n if n else 0.0,
@@ -388,8 +389,7 @@ def evaluate_methods(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
     rows = []
     for i, counts in enumerate(trace.counts):
         dv = demand_for_period(counts, catalog)
-        result = match(table, dv)
-        pipeline = result.chosen if result.hit else best_fit_pack(dv, vm_catalog, secs)
+        pipeline, _, _ = decide(table, dv, "greedy", vm_catalog, secs)
         per_ga = ga_pack(dv, vm_catalog, replace(gp, seed=gp.seed + i), secs)
         rows.append((
             pipeline.total_cost,
@@ -411,9 +411,9 @@ class PackingAutoscaler:
     configurations for new demand.
 
     fit() runs the offline pipeline and stores the lookup table; predict()
-    maps request-count rows to PackingSolutions by table match with greedy
-    fallback (stateless). replay() runs the full online loop including
-    miss recycling and returns the simulation report.
+    maps request-count rows to PackingSolutions by decide() with the
+    configured fallback (stateless). replay() runs the full online loop
+    including miss recycling and returns the simulation report.
     """
 
     def __init__(self, k_range=(2, 15), similarity="pearson", threshold=None,
@@ -466,22 +466,17 @@ class PackingAutoscaler:
         self._period_seconds = trace.period_seconds
         return self
 
-    def _decide(self, dv: DemandVector) -> PackingSolution:
-        result = match(self.table_, dv)
-        if result.hit:
-            return result.chosen
-        if self.fallback == "nearest":
-            return self.table_.entries[result.best_index].solution
-        return best_fit_pack(dv, self._vm_catalog, self._period_seconds)
-
     def predict(self, counts):
         """Configurations for one count row or a matrix of rows."""
         if not hasattr(self, "table_"):
             raise ValueError("autoscaler is not fitted")
         arr = np.asarray(counts)
-        if arr.ndim == 1:
-            return self._decide(demand_for_period(arr, self._catalog))
-        return [self._decide(demand_for_period(row, self._catalog)) for row in arr]
+
+        def serve(row):
+            return decide(self.table_, demand_for_period(row, self._catalog),
+                          self.fallback, self._vm_catalog, self._period_seconds)[0]
+
+        return serve(arr) if arr.ndim == 1 else [serve(row) for row in arr]
 
     def replay(self, trace: WorkloadTrace) -> SimulationReport:
         if not hasattr(self, "table_"):

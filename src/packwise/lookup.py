@@ -109,9 +109,9 @@ class MatchResult:
 class LookupTable:
     """Ordered entries plus the matching policy they were built with.
 
-    created_at is bookkeeping only: it is neither serialized nor part of
-    table equality, so rebuilding with the same seed yields an equal
-    table.
+    Tables are never mutated (derive new ones with dataclasses.replace), so
+    match() scores against arrays built once here: the (E, S) matrix
+    ``patterns``, its row-centred copy ``centred`` and ``centred_norms``.
     """
 
     entries: tuple
@@ -119,7 +119,6 @@ class LookupTable:
     threshold: float = 0.7
     magnitude_ratio: float = 1.5
     fingerprint: str = ""
-    created_at: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         self.entries = tuple(self.entries)
@@ -136,6 +135,13 @@ class LookupTable:
         widths = {len(e.pattern) for e in self.entries}
         if len(widths) != 1:
             raise ValueError("entry patterns have inconsistent lengths")
+        if self.similarity == "pearson" and self.service_count < 2:
+            raise ValueError("pearson similarity needs >= 2 services; use euclidean")
+        self.patterns = np.vstack([e.pattern for e in self.entries])
+        self.centred = self.patterns - self.patterns.mean(axis=1, keepdims=True)
+        self.centred_norms = np.sqrt((self.centred ** 2).sum(axis=1))
+        for arr in (self.patterns, self.centred, self.centred_norms):
+            arr.flags.writeable = False
 
     @property
     def service_count(self) -> int:
@@ -170,28 +176,6 @@ class LookupTable:
             return NotImplemented
         return self.to_doc() == other.to_doc()
 
-    def extended(self, new_entries) -> "LookupTable":
-        """A new table with entries appended; tables are never mutated."""
-        return LookupTable(
-            entries=self.entries + tuple(new_entries),
-            similarity=self.similarity,
-            threshold=self.threshold,
-            magnitude_ratio=self.magnitude_ratio,
-            fingerprint=self.fingerprint,
-            created_at=self.created_at,
-        )
-
-    def replaced(self, new_entries) -> "LookupTable":
-        """A new table with entries replaced wholesale."""
-        return LookupTable(
-            entries=tuple(new_entries),
-            similarity=self.similarity,
-            threshold=self.threshold,
-            magnitude_ratio=self.magnitude_ratio,
-            fingerprint=self.fingerprint,
-            created_at=self.created_at,
-        )
-
 
 def _magnitude_ok(incoming: np.ndarray, pattern: np.ndarray, ratio: float) -> bool:
     if math.isinf(ratio):
@@ -203,6 +187,28 @@ def _magnitude_ok(incoming: np.ndarray, pattern: np.ndarray, ratio: float) -> bo
         return False
     r = ni / np_
     return 1.0 / ratio <= r <= ratio
+
+
+def entry_scores(table: LookupTable, vec: np.ndarray) -> np.ndarray:
+    """pearson(vec, p), sentinels included, or ||vec - p|| for every pattern p.
+
+    Products are summed row by row, not by a BLAS matrix-vector call whose
+    summation order can depend on the row's position: equal patterns must
+    score bit-equal so that ties go to the lowest index."""
+    if table.similarity == "euclidean":
+        return np.linalg.norm(table.patterns - vec, axis=1)
+    c = vec - vec.mean()
+    norm = np.sqrt((c ** 2).sum())
+    rows, row_norms = table.centred, table.centred_norms
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.clip((rows * c).sum(axis=1) / (norm * row_norms), -1.0, 1.0)
+    # pearson()'s sentinels, lowest precedence first so that later writes win.
+    r[(rows == -c).all(axis=1)] = -1.0
+    r[(rows == c).all(axis=1)] = 1.0
+    zero_var = (norm == 0.0) | (row_norms == 0.0)
+    flat = rows[zero_var]   # np.allclose(c, flat, atol=1e-12) per row, written out
+    r[zero_var] = (np.abs(c - flat) <= 1e-12 + 1e-5 * np.abs(flat)).all(axis=1)
+    return r
 
 
 def match(table: LookupTable, incoming: DemandVector) -> MatchResult:
@@ -218,13 +224,12 @@ def match(table: LookupTable, incoming: DemandVector) -> MatchResult:
         raise FingerprintMismatchError(
             f"incoming pattern has {len(vec)} services, table holds {table.service_count}"
         )
+    scores = entry_scores(table, vec)
     if table.similarity == "pearson":
-        scores = np.array([pearson(vec, e.pattern) for e in table.entries])
         best = int(scores.argmax())
         hit = scores[best] >= table.threshold and _magnitude_ok(
-            vec, table.entries[best].pattern, table.magnitude_ratio)
+            vec, table.patterns[best], table.magnitude_ratio)
     else:
-        scores = np.array([float(np.linalg.norm(vec - e.pattern)) for e in table.entries])
         best = int(scores.argmin())
         hit = scores[best] <= table.threshold
     return MatchResult(

@@ -108,8 +108,8 @@ def test_criterion_2_cluster_count_recovery(catalog):
             SyntheticSpec(mode_centers=centers, noise_sigma=sigma,
                           periods=100, seed=2000 + run), catalog)
         X = np.vstack([dv.values for dv in demand_series(trace, catalog)])
-        best_k, rows = select_k(X, (2, 15), seed=3000 + run)
-        recovered += best_k == 10
+        model, rows = select_k(X, (2, 15), seed=3000 + run)
+        recovered += model.k == 10
         db = {k: score for k, score, _ in rows}
         assert db[10] < db[7], f"run {run}: db(10)={db[10]} !< db(7)={db[7]}"
         assert db[10] < db[13], f"run {run}: db(10)={db[10]} !< db(13)={db[13]}"

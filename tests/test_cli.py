@@ -24,6 +24,17 @@ def workspace(tmp_path):
     return tmp_path, services, vms, trace
 
 
+def single_service_workspace(tmp_path):
+    services = tmp_path / "one_service.csv"
+    services.write_text("1,1,2\n")
+    vms = tmp_path / "vms.csv"
+    vms.write_text("small,200,200,300,1.0\nlarge,600,600,700,2.9\n")
+    trace = tmp_path / "one_service_trace.csv"
+    assert main(["gen", "--services", "1", "--periods", "60", "--modes", "3",
+                 "--seed", "4", "--out", str(trace)]) == 0
+    return services, vms, trace
+
+
 def build(workspace, outdir="build", extra=()):
     tmp_path, services, vms, trace = workspace
     out = tmp_path / outdir
@@ -70,6 +81,25 @@ class TestBuild:
             assert (out / name).exists(), name
         header = (out / "index_table.csv").read_text().split("\n")[0]
         assert header == "k,davies_bouldin,dunn"
+
+    def test_single_service_pearson_exits_2(self, tmp_path, capsys):
+        services, vms, trace = single_service_workspace(tmp_path)
+        rc = main(["build", "--trace", str(trace), "--catalog", str(services),
+                   "--vm-catalog", str(vms), "--out", str(tmp_path / "b")])
+        assert rc == 2
+        assert "--similarity euclidean" in capsys.readouterr().err
+        assert not (tmp_path / "b" / "table.json").exists()
+
+    def test_single_service_euclidean_builds_and_replays(self, tmp_path):
+        services, vms, trace = single_service_workspace(tmp_path)
+        common = ["--trace", str(trace), "--catalog", str(services),
+                  "--vm-catalog", str(vms), "--seed", "3", "--generations", "60"]
+        assert main(["build", *common, "--out", str(tmp_path / "b"),
+                     "--similarity", "euclidean", "--k-max", "4"]) == 0
+        assert main(["run", *common, "--table", str(tmp_path / "b" / "table.json"),
+                     "--out", str(tmp_path / "r")]) == 0
+        lines = (tmp_path / "r" / "simulation.csv").read_text().strip().split("\n")
+        assert len(lines) == 2 + 60
 
     def test_k_range_too_large_exits_2(self, workspace):
         tmp_path, services, vms, trace = workspace

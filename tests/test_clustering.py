@@ -219,14 +219,14 @@ class TestDunn:
 class TestSelectK:
     def test_recovers_planted_mode_count(self):
         X, _, _ = planted_patterns(13)
-        best_k, rows = select_k(X, (2, 15), seed=13)
-        assert best_k == 10
+        model, rows = select_k(X, (2, 15), seed=13)
+        assert model.k == 10
         assert [r[0] for r in rows] == list(range(2, 16))
 
     def test_singleton_range(self):
         X, _, _ = planted_patterns(14, n=40)
-        best_k, rows = select_k(X, (2, 2), seed=0)
-        assert best_k == 2
+        model, rows = select_k(X, (2, 2), seed=0)
+        assert model.k == 2
         assert len(rows) == 1
 
     def test_empty_range_rejected(self):

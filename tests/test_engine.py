@@ -181,6 +181,9 @@ class TestRunOnline:
         assert len(sim.records) == 30
         if sim.live_violation_rate > 0:
             assert any("violates live demand" in m for m in caplog.messages)
+        warnings = [r for r in caplog.records
+                    if r.name == "packwise.engine" and r.levelname == "WARNING"]
+        assert len(warnings) <= 1
 
     def test_invalid_fallback_rejected(self, built, catalog, vms):
         _, _, _, table, _ = built
@@ -301,3 +304,12 @@ class TestPackingAutoscaler:
     def test_unfitted_predict_rejected(self):
         with pytest.raises(ValueError, match="not fitted"):
             PackingAutoscaler().predict(np.array([1, 2, 3, 4, 5]))
+
+    def test_invalid_fallback_rejected_by_predict(self, fitted):
+        model, centers = fitted
+        model.set_params(fallback="bogus")
+        try:
+            with pytest.raises(ValueError, match="fallback"):
+                model.predict(centers[0].astype(int))
+        finally:
+            model.set_params(fallback="greedy")

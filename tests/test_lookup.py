@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from packwise import (
     pearson,
     save_table,
 )
+from packwise.lookup import entry_scores
 
 
 @pytest.fixture
@@ -121,10 +123,19 @@ class TestMatch:
         table = table_with([p, p, p], vm_catalog[0])
         result = match(table, incoming(p))
         assert result.best_index == 0
+        # Duplicated rows tie for any probe and width, not only on the
+        # exact-match sentinel.
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            q = rng.integers(20, 200, size=12)
+            table = table_with([q] * 15, vm_catalog[0])
+            probe = incoming(q + rng.integers(0, 5, size=12))
+            assert len(set(entry_scores(table, probe.values))) == 1
+            assert match(table, probe).best_index == 0
 
     def test_duplicate_entries_never_flip_hit(self, vm_catalog):
         base = table_with([[10, 20, 30, 40, 50], [50, 40, 30, 20, 10]], vm_catalog[0])
-        doubled = base.extended(base.entries)
+        doubled = replace(base, entries=base.entries + base.entries)
         for probe in ([12, 19, 33, 38, 52], [9, 55, 2, 61, 7]):
             a = match(base, incoming(probe))
             b = match(doubled, incoming(probe))
@@ -219,6 +230,13 @@ class TestTableValidation:
         with pytest.raises(ValueError):
             LookupTable(entries=entries)
 
+    def test_single_service_needs_euclidean(self, vm_catalog):
+        with pytest.raises(ValueError, match="euclidean"):
+            table_with([[4.0], [9.0]], vm_catalog[0])
+        table = table_with([[4.0], [9.0]], vm_catalog[0],
+                           similarity="euclidean", threshold=1.0)
+        assert match(table, incoming([8])).best_index == 1
+
 
 class TestPersistence:
     def build_table(self, catalog, vm_catalog):
@@ -232,7 +250,6 @@ class TestPersistence:
         return LookupTable(
             entries=(e1, e2),
             fingerprint=catalog_fingerprint(catalog, vm_catalog),
-            created_at="2026-01-01T00:00:00+00:00",
         )
 
     def test_round_trip_identity(self, tmp_path, five_service_catalog, vm_catalog):
