@@ -11,22 +11,26 @@ Clustering runs on raw (unnormalized) pattern values: magnitudes carry the
 machine-count signal, so scaling the data away would destroy exactly what
 the downstream packing step needs.
 
-Estimators follow the sklearn fit/predict convention and expose
-``cluster_centers_`` / ``labels_`` after fitting.
+The Dunn index reads one distance block per cluster and per pair of
+clusters, so its memory grows with the largest pair of clusters rather
+than with n^2 * S for n patterns of S services.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 from scipy.cluster.hierarchy import fcluster
 from scipy.cluster.hierarchy import linkage as scipy_linkage
+from scipy.spatial.distance import cdist, pdist
 
 from .validation import as_float_matrix
 
+KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
+LINKAGES = ("ward", "complete", "average")
 
 
 class DegenerateModelError(ValueError):
@@ -93,180 +97,48 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-class PatternKMeans:
-    """Seeded Lloyd's k-means over pattern vectors.
+def _lloyd(Xs: np.ndarray, k: int, rng: np.random.Generator):
+    """One restart: (centers, labels, within-cluster sum of squares per sweep)."""
+    centers = _kmeans_pp_init(Xs, k, rng)
+    labels = np.full(Xs.shape[0], -1)
+    trace = []
+    for _ in range(KMEANS_MAX_ITER):
+        d2 = ((Xs[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = d2.argmin(axis=1)
 
-    Each restart runs to convergence (no reassignments) or max_iter
-    sweeps from a fresh k-means++ initialization; the restart with the
-    lowest within-cluster sum of squares wins. Empty clusters are
-    repaired by reseeding from the point currently farthest from its
-    centroid. Deterministic given (data multiset, n_clusters, seed).
-
-    Attributes after fit: cluster_centers_, labels_, inertia_, n_iter_,
-    objective_trace_ (within-cluster sum of squares after each sweep of
-    the winning restart).
-    """
-
-    def __init__(self, n_clusters: int = 8, seed: int = 0,
-                 n_init: int = 10, max_iter: int = KMEANS_MAX_ITER):
-        self.n_clusters = n_clusters
-        self.seed = seed
-        self.n_init = n_init
-        self.max_iter = max_iter
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {
-            "n_clusters": self.n_clusters,
-            "seed": self.seed,
-            "n_init": self.n_init,
-            "max_iter": self.max_iter,
-        }
-
-    def set_params(self, **params):
-        for key, value in params.items():
-            if key not in self.get_params():
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
-
-    def fit(self, X):
-        X = as_float_matrix(X, "patterns")
-        k = self.n_clusters
-        if k < 1:
-            raise ValueError(f"n_clusters must be >= 1, got {k}")
-        if self.n_init < 1:
-            raise ValueError(f"n_init must be >= 1, got {self.n_init}")
-        distinct = np.unique(X, axis=0).shape[0]
-        if k > distinct:
-            raise DegenerateModelError(
-                f"n_clusters={k} exceeds the {distinct} distinct pattern(s)"
-            )
-
-        order = _canonical_order(X)
-        Xs = X[order]
-        rng = np.random.default_rng(self.seed)
-        best = None
-        for _ in range(self.n_init):
-            centers, labels, trace = self._lloyd(Xs, k, rng)
-            if best is None or trace[-1] < best[2][-1]:
-                best = (centers, labels, trace)
-        centers, labels, trace = best
-
-        self.cluster_centers_ = centers
-        self.labels_ = np.empty(X.shape[0], dtype=np.int64)
-        self.labels_[order] = labels
-        self.objective_trace_ = tuple(trace)
-        self.inertia_ = trace[-1]
-        self.n_iter_ = len(trace)
-        return self
-
-    def _lloyd(self, Xs, k, rng):
-        centers = _kmeans_pp_init(Xs, k, rng)
-        labels = np.full(Xs.shape[0], -1)
-        trace = []
-        for _ in range(self.max_iter):
-            d2 = ((Xs[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            new_labels = d2.argmin(axis=1)
-
-            # Repair empty clusters by reseeding each from the point farthest
-            # from its own centroid; sole members stay put so a repair cannot
-            # empty another cluster.
-            while True:
-                sizes = np.bincount(new_labels, minlength=k)
-                empty = np.flatnonzero(sizes == 0)
-                if empty.size == 0:
-                    break
-                c = int(empty[0])
-                dist_to_own = d2[np.arange(len(new_labels)), new_labels]
-                dist_to_own = np.where(sizes[new_labels] > 1, dist_to_own, -np.inf)
-                far = int(dist_to_own.argmax())
-                centers[c] = Xs[far]
-                new_labels[far] = c
-                d2[:, c] = ((Xs - centers[c]) ** 2).sum(axis=1)
-
-            converged = np.array_equal(new_labels, labels)
-            labels = new_labels
-            for c in range(k):
-                centers[c] = Xs[labels == c].mean(axis=0)
-            d2_final = ((Xs - centers[labels]) ** 2).sum(axis=1)
-            trace.append(float(d2_final.sum()))
-            if converged:
+        # Repair empty clusters by reseeding each from the point farthest
+        # from its own centroid; sole members stay put so a repair cannot
+        # empty another cluster.
+        while True:
+            sizes = np.bincount(new_labels, minlength=k)
+            empty = np.flatnonzero(sizes == 0)
+            if empty.size == 0:
                 break
-        return centers, labels, trace
+            c = int(empty[0])
+            dist_to_own = d2[np.arange(len(new_labels)), new_labels]
+            dist_to_own = np.where(sizes[new_labels] > 1, dist_to_own, -np.inf)
+            far = int(dist_to_own.argmax())
+            centers[c] = Xs[far]
+            new_labels[far] = c
+            d2[:, c] = ((Xs - centers[c]) ** 2).sum(axis=1)
 
-    def predict(self, X):
-        X = as_float_matrix(X, "patterns")
-        d2 = ((X[:, None, :] - self.cluster_centers_[None, :, :]) ** 2).sum(axis=2)
-        return d2.argmin(axis=1)
+        converged = np.array_equal(new_labels, labels)
+        labels = new_labels
+        for c in range(k):
+            centers[c] = Xs[labels == c].mean(axis=0)
+        d2_final = ((Xs - centers[labels]) ** 2).sum(axis=1)
+        trace.append(float(d2_final.sum()))
+        if converged:
+            break
+    return centers, labels, trace
 
-    def fit_predict(self, X):
-        return self.fit(X).labels_
 
-
-class PatternAgglomerative:
-    """Bottom-up hierarchical clustering, cut at n_clusters.
-
-    The agglomeration itself comes from scipy (ward, complete or average
-    linkage); centroids are member means of the cut clusters. The full
-    merge list is kept as a Dendrogram for plotting.
-    """
-
-    LINKAGES = ("ward", "complete", "average")
-
-    def __init__(self, n_clusters: int = 8, linkage: str = "ward"):
-        self.n_clusters = n_clusters
-        self.linkage = linkage
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {"n_clusters": self.n_clusters, "linkage": self.linkage}
-
-    def set_params(self, **params):
-        for key, value in params.items():
-            if key not in self.get_params():
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
-
-    def fit(self, X):
-        X = as_float_matrix(X, "patterns")
-        k = self.n_clusters
-        if k < 1:
-            raise ValueError(f"n_clusters must be >= 1, got {k}")
-        if self.linkage not in self.LINKAGES:
-            raise ValueError(f"linkage must be one of {self.LINKAGES}")
-        distinct = np.unique(X, axis=0).shape[0]
-        if k > distinct:
-            raise DegenerateModelError(
-                f"n_clusters={k} exceeds the {distinct} distinct pattern(s)"
-            )
-
-        order = _canonical_order(X)
-        Xs = X[order]
-        Z = scipy_linkage(Xs, method=self.linkage)
-        labels_sorted = fcluster(Z, t=k, criterion="maxclust") - 1
-        if np.unique(labels_sorted).shape[0] != k:
-            raise DegenerateModelError(
-                f"cutting the tree produced fewer than {k} clusters"
-            )
-        # Relabel by first appearance in canonical order so labels are stable.
-        remap = {}
-        for lab in labels_sorted:
-            if lab not in remap:
-                remap[lab] = len(remap)
-        labels_sorted = np.array([remap[lab] for lab in labels_sorted])
-
-        self.merges_ = Dendrogram(
-            merges=tuple((int(a), int(b), float(d)) for a, b, d, _ in Z)
-        )
-        self.cluster_centers_ = np.vstack(
-            [Xs[labels_sorted == c].mean(axis=0) for c in range(k)]
-        )
-        self.labels_ = np.empty(X.shape[0], dtype=np.int64)
-        self.labels_[order] = labels_sorted
-        return self
-
-    def fit_predict(self, X):
-        return self.fit(X).labels_
+def _check_k(X: np.ndarray, k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    distinct = np.unique(X, axis=0).shape[0]
+    if k > distinct:
+        raise DegenerateModelError(f"k={k} exceeds the {distinct} distinct pattern(s)")
 
 
 def davies_bouldin(model: ClusterModel, patterns) -> float:
@@ -305,13 +177,11 @@ def dunn(model: ClusterModel, patterns) -> float:
     X = as_float_matrix(patterns, "patterns")
     if model.k < 2:
         raise ValueError("index needs k >= 2")
-    dists = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
-    members = [np.flatnonzero(model.assignments == c) for c in range(model.k)]
+    blocks = [X[model.assignments == c] for c in range(model.k)]
 
-    diameters = [dists[np.ix_(m, m)].max() for m in members]
-    max_diameter = max(diameters)
+    max_diameter = max(pdist(b).max(initial=0.0) for b in blocks)
     min_separation = min(
-        dists[np.ix_(members[i], members[j])].min()
+        cdist(blocks[i], blocks[j]).min()
         for i in range(model.k)
         for j in range(i + 1, model.k)
     )
@@ -320,49 +190,78 @@ def dunn(model: ClusterModel, patterns) -> float:
     return float(min_separation / max_diameter)
 
 
-def _attach_indices(model: ClusterModel, X: np.ndarray) -> ClusterModel:
+def _with_indices(model: ClusterModel, X: np.ndarray) -> ClusterModel:
     if model.k < 2:
         return model
     try:
         db = davies_bouldin(model, X)
     except DegenerateModelError:
         db = None
-    return ClusterModel(
-        k=model.k,
-        centroids=model.centroids,
-        assignments=model.assignments,
-        method=model.method,
-        db_index=db,
-        dunn_index=dunn(model, X),
-        objective_trace=model.objective_trace,
-    )
+    return replace(model, db_index=db, dunn_index=dunn(model, X))
 
 
 def kmeans(patterns, k: int, seed: int = 0) -> ClusterModel:
-    """Fit seeded k-means and return the model with validity indices attached."""
+    """Seeded Lloyd's k-means with validity indices attached.
+
+    Each of KMEANS_RESTARTS restarts runs to convergence (no reassignments)
+    or KMEANS_MAX_ITER sweeps from a fresh k-means++ initialization; the
+    restart with the lowest within-cluster sum of squares wins, and its
+    per-sweep objective is the model's objective_trace. Empty clusters are
+    repaired by reseeding from the point currently farthest from its
+    centroid. Deterministic given (data multiset, k, seed).
+    """
     X = as_float_matrix(patterns, "patterns")
-    est = PatternKMeans(n_clusters=k, seed=seed).fit(X)
-    model = ClusterModel(
-        k=k,
-        centroids=est.cluster_centers_,
-        assignments=est.labels_,
-        method="kmeans",
-        objective_trace=est.objective_trace_,
-    )
-    return _attach_indices(model, X)
+    _check_k(X, k)
+    order = _canonical_order(X)
+    Xs = X[order]
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(KMEANS_RESTARTS):
+        centers, labels, trace = _lloyd(Xs, k, rng)
+        if best is None or trace[-1] < best[2][-1]:
+            best = (centers, labels, trace)
+    centers, labels, trace = best
+    assignments = np.empty(X.shape[0], dtype=np.int64)
+    assignments[order] = labels
+    model = ClusterModel(k=k, centroids=centers, assignments=assignments,
+                         method="kmeans", objective_trace=tuple(trace))
+    return _with_indices(model, X)
 
 
 def ahc(patterns, k: int, linkage: str = "ward") -> tuple[ClusterModel, Dendrogram]:
-    """Fit hierarchical clustering cut at k; returns (model, dendrogram)."""
+    """Bottom-up hierarchical clustering cut at k; returns (model, dendrogram).
+
+    The agglomeration itself comes from scipy (ward, complete or average
+    linkage); centroids are member means of the cut clusters. The full
+    merge list is kept as a Dendrogram for plotting.
+    """
     X = as_float_matrix(patterns, "patterns")
-    est = PatternAgglomerative(n_clusters=k, linkage=linkage).fit(X)
+    if linkage not in LINKAGES:
+        raise ValueError(f"linkage must be one of {LINKAGES}")
+    _check_k(X, k)
+    order = _canonical_order(X)
+    Xs = X[order]
+    Z = scipy_linkage(Xs, method=linkage)
+    labels = fcluster(Z, t=k, criterion="maxclust") - 1
+    if np.unique(labels).shape[0] != k:
+        raise DegenerateModelError(f"cutting the tree produced fewer than {k} clusters")
+    # Relabel by first appearance in canonical order so labels are stable.
+    remap = {}
+    for lab in labels:
+        if lab not in remap:
+            remap[lab] = len(remap)
+    labels = np.array([remap[lab] for lab in labels])
+
+    assignments = np.empty(X.shape[0], dtype=np.int64)
+    assignments[order] = labels
     model = ClusterModel(
         k=k,
-        centroids=est.cluster_centers_,
-        assignments=est.labels_,
+        centroids=np.vstack([Xs[labels == c].mean(axis=0) for c in range(k)]),
+        assignments=assignments,
         method="ahc",
     )
-    return _attach_indices(model, X), est.merges_
+    dendrogram = Dendrogram(merges=tuple((int(a), int(b), float(d)) for a, b, d, _ in Z))
+    return _with_indices(model, X), dendrogram
 
 
 def save_index_table(rows, path) -> None:

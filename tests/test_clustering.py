@@ -1,13 +1,16 @@
 """K-means, hierarchical clustering, validity indices, cluster-count selection."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from packwise import (
     ClusterModel,
     DegenerateModelError,
-    PatternAgglomerative,
-    PatternKMeans,
     ahc,
     davies_bouldin,
     dunn,
@@ -32,6 +35,27 @@ def planted_patterns(run_seed, modes=10, n=100):
     labels = rng.integers(0, modes, size=n)
     X = centers[labels] + rng.normal(0, sigma, size=(n, centers.shape[1]))
     return X, centers, labels
+
+
+@st.composite
+def labelled_patterns(draw):
+    """(X, labels, k): count-like patterns up to 12 wide with duplicate rows,
+    singleton clusters and, sometimes, every cluster a single repeated row."""
+    S = draw(st.integers(1, 12))
+    n = draw(st.integers(2, 24))
+    k = draw(st.integers(2, n))
+    labels = np.array(list(range(k)) + draw(st.lists(st.integers(0, k - 1),
+                                                     min_size=n - k, max_size=n - k)))
+    value = st.one_of(st.integers(0, 300), st.integers(0, 100_000).map(lambda v: v / 100))
+    row = st.lists(value, min_size=S, max_size=S).map(lambda r: np.array(r, dtype=float))
+    if draw(st.booleans()):
+        rows = [draw(row) for _ in range(k)]
+        return np.vstack([rows[c] for c in labels]), labels, k
+    X = []
+    for _ in range(n):
+        X.append(X[draw(st.integers(0, len(X) - 1))] if X and draw(st.booleans())
+                 else draw(row))
+    return np.vstack(X), labels, k
 
 
 class TestKMeans:
@@ -95,24 +119,14 @@ class TestKMeans:
         # Assignments agree up to the permutation and label renaming.
         assert len(set(zip(a.assignments[perm].tolist(), b.assignments.tolist()))) == 10
 
-    def test_estimator_api(self):
-        X, _, _ = planted_patterns(5)
-        est = PatternKMeans(n_clusters=3, seed=1)
-        assert est.get_params()["n_clusters"] == 3
-        est.set_params(n_clusters=4)
-        labels = est.fit_predict(X)
-        assert est.cluster_centers_.shape == (4, 5)
-        assert np.array_equal(labels, est.labels_)
-        assert np.array_equal(est.predict(est.cluster_centers_), np.arange(4))
-        with pytest.raises(ValueError):
-            est.set_params(bogus=1)
-
 
 class TestAgglomerative:
     def test_merge_count(self):
         X, _, _ = planted_patterns(6, n=40)
-        _, dendro = ahc(X, 3)
-        assert dendro.n_merges == 39
+        for linkage in ("ward", "complete", "average"):
+            model, dendro = ahc(X, 3, linkage=linkage)
+            assert dendro.n_merges == 39, linkage
+            assert model.centroids.shape == (3, 5), linkage
 
     def test_k_equals_n_gives_singletons(self):
         rng = np.random.default_rng(7)
@@ -149,14 +163,6 @@ class TestAgglomerative:
         X = np.tile([3.0, 1.0], (5, 1))
         with pytest.raises(DegenerateModelError):
             ahc(X, 3)
-
-    def test_estimator_api(self):
-        X, _, _ = planted_patterns(10, n=30)
-        est = PatternAgglomerative(n_clusters=4, linkage="complete")
-        est.fit(X)
-        assert est.cluster_centers_.shape == (4, 5)
-        assert est.merges_.n_merges == 29
-        assert est.get_params()["linkage"] == "complete"
 
 
 class TestDaviesBouldin:
@@ -214,6 +220,44 @@ class TestDunn:
         scores = {k: kmeans(X, k, seed=12).dunn_index for k in (7, 10, 13)}
         assert scores[10] > scores[7]
         assert scores[10] > scores[13]
+
+    @settings(max_examples=200, deadline=None)
+    @given(labelled_patterns())
+    def test_matches_scalar_oracle(self, case):
+        X, labels, k = case
+        model = ClusterModel(k=k, centroids=np.vstack([X[labels == c].mean(axis=0)
+                                                       for c in range(k)]),
+                             assignments=labels, method="kmeans")
+        diameter, separation = 0.0, math.inf
+        for i in range(len(X)):
+            for j in range(i + 1, len(X)):
+                d = math.dist(X[i], X[j])
+                if labels[i] == labels[j]:
+                    diameter = max(diameter, d)
+                else:
+                    separation = min(separation, d)
+        value = dunn(model, X)
+        if diameter == 0.0:
+            assert value == math.inf
+        else:
+            oracle = separation / diameter
+            assert abs(value - oracle) <= 1e-12 * max(1.0, abs(oracle))
+
+    def test_memory_bounded_by_cluster_blocks(self):
+        # The n x n x S difference tensor of 2000 x 5 patterns alone is 160 MB.
+        rng = np.random.default_rng(0)
+        X = rng.normal(100.0, 30.0, size=(2000, 5))
+        labels = rng.integers(0, 2, size=2000)
+        model = ClusterModel(k=2, centroids=np.vstack([X[labels == c].mean(axis=0)
+                                                       for c in range(2)]),
+                             assignments=labels, method="kmeans")
+        tracemalloc.start()
+        try:
+            dunn(model, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestSelectK:

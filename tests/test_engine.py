@@ -229,6 +229,35 @@ class TestEvaluateMethods:
         assert by["per_period_ga"] <= by["first_fit"] + 1e-9
         assert by["per_period_ga"] <= by["best_fit"] + 1e-9
 
+    def test_best_fit_packed_once_per_period(self, built, catalog, vms, monkeypatch):
+        # Misses (demand at 1.6x the modes) are served by the greedy fallback,
+        # which is the best-fit packing; it must not be packed again for the
+        # best_fit column.
+        import packwise.engine as engine
+        _, centers, sigma, table, _ = built
+        online = WorkloadTrace(np.vstack([
+            generate_trace(SyntheticSpec(mode_centers=centers * scale, noise_sigma=sigma,
+                                         periods=20, seed=889), catalog).counts
+            for scale in (1.0, 1.6)
+        ]))
+        calls = []
+        real = engine.best_fit_pack
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(engine, "best_fit_pack", counting)
+        report = evaluate_methods(online, catalog, vms, table,
+                                  ga_params=GaParams(generations=5, seed=2))
+        assert len(calls) == 40
+        secs = online.period_seconds
+        demands = [demand_for_period(c, catalog) for c in online.counts]
+        assert [row[3] for row in report.rows] == [
+            real(dv, vms, secs).total_cost for dv in demands]
+        sources = {engine.decide(table, dv, "greedy", vms, secs)[1] for dv in demands}
+        assert sources == {"table", "fallback-greedy"}
+
     def test_empty_trace_rejected(self, built, catalog, vms):
         _, _, _, table, _ = built
         with pytest.raises(ValueError):
