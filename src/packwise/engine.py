@@ -165,8 +165,8 @@ class MissPolicy:
 
 def _pack_representatives(centroids, catalog, vm_catalog, ga_params, period_seconds,
                           on_infeasible="raise"):
-    """GA-pack each centroid; returns (entries, row data, skipped count)."""
-    entries, rows, skipped = [], [], 0
+    """GA-pack each centroid; returns (entries, skipped count)."""
+    entries, skipped = [], 0
     for i, centroid in enumerate(centroids):
         dv = demand_from_values(centroid, catalog)
         params = replace(ga_params, seed=ga_params.seed + i)
@@ -180,16 +180,23 @@ def _pack_representatives(centroids, catalog, vm_catalog, ga_params, period_seco
             log.warning("skipping representative %d: no feasible packing", i)
             skipped += 1
             continue
-        ff = first_fit_pack(dv, vm_catalog, period_seconds)
-        bf = best_fit_pack(dv, vm_catalog, period_seconds)
-        brute_cost = None
-        if dv.service_count * BRUTE_FORCE_SLOTS <= 12:
-            brute = brute_force_pack(dv, vm_catalog, BRUTE_FORCE_SLOTS, period_seconds)
-            if brute.feasible:
-                brute_cost = brute.total_cost
         entries.append(LookupEntry(pattern=centroid, solution=sol))
-        rows.append((i, centroid, sol.total_cost, ff.total_cost, bf.total_cost, brute_cost))
-    return entries, rows, skipped
+    return entries, skipped
+
+
+def _report_row(i, entry, catalog, vm_catalog, period_seconds):
+    """An offline-report row: the entry's GA cost beside the first-fit,
+    best-fit and (for small instances) brute-force costs of its pattern."""
+    dv = demand_from_values(entry.pattern, catalog)
+    ff = first_fit_pack(dv, vm_catalog, period_seconds)
+    bf = best_fit_pack(dv, vm_catalog, period_seconds)
+    brute_cost = None
+    if dv.service_count * BRUTE_FORCE_SLOTS <= 12:
+        brute = brute_force_pack(dv, vm_catalog, BRUTE_FORCE_SLOTS, period_seconds)
+        if brute.feasible:
+            brute_cost = brute.total_cost
+    return (i, entry.pattern, entry.solution.total_cost, ff.total_cost, bf.total_cost,
+            brute_cost)
 
 
 def euclidean_default_threshold(centroids) -> float:
@@ -233,9 +240,11 @@ def build_offline(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
 
     t0 = time.perf_counter()
     gp = ga_params or GaParams()
-    entries, centroid_rows, _ = _pack_representatives(
+    entries, _ = _pack_representatives(
         model.centroids, catalog, vm_catalog, gp, trace.period_seconds,
         on_infeasible="raise")
+    centroid_rows = [_report_row(i, entry, catalog, vm_catalog, trace.period_seconds)
+                     for i, entry in enumerate(entries)]
     timings["packing"] = time.perf_counter() - t0
 
     if threshold is None:
@@ -279,7 +288,7 @@ def _recluster(table, buffer, catalog, vm_catalog, policy, period_seconds, event
         lo = min(policy.k_range[0], hi)
         model, _ = select_k(union, (lo, hi), seed=policy.seed + 1000 * event)
     gp = replace(policy.ga_params, seed=policy.ga_params.seed + 1000 * event)
-    entries, _, skipped = _pack_representatives(
+    entries, skipped = _pack_representatives(
         model.centroids, catalog, vm_catalog, gp, period_seconds,
         on_infeasible="skip")
     if policy.mode == "incremental":

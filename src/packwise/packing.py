@@ -60,7 +60,7 @@ class VmInstance:
 
     def __post_init__(self):
         a = np.asarray(self.assignment)
-        if not np.isin(a, (0, 1)).all():
+        if not ((a == 0) | (a == 1)).all():
             raise ValueError("assignment entries must be 0 or 1")
         a = np.array(a, dtype=np.uint8, copy=True)
         a.flags.writeable = False
@@ -219,19 +219,31 @@ def _catalog_arrays(vm_catalog, d: int):
 
 
 def _evaluate_population(types, bits, per_dim, values, caps, costs, hours, lam):
-    """Vectorized twin of evaluate_genome over a (P, M[, S]) population."""
-    active = types >= 0
-    eff = bits * active[:, :, None]
-    n_hosts = eff.sum(axis=1)
-    share = np.divide(1.0, n_hosts, out=np.zeros_like(n_hosts, dtype=float),
-                      where=n_hosts > 0)
-    load = np.einsum("pms,ps,sk->pmk", eff, share, per_dim)
-    effective = active & (eff.sum(axis=2) > 0)
-    type_idx = np.clip(types, 0, len(costs) - 1)
-    cap_eff = caps[type_idx] * effective[:, :, None]
-    cap_viol = np.maximum(0.0, load - cap_eff).sum(axis=(1, 2))
-    cov_viol = (((n_hosts == 0) & (values > 0)) * values).sum(axis=1)
-    cost = (costs[type_idx] * effective).sum(axis=1) * hours
+    """Vectorized twin of evaluate_genome over a (P, M[, S]) population:
+    returns (fitness, cost, violation), one value per individual.
+
+    caps and costs carry a trailing all-zero row, which an off slot's -1
+    indexes, so slots that decode to no instance add no cost and no
+    capacity. Services lead the working arrays, so einsum adds each
+    service's load to all P * M slots at once, in service order, and the
+    violation and cost sums run pairwise over contiguous per-individual
+    rows: the summation order of a plain per-slot einsum. Keep both orders
+    when rewriting this function; the pinned GA outputs in
+    tests/test_packing.py depend on them bit for bit. (einsum falls back
+    to SIMD partial sums over services only for a single one-slot genome
+    with d == 1, which the GA, with P >= 4, never evaluates.)
+    """
+    P = types.shape[0]
+    on = np.multiply(bits.transpose(2, 0, 1), types >= 0, order="C")     # (S, P, M)
+    hosts = np.einsum("spm->sp", on, dtype=np.int64)
+    share = np.divide(1.0, hosts, out=np.zeros(hosts.shape), where=hosts > 0)
+    load = np.einsum("spm,sk->kpm", on * share[:, :, None], per_dim)      # (d, P, M)
+    slot = np.where(on.any(axis=0), types, -1)
+    over = load - caps.T.take(slot, axis=1)
+    np.maximum(over, 0.0, out=over)
+    cap_viol = over.transpose(1, 2, 0).reshape(P, -1).sum(axis=1)
+    cov_viol = np.multiply(hosts.T == 0, values, order="C").sum(axis=1)
+    cost = costs[slot].sum(axis=1) * hours
     viol = cap_viol + cov_viol
     return cost + lam * viol, cost, viol
 
@@ -303,48 +315,51 @@ def ga_evolve(demand: DemandVector, vm_catalog, params: GaParams,
         if encoded is not None:
             types[row], bits[row] = encoded
 
+    # Off slots (-1) index the appended zero row; see _evaluate_population.
+    caps0 = np.vstack([caps, np.zeros(d)])
+    costs0 = np.append(costs, 0.0)
+    half = P // 2
+    cols = np.arange(M)
     best_feasible = None   # (cost, types, bits)
-    least_violating = None  # (viol, cost, types, bits)
+    least_violating = None  # (viol, cost, types, bits); read only if nothing is ever feasible
     trace = []
     for gen in range(params.generations):
         fitness, cost, viol = _evaluate_population(
-            types, bits, demand.per_dim, demand.values, caps, costs, hours, lam)
+            types, bits, demand.per_dim, demand.values, caps0, costs0, hours, lam)
         trace.append(float(fitness.min()))
 
         feas = viol <= FEASIBILITY_TOL
         if feas.any():
-            i = int(np.flatnonzero(feas)[cost[feas].argmin()])
+            i = int(np.where(feas, cost, np.inf).argmin())
             if best_feasible is None or cost[i] < best_feasible[0]:
                 best_feasible = (float(cost[i]), types[i].copy(), bits[i].copy())
-        i = int(np.lexsort((cost, viol))[0])
-        if least_violating is None or (viol[i], cost[i]) < least_violating[:2]:
-            least_violating = (float(viol[i]), float(cost[i]), types[i].copy(), bits[i].copy())
+        if best_feasible is None:
+            i = int(np.lexsort((cost, viol))[0])
+            if least_violating is None or (viol[i], cost[i]) < least_violating[:2]:
+                least_violating = (float(viol[i]), float(cost[i]), types[i].copy(), bits[i].copy())
 
         if gen == params.generations - 1:
             break
 
         elite = np.argsort(fitness, kind="stable")[:E]
-        elite_t, elite_b = types[elite].copy(), bits[elite].copy()
+        elite_t, elite_b = types[elite], bits[elite]
 
         contenders = rng.integers(0, P, size=(P, 3))
         winners = contenders[np.arange(P), fitness[contenders].argmin(axis=1)]
-        types, bits = types[winners].copy(), bits[winners].copy()
 
-        half = P // 2
+        # Uniform crossover of consecutive winner pairs as one gather: slot m
+        # of child r is flat[r, m], an index into the (individual, slot) rows.
         do_cx = rng.random(half) < params.crossover_rate
         swap = (rng.random((half, M)) < 0.5) & do_cx[:, None]
-        a, b = types[0:2 * half:2], types[1:2 * half:2]
-        a2, b2 = a.copy(), b.copy()
-        a[swap], b[swap] = b2[swap], a2[swap]
-        ab, bb = bits[0:2 * half:2], bits[1:2 * half:2]
-        ab2, bb2 = ab.copy(), bb.copy()
-        ab[swap], bb[swap] = bb2[swap], ab2[swap]
+        flat = winners[:, None] * M + cols
+        pairs = flat[:2 * half].reshape(half, 2, M)
+        pairs[...] = np.where(swap[:, None, :], pairs[:, ::-1], pairs)
+        types, bits = types.take(flat), bits.reshape(P * M, S).take(flat, axis=0)
 
         tmask = rng.random((P, M)) < params.mutation_rate
         fresh = rng.integers(-1, T, size=(P, M))
-        types = np.where(tmask, fresh, types)
-        bmask = rng.random((P, M, S)) < params.mutation_rate
-        bits = bits ^ bmask.astype(np.uint8)
+        np.copyto(types, fresh, where=tmask)
+        bits ^= rng.random((P, M, S)) < params.mutation_rate
 
         types[:E], bits[:E] = elite_t, elite_b
 

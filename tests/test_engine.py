@@ -141,6 +141,25 @@ class TestRunOnline:
         assert all(r.hit and r.source == "table" and r.score >= 0.99 for r in rest)
         assert len(sim.final_table.entries) == len(table.entries) + 1
 
+    def test_recluster_runs_no_report_packers(self, built, catalog, vms, monkeypatch):
+        # The greedy and brute-force costs only feed offline_report.csv, so
+        # recycling misses into the table must not compute them.
+        import packwise.engine as engine
+        _, _, _, table, _ = built
+        calls = []
+        for name in ("first_fit_pack", "best_fit_pack", "brute_force_pack"):
+            real = getattr(engine, name)
+            monkeypatch.setattr(engine, name,
+                                lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+        online = WorkloadTrace(np.tile(np.array([138, 109, 19, 270, 15]), (20, 1)))
+        sim = run_online(table, online, catalog, vms, fallback_policy="nearest",
+                         miss_policy=MissPolicy(buffer_size=20,
+                                                ga_params=GaParams(generations=20, seed=5),
+                                                seed=5))
+        assert sim.recluster_events == 1
+        assert len(sim.final_table.entries) == len(table.entries) + 1
+        assert calls == []
+
     def test_nearest_fallback_serves_best_entry(self, built, catalog, vms):
         _, _, _, table, _ = built
         novel = np.array([138, 109, 19, 270, 15])

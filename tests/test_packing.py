@@ -1,12 +1,17 @@
 """Packing solvers: GA, greedy baselines, brute-force oracle, verifier."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from packwise import (
     DemandVector,
     GaParams,
     PackingSolution,
+    ServiceCatalog,
     VmInstance,
     VmType,
     best_fit_pack,
@@ -41,6 +46,110 @@ def one_type():
     return [VmType("only", np.array([10.0, 10.0]), 2.0)]
 
 
+# Modes 0 and 3 of `packwise gen --seed 1` (the README quickstart).
+QUICKSTART_MODES = ((105, 112, 156, 192, 26), (94, 136, 119, 35, 24))
+
+
+def pinned_instances(catalog, vms):
+    """(name, demand, vm_catalog) for the fixed-seed GA pin: the README
+    catalogs at 1x and 2x a quickstart mode, a random 20-service catalog, a
+    tiny instance and an infeasible lopsided one."""
+    rng = np.random.default_rng(2020)
+    wide = ServiceCatalog(rng.integers(1, 4, size=(20, 3)).astype(float))
+    wide_counts = rng.integers(5, 60, size=20)
+    mode0, mode3 = (np.array(m) for m in QUICKSTART_MODES)
+    return [
+        ("mode0-1x", demand_for_period(mode0, catalog), vms),
+        ("mode0-2x", demand_for_period(2 * mode0, catalog), vms),
+        ("mode3-1x", demand_for_period(mode3, catalog), vms),
+        ("wide-20", demand_for_period(wide_counts, wide), vms),
+        ("tiny-5", *tiny_instance(5)),
+        ("lopsided", make_demand([[50.0, 0.0]]),
+         [VmType("lopsided", np.array([1.0, 99.0]), 1.0)]),
+    ]
+
+
+def ga_fingerprint(solution, trace):
+    """Type ids, assignment bytes, exact cost and a hash of the full
+    best-fitness trace: equal fingerprints mean bit-identical GA output."""
+    return (
+        tuple(inst.vm_type.id for inst in solution.instances),
+        b"".join(inst.assignment.tobytes() for inst in solution.instances).hex(),
+        repr(solution.total_cost),
+        solution.feasible,
+        hashlib.sha256(repr(trace).encode()).hexdigest(),
+    )
+
+
+# ga_fingerprint of ga_evolve(demand, vms, GaParams(seed=seed)) per
+# (instance, seed). Any change to the GA's draws or float reductions moves
+# these; a rewrite that claims identical output must leave them alone.
+PINNED_GA = {
+    ("mode0-1x", 0): (
+        ("large", "small"),
+        "01010101010100000101",
+        "0.6499999999999999", True,
+        "74e8f1bc2261b355b772f10ae28b8cef08e4ccf88d404244954edae4503054a4"),
+    ("mode0-1x", 7): (
+        ("large", "small"),
+        "01010100010000000100",
+        "0.6499999999999999", True,
+        "85b917232193e2453bb7f3867198243c02dcc1510ee37366f5a6a1ba95dfea3f"),
+    ("mode0-2x", 0): (
+        ("large", "large", "small", "medium"),
+        "0101010001000101010001000000000001000100",
+        "1.4", True,
+        "2a8539790d51b83e99423f00acbad9e944ae4eed9a0380b99fabd6f708cfbe24"),
+    ("mode0-2x", 7): (
+        ("medium", "small", "large", "large"),
+        "0101000101010000010001010101010101010101",
+        "1.4", True,
+        "56408b89eb646a3e1fa97e5bc5cd87c81bc85a7e8d295e8947be29c4cfe17e16"),
+    ("mode3-1x", 0): (
+        ("large",),
+        "0101010101",
+        "0.4833333333333333", True,
+        "1e70c071a0f3facb339a28aecf517d7b7bc278d6005c82bcf7b64f60cd857cf4"),
+    ("mode3-1x", 7): (
+        ("large",),
+        "0101010101",
+        "0.4833333333333333", True,
+        "f6d518cde0b37495962d35bca74ac9690efe684dac2437d2808871e8e6186177"),
+    ("wide-20", 0): (
+        ("medium", "large", "large"),
+        "0101000100000100010000010000010101000000010101000100000101010100"
+        "01010101010001000001010100010001010001010000010100010101",
+        "1.2333333333333334", True,
+        "860855c2fc94f7bcac0d915c66498cfc22471b1ff5c247969a005cdbb72a4b63"),
+    ("wide-20", 7): (
+        ("large", "medium", "large"),
+        "0001010001000001000001010100010001010101010000000000000000010101"
+        "01010001010001000001010101010101010000010101000000010001",
+        "1.2333333333333334", True,
+        "e76a8e5c5242fd584054f9b39319a9a2102ec8dcf42ecfc70e148ea48b409070"),
+    ("tiny-5", 0): (
+        ("t0",),
+        "010101",
+        "0.2033333333333333", True,
+        "17dd2995c8044fbdb83dd05e30b9051fdddf80956e10cb959a30c3966f5ccd97"),
+    ("tiny-5", 7): (
+        ("t0",),
+        "010101",
+        "0.2033333333333333", True,
+        "17dd2995c8044fbdb83dd05e30b9051fdddf80956e10cb959a30c3966f5ccd97"),
+    ("lopsided", 0): (
+        ("lopsided", "lopsided"),
+        "0101",
+        "0.3333333333333333", False,
+        "be5c183ca9b8ce48e527dff99b9fd6f0870f56470bfc00ae0fe2cbd815fb8613"),
+    ("lopsided", 7): (
+        ("lopsided", "lopsided"),
+        "0101",
+        "0.3333333333333333", False,
+        "be5c183ca9b8ce48e527dff99b9fd6f0870f56470bfc00ae0fe2cbd815fb8613"),
+}
+
+
 class TestTypes:
     def test_vm_type_needs_positive_capacity_somewhere(self):
         with pytest.raises(ValueError):
@@ -51,8 +160,9 @@ class TestTypes:
             VmType("z", np.array([1.0]), 0.0)
 
     def test_instance_bits_binary(self, one_type):
-        with pytest.raises(ValueError):
-            VmInstance(one_type[0], np.array([0, 2]))
+        for bad in ([0, 2], [0, -1], [0.5, 1.0]):
+            with pytest.raises(ValueError):
+                VmInstance(one_type[0], np.array(bad))
 
     def test_ga_params_ranges(self):
         with pytest.raises(ValueError):
@@ -109,8 +219,8 @@ class TestEvaluateGenome:
             M = 3
             types = rng.integers(-1, len(vms), size=(8, M))
             bits = rng.integers(0, 2, size=(8, M, S), dtype=np.uint8)
-            caps = np.vstack([t.capacity for t in vms])
-            costs = np.array([t.hourly_cost for t in vms])
+            caps = np.vstack([t.capacity for t in vms] + [np.zeros(d)])
+            costs = np.array([t.hourly_cost for t in vms] + [0.0])
             fit, cost, viol = _evaluate_population(
                 types, bits, demand.per_dim, demand.values, caps, costs,
                 600 / 3600, 1.0)
@@ -119,6 +229,74 @@ class TestEvaluateGenome:
                                                demand, vms)
                 assert cost[p] == pytest.approx(c_ref, rel=1e-12, abs=1e-12)
                 assert viol[p] == pytest.approx(v_ref, rel=1e-9, abs=1e-9)
+
+
+# sha256 of the (fitness, cost, violation) bytes _evaluate_population returns
+# for a seeded random population, per (S, M, d): pins its summation order.
+PINNED_POPULATION_SUMS = {
+    (5, 6, 3): "c552371812eb9de3988b8d3927b0c7d19501086783b95a17a5f7a66d3d577b5e",
+    (20, 10, 3): "e91a69ba24a03244f7c2b08c6956a043ed11c8469c92a2b62702da1c98a56632",
+    (12, 8, 1): "0e5a6bc6fd789df6eef2e5d757cdf6468e84638faca628185df9fe825aaa0707",
+    (8, 4, 2): "dd5cdfbb283b133278a2ac5249a7e48069dc18f9be2a9a346c5038d28e54b284",
+    (3, 1, 1): "95f7cd110e749fd2c190ea27f940ed89ab8a2dc0fd41becc4be931ce4ad81c02",
+}
+
+
+@st.composite
+def populations(draw):
+    """A catalog, a demand with zero-demand services, and a population whose
+    slots are off, active but empty, hosting all services (so services split
+    across slots) or random; a service no active slot hosts is uncovered."""
+    S, M, P = draw(st.integers(1, 20)), draw(st.integers(1, 10)), draw(st.integers(1, 16))
+    d, T = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    amount = st.one_of(st.integers(0, 300).map(float),
+                       st.floats(0.0, 500.0, allow_nan=False, allow_infinity=False))
+    row = st.lists(amount, min_size=d, max_size=d)
+    per_dim = np.array(draw(st.lists(st.one_of(st.just([0.0] * d), row),
+                                     min_size=S, max_size=S)))
+    cap = st.lists(st.floats(1.0, 1000.0), min_size=d, max_size=d).map(np.array)
+    vms = [VmType(f"t{j}", draw(cap), draw(st.floats(0.1, 10.0))) for j in range(T)]
+    kinds = np.array(draw(st.lists(st.sampled_from(["off", "empty", "all", "random"]),
+                                   min_size=P * M, max_size=P * M))).reshape(P, M)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    types = np.where(kinds == "off", -1, rng.integers(0, T, size=(P, M)))
+    bits = rng.integers(0, 2, size=(P, M, S), dtype=np.uint8)
+    bits[kinds == "empty"] = 0
+    bits[kinds == "all"] = 1
+    return make_demand(per_dim), vms, types, bits
+
+
+def population_sums_digest(S, M, d):
+    rng = np.random.default_rng(1000 * S + 10 * M + d)
+    T, P = 3, 80
+    per_dim = rng.uniform(0.0, 400.0, size=(S, d)) * (rng.random((S, 1)) < 0.8)
+    caps = np.vstack([rng.uniform(100.0, 900.0, size=(T, d)), np.zeros(d)])
+    costs = np.append(rng.uniform(0.5, 3.0, size=T), 0.0)
+    types = rng.integers(-1, T, size=(P, M))
+    bits = (rng.random((P, M, S)) < 0.3).astype(np.uint8)
+    out = _evaluate_population(types, bits, per_dim, per_dim.sum(axis=1), caps, costs,
+                               600 / 3600, 2.9e4)
+    return hashlib.sha256(np.concatenate(out).tobytes()).hexdigest()
+
+
+class TestEvaluatePopulationAgainstScalarOracle:
+    def test_summation_order_pinned(self):
+        got = {shape: population_sums_digest(*shape) for shape in PINNED_POPULATION_SUMS}
+        assert got == PINNED_POPULATION_SUMS
+
+    @settings(max_examples=200, deadline=None)
+    @given(populations())
+    def test_cost_and_violation(self, case):
+        demand, vms, types, bits = case
+        d = demand.dimension_count
+        caps = np.vstack([t.capacity for t in vms] + [np.zeros(d)])
+        costs = np.array([t.hourly_cost for t in vms] + [0.0])
+        _, cost, viol = _evaluate_population(types, bits, demand.per_dim, demand.values,
+                                             caps, costs, 600 / 3600, 1.0)
+        for p in range(len(types)):
+            c_ref, v_ref = evaluate_genome(types[p].tolist(), bits[p].tolist(), demand, vms)
+            assert cost[p] == pytest.approx(c_ref, rel=1e-12, abs=1e-12)
+            assert viol[p] == pytest.approx(v_ref, rel=1e-9, abs=1e-9)
 
 
 class TestGaPack:
@@ -163,6 +341,13 @@ class TestGaPack:
         demand = make_demand([[50.0, 0.0]])
         sol = ga_pack(demand, vms, GaParams(generations=40, seed=1))
         assert not sol.feasible
+
+    def test_fixed_seed_outputs_pinned(self, five_service_catalog, three_vm_catalog):
+        got = {}
+        for name, demand, vms in pinned_instances(five_service_catalog, three_vm_catalog):
+            for seed in (0, 7):
+                got[name, seed] = ga_fingerprint(*ga_evolve(demand, vms, GaParams(seed=seed)))
+        assert got == PINNED_GA
 
     def test_best_fitness_trace_nonincreasing(self):
         for seed in (0, 3, 8):
