@@ -11,6 +11,12 @@ Clustering runs on raw (unnormalized) pattern values: magnitudes carry the
 machine-count signal, so scaling the data away would destroy exactly what
 the downstream packing step needs.
 
+Each Lloyd sweep works service-major, on the transposed (S, n) patterns:
+point-to-centroid distances are summed over the S service planes in the
+order numpy's own last-axis sum uses, and centroids are per-service
+bincount sums in member order, so the fitted models are bit for bit those
+of the plain broadcast-and-mask formulas (see _lloyd).
+
 The Dunn index reads one distance block per cluster and per pair of
 clusters, so its memory grows with the largest pair of clusters rather
 than with n^2 * S for n patterns of S services.
@@ -85,25 +91,90 @@ def _canonical_order(X: np.ndarray) -> np.ndarray:
     return np.lexsort(X.T[::-1])
 
 
-def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _plane_sum(t: np.ndarray) -> np.ndarray:
+    """Sum of t over axis 0, overwriting t, in the order of numpy's
+    pairwise_sum (what a contiguous last-axis .sum() does per element):
+    sequential below 8 terms, eight interleaved accumulators up to 128,
+    and halves at a multiple of 8 above that."""
+    S = t.shape[0]
+    if S < 8:
+        for s in range(1, S):
+            t[0] += t[s]
+        return t[0]
+    if S <= 128:
+        r = t[:8]
+        end = S - S % 8
+        for i in range(8, end, 8):
+            r += t[i:i + 8]
+        r[0::2] += r[1::2]
+        r[0::4] += r[2::4]
+        r[0] += r[4]
+        for s in range(end, S):
+            r[0] += t[s]
+        return r[0]
+    half = S // 2 - S // 2 % 8
+    out = _plane_sum(t[:half])
+    out += _plane_sum(t[half:])
+    return out
+
+
+def _sq_dist(XT: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances from the (S, n) service-major patterns XT to
+    the (k, S) centers, bit-equal to
+    ((XT.T[:, None, :] - centers[None]) ** 2).sum(axis=2)."""
+    t = XT[:, :, None] - centers.T[:, None, :]
+    np.square(t, out=t)
+    return _plane_sum(t)
+
+
+def _centroids(Xs: np.ndarray, XT: np.ndarray, labels: np.ndarray,
+               sizes: np.ndarray) -> np.ndarray:
+    """(k, S) member means, bit-equal to Xs[labels == c].mean(axis=0) for
+    each cluster c of sizes[c] > 0 members."""
+    k = sizes.shape[0]
+    if XT.shape[0] == 1:
+        # An (m, 1) mean sums its members pairwise, which bincount does not.
+        return np.vstack([Xs[labels == c].mean(axis=0) for c in range(k)])
+    centers = np.empty((k, XT.shape[0]))
+    for s, row in enumerate(XT):
+        centers[:, s] = np.bincount(labels, weights=row, minlength=k)
+    centers /= sizes[:, None]
+    return centers
+
+
+def _kmeans_pp_init(X: np.ndarray, XT: np.ndarray, k: int,
+                    rng: np.random.Generator) -> np.ndarray:
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[rng.integers(n)]
-    d2 = ((X - centers[0]) ** 2).sum(axis=1)
+    d2 = _sq_dist(XT, centers[:1])[:, 0]
     for j in range(1, k):
         probs = d2 / d2.sum()
         centers[j] = X[rng.choice(n, p=probs)]
-        d2 = np.minimum(d2, ((X - centers[j]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_dist(XT, centers[j:j + 1])[:, 0])
     return centers
 
 
 def _lloyd(Xs: np.ndarray, k: int, rng: np.random.Generator):
-    """One restart: (centers, labels, within-cluster sum of squares per sweep)."""
-    centers = _kmeans_pp_init(Xs, k, rng)
+    """One restart: (centers, labels, within-cluster sum of squares per sweep).
+
+    Summation order is part of the contract. Distances come from
+    _sq_dist, whose sum over services follows numpy's pairwise order for
+    each point and center, as a broadcast .sum(axis=2) does. Centroids come
+    from _centroids: one bincount per service sums the members in row
+    order, the sequential sum Xs[labels == c].mean(axis=0) computes for
+    two or more services, and divides by the member count; a
+    single-service mean sums its members pairwise instead, so that case
+    keeps the masked mean. Keep both orders when rewriting this function;
+    the fixed-seed select_k outputs pinned in tests/test_clustering.py
+    depend on them bit for bit.
+    """
+    XT = np.ascontiguousarray(Xs.T)
+    centers = _kmeans_pp_init(Xs, XT, k, rng)
     labels = np.full(Xs.shape[0], -1)
     trace = []
     for _ in range(KMEANS_MAX_ITER):
-        d2 = ((Xs[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = _sq_dist(XT, centers)
         new_labels = d2.argmin(axis=1)
 
         # Repair empty clusters by reseeding each from the point farthest
@@ -120,12 +191,11 @@ def _lloyd(Xs: np.ndarray, k: int, rng: np.random.Generator):
             far = int(dist_to_own.argmax())
             centers[c] = Xs[far]
             new_labels[far] = c
-            d2[:, c] = ((Xs - centers[c]) ** 2).sum(axis=1)
+            d2[:, c] = _sq_dist(XT, centers[c:c + 1])[:, 0]
 
         converged = np.array_equal(new_labels, labels)
         labels = new_labels
-        for c in range(k):
-            centers[c] = Xs[labels == c].mean(axis=0)
+        centers = _centroids(Xs, XT, labels, sizes)
         d2_final = ((Xs - centers[labels]) ** 2).sum(axis=1)
         trace.append(float(d2_final.sum()))
         if converged:

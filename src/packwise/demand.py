@@ -79,6 +79,23 @@ def demand_series(trace: WorkloadTrace, catalog: ServiceCatalog) -> list[DemandV
     return [demand_for_period(row, catalog) for row in trace.counts]
 
 
+def demand_patterns(trace: WorkloadTrace, catalog: ServiceCatalog) -> np.ndarray:
+    """The (n_periods, S) matrix of pattern values, one row per period.
+
+    Row t equals demand_for_period(trace.counts[t], catalog).values bit for
+    bit: the same products, summed over dimensions in the same order.
+    """
+    if trace.n_periods == 0:
+        raise ValueError("trace has no periods")
+    c = trace.counts.astype(float)
+    if c.shape[1] != catalog.service_count:
+        raise ValueError(
+            f"counts must be a vector of length {catalog.service_count}, "
+            f"got shape {c.shape[1:]}"
+        )
+    return (c[:, :, None] * catalog.unit_costs).sum(axis=2)
+
+
 def demand_from_values(values, catalog: ServiceCatalog) -> DemandVector:
     """Reconstruct a full DemandVector from a scalar pattern vector.
 

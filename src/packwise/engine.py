@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import Dendrogram, ahc, kmeans, select_k
-from .demand import DemandVector, demand_for_period, demand_from_values, demand_series
+from .demand import DemandVector, demand_for_period, demand_from_values, demand_patterns
 from .lookup import (
     FingerprintMismatchError,
     LookupEntry,
@@ -216,7 +216,7 @@ def build_offline(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
                   seed: int = 0):
     """Construct the lookup table from a historical trace.
 
-    Pipeline: demand series -> cluster-count selection -> k-means
+    Pipeline: demand patterns -> cluster-count selection -> k-means
     representatives (hierarchical clustering runs alongside for the
     dendrogram artifact) -> GA packing per representative. Any
     representative without a feasible packing aborts the build: the table
@@ -229,8 +229,7 @@ def build_offline(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
                          "has 1; use --similarity euclidean")
     timings = {}
     t0 = time.perf_counter()
-    series = demand_series(trace, catalog)
-    patterns = np.vstack([dv.values for dv in series])
+    patterns = demand_patterns(trace, catalog)
     timings["demand"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -284,7 +283,8 @@ def _recluster(table, buffer, catalog, vm_catalog, policy, period_seconds, event
         model = kmeans(buffered, k_new, seed=policy.seed + 1000 * event)
     else:
         union = np.vstack([table.patterns, buffered])
-        hi = min(policy.k_range[1], union.shape[0] - 1)
+        hi = min(policy.k_range[1], union.shape[0] - 1,
+                 np.unique(union, axis=0).shape[0])
         lo = min(policy.k_range[0], hi)
         model, _ = select_k(union, (lo, hi), seed=policy.seed + 1000 * event)
     gp = replace(policy.ga_params, seed=policy.ga_params.seed + 1000 * event)

@@ -1,5 +1,6 @@
 """K-means, hierarchical clustering, validity indices, cluster-count selection."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -17,6 +18,7 @@ from packwise import (
     kmeans,
     select_k,
 )
+from packwise import clustering
 from packwise.clustering import save_dendrogram, save_index_table
 
 from conftest import separated_centers
@@ -118,6 +120,125 @@ class TestKMeans:
         assert a.dunn_index == pytest.approx(b.dunn_index, rel=1e-9)
         # Assignments agree up to the permutation and label renaming.
         assert len(set(zip(a.assignments[perm].tolist(), b.assignments.tolist()))) == 10
+
+
+def golden_patterns(S):
+    rng = np.random.default_rng(500 + S)
+    centers = rng.integers(20, 221, size=(6, S)).astype(float)
+    X = centers[rng.integers(0, 6, size=120)] + rng.normal(0, 6, size=(120, S))
+    return np.round(X, 2)
+
+
+# Seven distinct rows, sixteen patterns in canonical (lexicographic) order:
+# at k=4 one restart of select_k(seed=19) empties a cluster and takes the
+# farthest-point repair.
+DUPLICATE_HEAVY = np.repeat(
+    np.array([[1.0, 11.0], [3.0, 10.0], [4.0, 1.0], [5.0, 1.0], [6.0, 3.0],
+              [10.0, 8.0], [11.0, 11.0]]),
+    [2, 2, 3, 4, 2, 2, 1], axis=0)
+
+
+class TestKMeansGolden:
+    """select_k outputs pinned bytewise, so a rewrite of the Lloyd sweep must
+    keep every float: sha256 prefixes of the best model's centroid and
+    assignment bytes, of repr(objective_trace) and of repr(rows)."""
+
+    GOLDEN = {
+        1: (3, "2cf6759dacdd0791", "e45754258ab8006f", "260ca8f365c5ad4e", "958ad5a27dc3327e"),
+        2: (3, "42f27e663960d53e", "ac09e52227496267", "c5c9f9470f17c1c2", "101fae47237a2d48"),
+        5: (6, "9a56b7b2f120dd3f", "f354963dc82ebce3", "ab611ea041113645", "548c777013734d15"),
+        8: (5, "00b3bde8203ef10f", "16069d1839c146fc", "bfc69b591596d367", "987b5dc63f47945f"),
+        12: (6, "874aaf4a73d54b7b", "c01cc219addbf31b", "7221905cd24175af", "174d850d6b2462ab"),
+        20: (6, "374248eab4441876", "d4d6b7ff00c448a8", "192ab5f15fde0d1a", "ba3de65a8da02b70"),
+    }
+    GOLDEN_DUPLICATE_HEAVY = (
+        7, "3ca011cf0a62e1d8", "1168273f2fb1c943", "33f182838c96ef79", "5de900deb0f32839")
+    # The repaired restart loses to another at k=4, so its own output is
+    # pinned through the ten restarts kmeans(DUPLICATE_HEAVY, 4, seed=23) runs.
+    GOLDEN_K4_RESTARTS = "f5fc6dd129183ca0"
+
+    @staticmethod
+    def fingerprint(model, rows):
+        parts = (model.centroids.tobytes(), model.assignments.tobytes(),
+                 repr(model.objective_trace).encode(), repr(rows).encode())
+        return (model.k, *(hashlib.sha256(p).hexdigest()[:16] for p in parts))
+
+    @pytest.mark.parametrize("S", sorted(GOLDEN))
+    def test_select_k_pinned(self, S):
+        model, rows = select_k(golden_patterns(S), (2, 9), seed=S)
+        assert self.fingerprint(model, rows) == self.GOLDEN[S]
+
+    def test_empty_cluster_repair_pinned(self, monkeypatch):
+        # The repair is the only caller of np.flatnonzero in a select_k run
+        # that finds an empty cluster.
+        repairs = []
+        flatnonzero = np.flatnonzero
+
+        def counting(a):
+            found = flatnonzero(a)
+            repairs.extend(found[:1])
+            return found
+
+        monkeypatch.setattr(np, "flatnonzero", counting)
+        model, rows = select_k(DUPLICATE_HEAVY, (2, 7), seed=19)
+        assert repairs
+        assert self.fingerprint(model, rows) == self.GOLDEN_DUPLICATE_HEAVY
+
+        repairs.clear()
+        rng = np.random.default_rng(23)
+        h = hashlib.sha256()
+        for _ in range(clustering.KMEANS_RESTARTS):
+            centers, labels, trace = clustering._lloyd(DUPLICATE_HEAVY, 4, rng)
+            for part in (centers.tobytes(), labels.astype(np.int64).tobytes(),
+                         repr(trace).encode()):
+                h.update(part)
+        monkeypatch.undo()
+        assert repairs
+        assert h.hexdigest()[:16] == self.GOLDEN_K4_RESTARTS
+
+
+@st.composite
+def service_major_inputs(draw):
+    """(X, centers, labels): up to 64 integer- or cent-valued patterns of 1 to
+    300 services with duplicate and all-zero rows, 1 to 15 centers near
+    them, and labels that leave no cluster of the first min(k, n) empty."""
+    S = draw(st.one_of(st.integers(1, 20), st.integers(1, 300)))
+    n = draw(st.integers(1, 64))
+    k = draw(st.integers(1, 15))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        X = rng.integers(0, 300, size=(n, S)).astype(float)
+    else:
+        X = rng.integers(0, 100_000, size=(n, S)) / 100
+    copies = rng.integers(0, n, size=draw(st.integers(0, n)))
+    X[copies] = X[rng.integers(0, n, size=copies.size)]
+    X[rng.integers(0, n, size=draw(st.integers(0, 2)))] = 0.0
+    centers = X[rng.integers(0, n, size=k)] + rng.integers(-900, 900, size=(k, S)) / 300
+    m = min(k, n)
+    labels = rng.permutation(np.concatenate([np.arange(m), rng.integers(0, m, size=n - m)]))
+    return X, centers, labels
+
+
+class TestServiceMajorKernels:
+    """The Lloyd sweep's service-major kernels against the plain broadcast
+    and masked-mean formulas they replace, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(service_major_inputs())
+    def test_sq_dist_matches_broadcast_sum(self, case):
+        X, centers, _ = case
+        expected = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        got = clustering._sq_dist(np.ascontiguousarray(X.T), centers)
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(service_major_inputs())
+    def test_centroids_match_masked_mean(self, case):
+        X, _, labels = case
+        sizes = np.bincount(labels)
+        expected = np.vstack([X[labels == c].mean(axis=0) for c in range(sizes.size)])
+        got = clustering._centroids(X, np.ascontiguousarray(X.T), labels, sizes)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestAgglomerative:

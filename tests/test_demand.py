@@ -9,6 +9,7 @@ from packwise import (
     WorkloadTrace,
     demand_for_period,
     demand_from_values,
+    demand_patterns,
     demand_series,
 )
 from packwise.demand import save_demand_series
@@ -129,6 +130,33 @@ class TestDemandSeries:
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 2
         assert [float(v) for v in lines[0].split(",")] == series[0].values.tolist()
+
+
+class TestDemandPatterns:
+    @pytest.mark.parametrize("S,d", [(1, 1), (3, 8), (5, 3), (7, 12), (20, 3)])
+    def test_bytewise_equal_to_per_period_loop(self, S, d):
+        rng = np.random.default_rng(100 * S + d)
+        costs = rng.integers(0, 5, size=(S, d)) + rng.integers(0, 100, size=(S, d)) / 100
+        costs[:, 0] += 0.25
+        catalog = ServiceCatalog(costs)
+        trace = WorkloadTrace(rng.integers(0, 5000, size=(300, S)))
+        loop = np.vstack([demand_for_period(row, catalog).values for row in trace.counts])
+        patterns = demand_patterns(trace, catalog)
+        assert patterns.shape == (300, S)
+        assert patterns.tobytes() == loop.tobytes()
+
+    def test_service_count_mismatch_rejected_like_one_period(self, five_service_catalog):
+        trace = WorkloadTrace(np.ones((4, 3), dtype=np.int64))
+        with pytest.raises(ValueError) as per_period:
+            demand_for_period(trace.counts[0], five_service_catalog)
+        with pytest.raises(ValueError) as batch:
+            demand_patterns(trace, five_service_catalog)
+        assert str(batch.value) == str(per_period.value)
+
+    def test_empty_trace_rejected(self, five_service_catalog):
+        with pytest.raises(ValueError):
+            demand_patterns(WorkloadTrace(np.zeros((0, 5), dtype=np.int64)),
+                            five_service_catalog)
 
 
 class TestDemandFromValues:

@@ -160,6 +160,18 @@ class TestRunOnline:
         assert len(sim.final_table.entries) == len(table.entries) + 1
         assert calls == []
 
+    def test_full_recluster_caps_k_at_distinct_patterns(self, built, catalog, vms):
+        # 10 table patterns plus 20 copies of one novel row leave 11 distinct
+        # patterns for the sweep, fewer than the k_range's upper end.
+        _, _, _, table, _ = built
+        online = WorkloadTrace(np.tile(np.array([138, 109, 19, 270, 15]), (25, 1)))
+        sim = run_online(table, online, catalog, vms,
+                         miss_policy=MissPolicy(buffer_size=20, mode="full",
+                                                ga_params=GaParams(generations=20, seed=5),
+                                                seed=5))
+        assert sim.recluster_events == 1
+        assert 2 <= len(sim.final_table.entries) <= 11
+
     def test_nearest_fallback_serves_best_entry(self, built, catalog, vms):
         _, _, _, table, _ = built
         novel = np.array([138, 109, 19, 270, 15])
