@@ -85,10 +85,18 @@ class ClusterModel:
             raise ValueError("every cluster must be nonempty and labels < k")
 
 
-def _canonical_order(X: np.ndarray) -> np.ndarray:
-    # Lexicographic row order; running on sorted rows makes the seeded
-    # pipeline invariant to how the caller happened to order the input.
-    return np.lexsort(X.T[::-1])
+def _canonical_order(X: np.ndarray):
+    """(order, sorted rows, distinct-row count) of X.
+
+    Lexicographic row order; running on sorted rows makes the seeded
+    pipeline invariant to how the caller happened to order the input.
+    Equal rows sit next to each other once sorted, so the distinct rows
+    are the first row plus every row that differs from its predecessor.
+    """
+    order = np.lexsort(X.T[::-1])
+    Xs = X[order]
+    distinct = int((Xs[1:] != Xs[:-1]).any(axis=1).sum()) + 1 if len(Xs) else 0
+    return order, Xs, distinct
 
 
 def _plane_sum(t: np.ndarray) -> np.ndarray:
@@ -203,10 +211,9 @@ def _lloyd(Xs: np.ndarray, k: int, rng: np.random.Generator):
     return centers, labels, trace
 
 
-def _check_k(X: np.ndarray, k: int) -> None:
+def _check_k(k: int, distinct: int) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    distinct = np.unique(X, axis=0).shape[0]
     if k > distinct:
         raise DegenerateModelError(f"k={k} exceeds the {distinct} distinct pattern(s)")
 
@@ -270,7 +277,7 @@ def _with_indices(model: ClusterModel, X: np.ndarray) -> ClusterModel:
     return replace(model, db_index=db, dunn_index=dunn(model, X))
 
 
-def kmeans(patterns, k: int, seed: int = 0) -> ClusterModel:
+def kmeans(patterns, k: int, seed: int = 0, *, canonical=None) -> ClusterModel:
     """Seeded Lloyd's k-means with validity indices attached.
 
     Each of KMEANS_RESTARTS restarts runs to convergence (no reassignments)
@@ -279,11 +286,13 @@ def kmeans(patterns, k: int, seed: int = 0) -> ClusterModel:
     per-sweep objective is the model's objective_trace. Empty clusters are
     repaired by reseeding from the point currently farthest from its
     centroid. Deterministic given (data multiset, k, seed).
+
+    canonical is _canonical_order(patterns) when the caller has it
+    already: select_k sorts once for every k of its sweep.
     """
     X = as_float_matrix(patterns, "patterns")
-    _check_k(X, k)
-    order = _canonical_order(X)
-    Xs = X[order]
+    order, Xs, distinct = canonical or _canonical_order(X)
+    _check_k(k, distinct)
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(KMEANS_RESTARTS):
@@ -308,9 +317,8 @@ def ahc(patterns, k: int, linkage: str = "ward") -> tuple[ClusterModel, Dendrogr
     X = as_float_matrix(patterns, "patterns")
     if linkage not in LINKAGES:
         raise ValueError(f"linkage must be one of {LINKAGES}")
-    _check_k(X, k)
-    order = _canonical_order(X)
-    Xs = X[order]
+    order, Xs, distinct = _canonical_order(X)
+    _check_k(k, distinct)
     Z = scipy_linkage(Xs, method=linkage)
     labels = fcluster(Z, t=k, criterion="maxclust") - 1
     if np.unique(labels).shape[0] != k:
@@ -367,9 +375,10 @@ def select_k(patterns, k_range, seed: int = 0):
     if lo < 2 or hi > n - 1:
         raise ValueError(f"k range [{lo}, {hi}] must lie within [2, {n - 1}]")
 
+    canonical = _canonical_order(X)
     models = []
     for k in range(lo, hi + 1):
-        model = kmeans(X, k, seed=seed + k)
+        model = kmeans(X, k, seed=seed + k, canonical=canonical)
         if model.db_index is None:
             raise DegenerateModelError(f"k={k}: coincident centroids")
         models.append(model)

@@ -40,6 +40,7 @@ from .packing import (
     brute_force_pack,
     first_fit_pack,
     ga_pack,
+    mix_lower_bound,
     verify_solution,
 )
 from .workload import ServiceCatalog, WorkloadTrace
@@ -71,6 +72,7 @@ class OfflineReport:
     ahc_db_index: float | None
     ahc_dunn_index: float | None
     centroid_rows: tuple       # (index, pattern, ga, first_fit, best_fit, brute|None)
+    lower_bounds: tuple        # mix_lower_bound of each centroid row's pattern
     dendrogram: Dendrogram
     timings: dict = field(compare=False, default_factory=dict)
 
@@ -79,12 +81,15 @@ class OfflineReport:
             f"# best_k={self.best_k}",
             f"# ahc_davies_bouldin={_fmt(self.ahc_db_index) if self.ahc_db_index is not None else ''}"
             f" ahc_dunn={_fmt(self.ahc_dunn_index) if self.ahc_dunn_index is not None else ''}",
-            "representative,pattern,ga_cost,first_fit_cost,best_fit_cost,brute_force_cost",
+            "representative,pattern,ga_cost,first_fit_cost,best_fit_cost,brute_force_cost,"
+            "lower_bound,gap",
         ]
-        for idx, pattern, ga, ff, bf, brute in self.centroid_rows:
+        for (idx, pattern, ga, ff, bf, brute), lb in zip(self.centroid_rows, self.lower_bounds):
             brute_s = _fmt(brute) if brute is not None else ""
+            gap = ga / lb - 1 if lb > 0 else 0.0
             lines.append(
-                f"{idx},{_fmt_pattern(pattern)},{_fmt(ga)},{_fmt(ff)},{_fmt(bf)},{brute_s}"
+                f"{idx},{_fmt_pattern(pattern)},{_fmt(ga)},{_fmt(ff)},{_fmt(bf)},{brute_s},"
+                f"{_fmt(lb)},{_fmt(gap)}"
             )
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -185,8 +190,9 @@ def _pack_representatives(centroids, catalog, vm_catalog, ga_params, period_seco
 
 
 def _report_row(i, entry, catalog, vm_catalog, period_seconds):
-    """An offline-report row: the entry's GA cost beside the first-fit,
-    best-fit and (for small instances) brute-force costs of its pattern."""
+    """An offline-report row, the entry's GA cost beside the first-fit,
+    best-fit and (for small instances) brute-force costs of its pattern,
+    and the pattern's mix_lower_bound."""
     dv = demand_from_values(entry.pattern, catalog)
     ff = first_fit_pack(dv, vm_catalog, period_seconds)
     bf = best_fit_pack(dv, vm_catalog, period_seconds)
@@ -195,8 +201,9 @@ def _report_row(i, entry, catalog, vm_catalog, period_seconds):
         brute = brute_force_pack(dv, vm_catalog, BRUTE_FORCE_SLOTS, period_seconds)
         if brute.feasible:
             brute_cost = brute.total_cost
-    return (i, entry.pattern, entry.solution.total_cost, ff.total_cost, bf.total_cost,
-            brute_cost)
+    row = (i, entry.pattern, entry.solution.total_cost, ff.total_cost, bf.total_cost,
+           brute_cost)
+    return row, mix_lower_bound(dv, vm_catalog, period_seconds)
 
 
 def euclidean_default_threshold(centroids) -> float:
@@ -242,8 +249,8 @@ def build_offline(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
     entries, _ = _pack_representatives(
         model.centroids, catalog, vm_catalog, gp, trace.period_seconds,
         on_infeasible="raise")
-    centroid_rows = [_report_row(i, entry, catalog, vm_catalog, trace.period_seconds)
-                     for i, entry in enumerate(entries)]
+    report_rows = [_report_row(i, entry, catalog, vm_catalog, trace.period_seconds)
+                   for i, entry in enumerate(entries)]
     timings["packing"] = time.perf_counter() - t0
 
     if threshold is None:
@@ -261,7 +268,8 @@ def build_offline(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
         index_rows=tuple(index_rows),
         ahc_db_index=ahc_model.db_index,
         ahc_dunn_index=ahc_model.dunn_index,
-        centroid_rows=tuple(centroid_rows),
+        centroid_rows=tuple(row for row, _ in report_rows),
+        lower_bounds=tuple(bound for _, bound in report_rows),
         dendrogram=dendrogram,
         timings=timings,
     )

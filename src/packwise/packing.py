@@ -32,6 +32,8 @@ from .validation import as_float_vector
 from .workload import DEFAULT_PERIOD_SECONDS, TraceParseError
 
 FEASIBILITY_TOL = 1e-9
+BOUND_CHUNK = 1 << 15   # type-count mixes per step of mix_lower_bound's enumeration
+NEAR_TIE = 1e-9         # relative cost gap below which float rounding may reorder two mixes
 
 
 @dataclass(frozen=True)
@@ -88,8 +90,8 @@ class PackingSolution:
 @dataclass
 class GaParams:
     """Genetic-algorithm knobs. max_instances / penalty_weight default to
-    instance-derived values when left as None (twice the aggregate lower
-    bound; 1e4 times the priciest type)."""
+    instance-derived values when left as None (default_max_instances,
+    twice the slot-count lower bound; 1e4 times the priciest type)."""
 
     population: int = 80
     generations: int = 300
@@ -164,13 +166,108 @@ def verify_solution(solution: PackingSolution, demand: DemandVector,
 
 
 def default_max_instances(demand: DemandVector, vm_catalog) -> int:
-    """Slot budget: twice the aggregate lower bound ceil(total demand /
-    largest type's total capacity). Zero demand needs zero slots."""
+    """Slot budget: twice the slot-count lower bound ceil(total demand /
+    largest type's total capacity), the fewest instances that could hold
+    the demand (a count of machines, unlike mix_lower_bound, which bounds
+    cost). Zero demand needs zero slots."""
     total = float(demand.values.sum())
     if total == 0:
         return 0
     biggest = max(float(t.capacity.sum()) for t in vm_catalog)
     return 2 * math.ceil(total / biggest)
+
+
+def mix_lower_bound(demand: DemandVector, vm_catalog,
+                    period_seconds: float = DEFAULT_PERIOD_SECONDS) -> float:
+    """Cost lower bound for any feasible packing of demand, in total_cost units.
+
+    The cheapest integer mix n of VM types whose summed capacity covers
+    the total demand in every dimension, n @ caps + FEASIBILITY_TOL *
+    n.sum() >= per_dim.sum(axis=0), where a type with zero capacity in a
+    dimension gets no credit there. A feasible packing rents such a mix,
+    equal splits included, so none costs less (Martello & Toth 1990 give
+    bounds of this kind for bin packing). inf when no mix covers.
+
+    Exact, by enumeration: counts of every type but one run over the
+    range past which more of that type covers nothing new, in chunks of
+    BOUND_CHUNK mixes, and the remaining type's count is the smallest
+    that closes the gap. The mix's price sum is rounded once, then
+    multiplied by the period's hours, as a GA cost is.
+    """
+    return _cost_bound(demand, vm_catalog, period_seconds)[0]
+
+
+def _cost_bound(demand, vm_catalog, period_seconds):
+    """(mix_lower_bound, certified).
+
+    certified means that no genome ga_evolve scores as feasible can cost
+    less than the bound in floating point either, so a champion at the
+    bound is final. A genome's cost sums its slots' prices in an order
+    that depends on where they sit, so two genomes renting the same mix
+    can differ in the last bit. That cannot happen when every proper
+    sub-multiset of a cheapest mix sums to a float exactly: then every
+    summation order rounds only at its last addition, to the float
+    nearest the exact sum. So the bound is certified when this holds for
+    every mix within NEAR_TIE of the cheapest, and any other mix costs
+    more by far more than rounding can take away.
+    """
+    if not vm_catalog:
+        raise ValueError("vm_catalog is empty")
+    caps, costs = _catalog_arrays(vm_catalog, demand.dimension_count)
+    need = demand.per_dim.sum(axis=0)
+    pos = need > 0
+    if not pos.any():
+        return 0.0, True
+    need = need[pos]
+    eff = np.where(caps > 0, caps + FEASIBILITY_TOL, 0.0)[:, pos]
+    with np.errstate(divide="ignore"):
+        alone = np.ceil(need / eff)                               # inf: no capacity
+    cover = np.where(np.isinf(alone), 0.0, alone).max(axis=1).astype(np.int64)
+    last = int(cover.argmax())          # the widest range gets the closed form
+    rest = np.delete(np.arange(len(vm_catalog)), last)
+    e_last = eff[last]
+    best, near = math.inf, []
+    total = math.prod((cover[rest] + 1).tolist())
+    for start in range(0, total, BOUND_CHUNK):
+        idx = np.arange(start, min(start + BOUND_CHUNK, total))
+        n = np.empty((idx.size, rest.size), dtype=np.int64)
+        for j, t in enumerate(rest):
+            idx, n[:, j] = np.divmod(idx, cover[t] + 1)
+        short = need - n @ eff[rest]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = np.ceil(short / e_last)
+            # Undo a quotient that rounded across an integer either way.
+            k -= (k - 1) * e_last >= short
+            k += k * e_last < short
+        k[short <= 0] = 0.0
+        k = k.max(axis=1)
+        cost = n @ costs[rest] + k * costs[last]
+        best = min(best, float(cost.min()))
+        keep = np.isfinite(cost) & (cost <= best * (1 + NEAR_TIE))
+        near.append((cost[keep], np.insert(n[keep], last, k[keep], axis=1)))
+    if best == math.inf:
+        return math.inf, False
+    mixes = np.vstack([m[c <= best * (1 + NEAR_TIE)] for c, m in near])
+
+    # Prices as integer multiples of one power of two, for exact sums.
+    ratios = [c.as_integer_ratio() for c in costs.tolist()]
+    den = max(q for _, q in ratios)
+    units = [p * (den // q) for p, q in ratios]
+    exact = [sum(int(m) * u for m, u in zip(mix, units)) for mix in mixes]
+    bound = min(exact) / den * period_hours(period_seconds)
+    certified = (float(costs.min()) > best * NEAR_TIE
+                 and all(_sub_sums_exact(mix, units) for mix in mixes))
+    return bound, certified
+
+
+def _sub_sums_exact(mix, units) -> bool:
+    """Whether every proper sub-multiset of a mix's prices (integer units
+    of one power of two) sums to a float exactly."""
+    sums = {0}
+    for m, u in zip(mix.tolist(), units):
+        sums = {s + j * u for s in sums for j in range(m + 1)}
+    sums.discard(sum(m * u for m, u in zip(mix.tolist(), units)))
+    return all(s == 0 or s >> ((s & -s).bit_length() - 1) < 1 << 53 for s in sums)
 
 
 def evaluate_genome(slot_types, slot_bits, demand: DemandVector, vm_catalog,
@@ -285,6 +382,15 @@ def ga_evolve(demand: DemandVector, vm_catalog, params: GaParams,
     greedy baselines when they fit the slot budget, so the GA starts no
     worse than greedy. Deterministic given params.seed.
 
+    The run stops early once its cheapest feasible individual costs no
+    more than mix_lower_bound, the cost of the cheapest type mix that
+    covers the total demand. Every later individual that is feasible
+    rents such a mix and so costs at least that much, and the champion
+    changes only on a strict improvement, so the returned solution is
+    the one the full run would return; only the trace is shorter. The
+    rule applies only where float rounding of the cost sums cannot
+    undercut the bound (see _cost_bound); elsewhere the run goes on.
+
     With no feasible individual after the last generation, the
     least-violating one is returned flagged feasible=False.
     """
@@ -295,17 +401,19 @@ def ga_evolve(demand: DemandVector, vm_catalog, params: GaParams,
     if demand.values.sum() == 0:
         return PackingSolution((), 0.0, True), ()
 
-    lower_bound = math.ceil(float(demand.values.sum()) / float(caps.sum(axis=1).max()))
+    min_slots = math.ceil(float(demand.values.sum()) / float(caps.sum(axis=1).max()))
     M = params.max_instances if params.max_instances is not None \
         else default_max_instances(demand, vm_catalog)
-    if M < lower_bound:
-        raise ValueError(f"max_instances={M} below the lower bound {lower_bound}")
+    if M < min_slots:
+        raise ValueError(f"max_instances={M} below the slot lower bound {min_slots}")
     lam = params.penalty_weight if params.penalty_weight is not None \
         else 1e4 * float(costs.max())
     hours = period_hours(period_seconds)
     T = len(vm_catalog)
     P, E = params.population, params.elitism
     rng = np.random.default_rng(params.seed)
+    bound, certified = _cost_bound(demand, vm_catalog, period_seconds)
+    stop_at = bound if certified else -math.inf
 
     types = rng.integers(-1, T, size=(P, M))
     bits = rng.integers(0, 2, size=(P, M, S), dtype=np.uint8)
@@ -333,6 +441,8 @@ def ga_evolve(demand: DemandVector, vm_catalog, params: GaParams,
             i = int(np.where(feas, cost, np.inf).argmin())
             if best_feasible is None or cost[i] < best_feasible[0]:
                 best_feasible = (float(cost[i]), types[i].copy(), bits[i].copy())
+            if best_feasible[0] <= stop_at:
+                break   # no feasible individual can cost less
         if best_feasible is None:
             i = int(np.lexsort((cost, viol))[0])
             if least_violating is None or (viol[i], cost[i]) < least_violating[:2]:

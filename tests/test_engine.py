@@ -66,6 +66,20 @@ class TestBuildOffline:
         assert report.dendrogram.n_merges == 99
         assert report.ahc_db_index is not None
 
+    def test_report_gap_to_cost_lower_bound(self, built, tmp_path):
+        _, _, _, _, report = built
+        assert len(report.lower_bounds) == len(report.centroid_rows)
+        for row, bound in zip(report.centroid_rows, report.lower_bounds):
+            assert 0 < bound <= row[2]
+        report.to_csv(tmp_path / "offline_report.csv")
+        lines = (tmp_path / "offline_report.csv").read_text().splitlines()
+        assert lines[2].endswith(",brute_force_cost,lower_bound,gap")
+        for line, (_, _, ga, *_), bound in zip(lines[3:], report.centroid_rows,
+                                               report.lower_bounds):
+            lb, gap = map(float, line.split(",")[-2:])
+            assert lb == pytest.approx(bound, rel=1e-5)
+            assert gap == pytest.approx(ga / bound - 1, rel=1e-5, abs=1e-12)
+
     def test_entries_are_feasible_and_fingerprinted(self, built, catalog, vms):
         from packwise import catalog_fingerprint
         _, _, _, table, _ = built

@@ -1,11 +1,13 @@
 """Packing solvers: GA, greedy baselines, brute-force oracle, verifier."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from packwise import (
     DemandVector,
@@ -21,14 +23,19 @@ from packwise import (
     first_fit_pack,
     ga_pack,
     load_vm_catalog,
+    mix_lower_bound,
     save_vm_catalog,
     verify_solution,
 )
+from packwise import packing
 from packwise.packing import (
+    FEASIBILITY_TOL,
+    _cost_bound,
     _evaluate_population,
     default_max_instances,
     feasibility_violations,
     ga_evolve,
+    period_hours,
     prune_empty_instances,
     solution_cost,
 )
@@ -53,7 +60,9 @@ QUICKSTART_MODES = ((105, 112, 156, 192, 26), (94, 136, 119, 35, 24))
 def pinned_instances(catalog, vms):
     """(name, demand, vm_catalog) for the fixed-seed GA pin: the README
     catalogs at 1x and 2x a quickstart mode, a random 20-service catalog, a
-    tiny instance and an infeasible lopsided one."""
+    tiny instance, an infeasible lopsided one, and two catalogs whose
+    prices tie different mixes: 8 x 1.0 = 5 x 1.6, and 0.1 + 0.2 against
+    0.3."""
     rng = np.random.default_rng(2020)
     wide = ServiceCatalog(rng.integers(1, 4, size=(20, 3)).astype(float))
     wide_counts = rng.integers(5, 60, size=20)
@@ -66,7 +75,19 @@ def pinned_instances(catalog, vms):
         ("tiny-5", *tiny_instance(5)),
         ("lopsided", make_demand([[50.0, 0.0]]),
          [VmType("lopsided", np.array([1.0, 99.0]), 1.0)]),
+        ("tie-8x5", make_demand(TIE_8X5_DEMAND),
+         [VmType("a", np.array([50.0, 50.0]), 1.0), VmType("b", np.array([80.0, 80.0]), 1.6)]),
+        ("tie-0.3", make_demand([[12.0], [9.0], [9.0]]),
+         [VmType("p1", np.array([10.0]), 0.1), VmType("p2", np.array([20.0]), 0.2),
+          VmType("p3", np.array([30.0]), 0.3)]),
     ]
+
+
+# 16 services whose first dimension pairs up to 50, 400 in all: eight a's
+# or five b's cover it, at the same price.
+TIE_8X5_DEMAND = [[30, 25], [20, 22], [26, 30], [24, 18], [28, 20], [22, 25], [25, 24],
+                  [25, 21], [30, 26], [20, 24], [27, 22], [23, 28], [29, 19], [21, 26],
+                  [24, 20], [26, 25]]
 
 
 def ga_fingerprint(solution, trace):
@@ -81,20 +102,30 @@ def ga_fingerprint(solution, trace):
     )
 
 
+# Seven 0.1 instances in ten slots over 60-s periods: their float cost
+# depends on which slots hold them, so the bound must not certify (a run
+# stopped at the bound returns another arrangement of the seven).
+FLOAT_ORDER = (make_demand([[0.0, 0.0, 0.0], [0.0, 278.4, 626.4]]),
+               [VmType("t0", np.array([52.0, 58.0, 99.0]), 0.1)], 60.0)
+
+
 # ga_fingerprint of ga_evolve(demand, vms, GaParams(seed=seed)) per
 # (instance, seed). Any change to the GA's draws or float reductions moves
-# these; a rewrite that claims identical output must leave them alone.
+# these; a rewrite that claims identical output must leave them alone. The
+# trace hashes of mode0-1x, mode3-1x and tiny-5 are those of runs that stop
+# at the cost lower bound; their solutions are those of the full
+# 300-generation runs, as are the tie cases' solutions.
 PINNED_GA = {
     ("mode0-1x", 0): (
         ("large", "small"),
         "01010101010100000101",
         "0.6499999999999999", True,
-        "74e8f1bc2261b355b772f10ae28b8cef08e4ccf88d404244954edae4503054a4"),
+        "2d44f6199f25c5d97d1c66fc2aaf2cf9117790aee9ba2efaec0c58446769eacd"),
     ("mode0-1x", 7): (
         ("large", "small"),
         "01010100010000000100",
         "0.6499999999999999", True,
-        "85b917232193e2453bb7f3867198243c02dcc1510ee37366f5a6a1ba95dfea3f"),
+        "1768485f4100022a321e523f4e549eedb11af8bb25d71be1ad04de1b7ecba67f"),
     ("mode0-2x", 0): (
         ("large", "large", "small", "medium"),
         "0101010001000101010001000000000001000100",
@@ -109,12 +140,12 @@ PINNED_GA = {
         ("large",),
         "0101010101",
         "0.4833333333333333", True,
-        "1e70c071a0f3facb339a28aecf517d7b7bc278d6005c82bcf7b64f60cd857cf4"),
+        "683a81149c6bd63769bd07686698eca02e698a2bba85afdcd4f8e7cbcf635e20"),
     ("mode3-1x", 7): (
         ("large",),
         "0101010101",
         "0.4833333333333333", True,
-        "f6d518cde0b37495962d35bca74ac9690efe684dac2437d2808871e8e6186177"),
+        "d420a3ed87c9bed37e4f205082a3b873dfbf08ba60eac5e1769b9ce5e101ffde"),
     ("wide-20", 0): (
         ("medium", "large", "large"),
         "0101000100000100010000010000010101000000010101000100000101010100"
@@ -131,12 +162,12 @@ PINNED_GA = {
         ("t0",),
         "010101",
         "0.2033333333333333", True,
-        "17dd2995c8044fbdb83dd05e30b9051fdddf80956e10cb959a30c3966f5ccd97"),
+        "bd6d7ee96ca891e535eee48a44924e6dd2fff517c08026135444b07ff2f3c08a"),
     ("tiny-5", 7): (
         ("t0",),
         "010101",
         "0.2033333333333333", True,
-        "17dd2995c8044fbdb83dd05e30b9051fdddf80956e10cb959a30c3966f5ccd97"),
+        "bd6d7ee96ca891e535eee48a44924e6dd2fff517c08026135444b07ff2f3c08a"),
     ("lopsided", 0): (
         ("lopsided", "lopsided"),
         "0101",
@@ -147,6 +178,34 @@ PINNED_GA = {
         "0101",
         "0.3333333333333333", False,
         "be5c183ca9b8ce48e527dff99b9fd6f0870f56470bfc00ae0fe2cbd815fb8613"),
+    ("tie-8x5", 0): (
+        ("a", "a", "a", "a", "a", "a", "a", "a", "a"),
+        "0000010000000000000000000000010000000000000000000101000000000000"
+        "0101000000000000000000000000000000000000000000000000010100000000"
+        "0000000000010000000000000000000100000000000001000000000000010000"
+        "0000000001000000000000000000000000000000000000000000000001000000"
+        "00000001000000010000000000000000",
+        "1.5", True,
+        "f9d2dfac248625ff1fba8e2e0016d643634916eaa19ee43c2b9d0c03e959f025"),
+    ("tie-8x5", 7): (
+        ("a", "a", "a", "a", "a", "a", "a", "a", "a"),
+        "0000010000000000000000000000010000000000000000000101000000000000"
+        "0101000000000000000000000000000000000000000000000000010100000000"
+        "0000000000010000000000000000000100000000000001000000000000010000"
+        "0000000001000000000000000000000000000000000000000000000001000000"
+        "00000001000000010000000000000000",
+        "1.5", True,
+        "f9d2dfac248625ff1fba8e2e0016d643634916eaa19ee43c2b9d0c03e959f025"),
+    ("tie-0.3", 0): (
+        ("p3",),
+        "010101",
+        "0.049999999999999996", True,
+        "680a01892eb0074821db56aedc8f2952210fb9e2cfe0ebf06da9037d8af3c500"),
+    ("tie-0.3", 7): (
+        ("p3",),
+        "010101",
+        "0.049999999999999996", True,
+        "680a01892eb0074821db56aedc8f2952210fb9e2cfe0ebf06da9037d8af3c500"),
 }
 
 
@@ -349,6 +408,36 @@ class TestGaPack:
                 got[name, seed] = ga_fingerprint(*ga_evolve(demand, vms, GaParams(seed=seed)))
         assert got == PINNED_GA
 
+    def test_certified_run_stops_early(self, five_service_catalog, three_vm_catalog):
+        cases = {name: (demand, vms) for name, demand, vms
+                 in pinned_instances(five_service_catalog, three_vm_catalog)}
+        demand, vms = cases["mode3-1x"]
+        solution, trace = ga_evolve(demand, vms, GaParams(seed=0))
+        assert len(trace) < GaParams().generations
+        assert solution.total_cost == mix_lower_bound(demand, vms)
+        # Infeasible: nothing reaches the bound, so every generation runs.
+        demand, vms = cases["lopsided"]
+        solution, trace = ga_evolve(demand, vms, GaParams(generations=40, seed=1))
+        assert not solution.feasible and len(trace) == 40
+
+    @pytest.mark.parametrize("name,params", [
+        ("mode0-1x", dict(seed=7)), ("mode3-1x", dict(seed=0)), ("tie-0.3", dict(seed=0)),
+        ("tiny-5", dict(seed=3)), ("wide-20", dict(seed=1, generations=60)),
+        ("float-order", dict(seed=711, population=4)),
+    ])
+    def test_stop_keeps_the_full_run_result(self, name, params, monkeypatch,
+                                            five_service_catalog, three_vm_catalog):
+        cases = {n: (d, v, 600.0) for n, d, v
+                 in pinned_instances(five_service_catalog, three_vm_catalog)}
+        cases["float-order"] = FLOAT_ORDER
+        demand, vms, period = cases[name]
+        ga = GaParams(**{"generations": 100, **params})
+        stopped = ga_evolve(demand, vms, ga, period)
+        monkeypatch.setattr(packing, "_cost_bound", lambda *a: (0.0, False))
+        full = ga_evolve(demand, vms, ga, period)
+        assert ga_fingerprint(*stopped)[:4] == ga_fingerprint(*full)[:4]
+        assert stopped[1] == full[1][:len(stopped[1])]
+
     def test_best_fitness_trace_nonincreasing(self):
         for seed in (0, 3, 8):
             demand, vms = tiny_instance(seed + 100)
@@ -364,6 +453,91 @@ class TestGaPack:
         # total demand 60, largest type total capacity 20 -> 2 * ceil(3) = 6.
         assert default_max_instances(demand, one_type) == 6
         assert default_max_instances(make_demand([[0.0, 0.0]]), one_type) == 0
+
+
+def milp_bound(demand, vms, period_seconds=600.0):
+    """mix_lower_bound's covering ILP solved by HiGHS: min cost @ n over
+    integer n >= 0 with credit.T @ n >= need, where credit is capacity plus
+    FEASIBILITY_TOL in the dimensions a type has capacity in."""
+    caps = np.vstack([t.capacity for t in vms])
+    costs = np.array([t.hourly_cost for t in vms])
+    need = demand.per_dim.sum(axis=0)
+    pos = need > 0
+    if not pos.any():
+        return 0.0
+    credit = np.where(caps > 0, caps + FEASIBILITY_TOL, 0.0)[:, pos]
+    res = milp(costs, constraints=LinearConstraint(credit.T, lb=need[pos]),
+               integrality=np.ones(len(vms)), bounds=Bounds(0, np.inf),
+               options={"mip_rel_gap": 0})
+    if res.status == 2:
+        return math.inf
+    assert res.success, res.message
+    n = np.round(res.x)
+    assert np.all(n @ credit >= need[pos])
+    return float(n @ costs) * period_hours(period_seconds)
+
+
+@st.composite
+def covering_problems(draw):
+    """T 1-4 types with integer capacities, some of them zero, and prices
+    that tie mixes; S 1-4 services of d 1-4 dimensions with integer
+    demands, zero-demand services among them. A positive dimension total
+    may sit FEASIBILITY_TOL / 2 above an integer, which only the tolerance
+    credit covers. Demands stay integers or that close to one, so HiGHS's
+    own feasibility tolerance decides nothing."""
+    T, d, S = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    vms = []
+    for t in range(T):
+        cap = draw(st.lists(st.sampled_from([0, 0, 3, 7, 10, 25, 40, 64]), min_size=d, max_size=d))
+        cap[t % d] = max(cap[t % d], 1)
+        price = draw(st.sampled_from([0.1, 0.2, 0.3, 1.0, 1.6, 2.9, 0.37]))
+        vms.append(VmType(f"t{t}", np.array(cap, dtype=float), price))
+    rows = st.lists(st.integers(0, 120), min_size=d, max_size=d)
+    per_dim = np.array(draw(st.lists(st.one_of(st.just([0] * d), rows),
+                                     min_size=S, max_size=S)), dtype=float)
+    if draw(st.booleans()):
+        per_dim[-1, per_dim.sum(axis=0) >= 1] += FEASIBILITY_TOL / 2
+    return make_demand(per_dim), vms
+
+
+class TestMixLowerBound:
+    @settings(max_examples=300, deadline=None)
+    @given(covering_problems())
+    def test_matches_milp(self, case):
+        demand, vms = case
+        got, want = mix_lower_bound(demand, vms), milp_bound(demand, vms)
+        if math.isinf(want):
+            assert got == math.inf
+        else:
+            assert got == pytest.approx(want, rel=1e-9, abs=0)
+
+    def test_below_every_feasible_packing(self):
+        for seed in range(30):
+            demand, vms = tiny_instance(seed)
+            bound = mix_lower_bound(demand, vms)
+            packings = [brute_force_pack(demand, vms, 3), first_fit_pack(demand, vms),
+                        best_fit_pack(demand, vms),
+                        ga_pack(demand, vms, GaParams(max_instances=3, seed=seed)),
+                        ga_pack(demand, vms, GaParams(seed=seed))]
+            assert packings[0].feasible
+            for sol in packings:
+                if sol.feasible:
+                    assert bound <= sol.total_cost
+
+    def test_zero_demand_and_no_covering_mix(self, one_type):
+        assert mix_lower_bound(make_demand([[0.0, 0.0]]), one_type) == 0.0
+        lopsided = [VmType("lopsided", np.array([1.0, 0.0]), 1.0)]
+        assert mix_lower_bound(make_demand([[0.0, 5.0]]), lopsided) == math.inf
+        assert _cost_bound(make_demand([[0.0, 5.0]]), lopsided, 600.0) == (math.inf, False)
+
+    def test_certified_only_when_sums_are_exact(self):
+        tie = [VmType("p1", np.array([10.0]), 0.1), VmType("p2", np.array([20.0]), 0.2),
+               VmType("p3", np.array([30.0]), 0.3)]
+        # 0.3 covers 30 alone; 0.1 + 0.2 and 3 x 0.1 tie with it, and every
+        # proper part of them sums exactly.
+        assert _cost_bound(make_demand([[12.0], [9.0], [9.0]]), tie, 600.0)[1]
+        # At 60, 0.1 + 0.2 + 0.3 ties 0.3 + 0.3, and 0.1 + 0.2 rounds.
+        assert not _cost_bound(make_demand([[30.0], [30.0]]), tie, 600.0)[1]
 
 
 class TestGreedy:
