@@ -287,11 +287,14 @@ def kmeans(patterns, k: int, seed: int = 0, *, canonical=None) -> ClusterModel:
     repaired by reseeding from the point currently farthest from its
     centroid. Deterministic given (data multiset, k, seed).
 
-    canonical is _canonical_order(patterns) when the caller has it
-    already: select_k sorts once for every k of its sweep.
+    canonical is internal: select_k passes _canonical_order(patterns),
+    which it computes once for every k of its sweep. Any other value
+    clusters the wrong rows; one of the wrong length is refused.
     """
     X = as_float_matrix(patterns, "patterns")
     order, Xs, distinct = canonical or _canonical_order(X)
+    if len(order) != len(X):
+        raise ValueError(f"canonical order has {len(order)} rows, patterns have {len(X)}")
     _check_k(k, distinct)
     rng = np.random.default_rng(seed)
     best = None

@@ -33,6 +33,8 @@ from .workload import DEFAULT_PERIOD_SECONDS, TraceParseError
 
 FEASIBILITY_TOL = 1e-9
 BOUND_CHUNK = 1 << 15   # type-count mixes per step of mix_lower_bound's enumeration
+BOUND_BUDGET = 1 << 16  # most mixes it enumerates before falling back to a fractional bound
+SUBSUM_BUDGET = 1 << 12  # most partial price sums _cost_bound checks one by one to certify
 NEAR_TIE = 1e-9         # relative cost gap below which float rounding may reorder two mixes
 
 
@@ -181,18 +183,26 @@ def mix_lower_bound(demand: DemandVector, vm_catalog,
                     period_seconds: float = DEFAULT_PERIOD_SECONDS) -> float:
     """Cost lower bound for any feasible packing of demand, in total_cost units.
 
-    The cheapest integer mix n of VM types whose summed capacity covers
-    the total demand in every dimension, n @ caps + FEASIBILITY_TOL *
-    n.sum() >= per_dim.sum(axis=0), where a type with zero capacity in a
-    dimension gets no credit there. A feasible packing rents such a mix,
-    equal splits included, so none costs less (Martello & Toth 1990 give
-    bounds of this kind for bin packing). inf when no mix covers.
+    Feasible as ga_evolve counts it: capacity overflow plus uncovered
+    demand at most FEASIBILITY_TOL in total. Such a packing rents an
+    integer mix n of VM types whose summed capacity covers the total
+    demand in every dimension that needs more than FEASIBILITY_TOL,
+    n @ caps + FEASIBILITY_TOL * n.sum() >= per_dim.sum(axis=0), where a
+    type with zero capacity in a dimension gets no credit there; equal
+    splits included, so none costs less than the cheapest such mix
+    (Martello & Toth 1990 give bounds of this kind for bin packing). A
+    dimension needing at most FEASIBILITY_TOL is met by the tolerance
+    alone and sets no requirement. inf when no mix covers.
 
-    Exact, by enumeration: counts of every type but one run over the
-    range past which more of that type covers nothing new, in chunks of
-    BOUND_CHUNK mixes, and the remaining type's count is the smallest
-    that closes the gap. The mix's price sum is rounded once, then
-    multiplied by the period's hours, as a GA cost is.
+    Exact, by enumeration, when it takes at most BOUND_BUDGET mixes:
+    counts of every type but one run over the range past which more of
+    that type covers nothing new, in chunks of BOUND_CHUNK mixes, and the
+    remaining type's count is the smallest that closes the gap. The
+    mix's price sum is rounded once, then multiplied by the period's
+    hours, as a GA cost is. Past the budget (many types, or demand many
+    times a type's capacity) it returns the fractional bound instead: the
+    largest, over dimensions, of the cheapest price per unit of capacity
+    times the demand.
     """
     return _cost_bound(demand, vm_catalog, period_seconds)[0]
 
@@ -209,22 +219,31 @@ def _cost_bound(demand, vm_catalog, period_seconds):
     summation order rounds only at its last addition, to the float
     nearest the exact sum. So the bound is certified when this holds for
     every mix within NEAR_TIE of the cheapest, and any other mix costs
-    more by far more than rounding can take away.
+    more by far more than rounding can take away. A bound past either
+    budget, BOUND_BUDGET mixes or SUBSUM_BUDGET partial sums checked one
+    by one, is not certified.
     """
     if not vm_catalog:
         raise ValueError("vm_catalog is empty")
     caps, costs = _catalog_arrays(vm_catalog, demand.dimension_count)
     need = demand.per_dim.sum(axis=0)
-    pos = need > 0
+    pos = need > FEASIBILITY_TOL
     if not pos.any():
         return 0.0, True
     need = need[pos]
     eff = np.where(caps > 0, caps + FEASIBILITY_TOL, 0.0)[:, pos]
+    hours = period_hours(period_seconds)
     with np.errstate(divide="ignore"):
         alone = np.ceil(need / eff)                               # inf: no capacity
-    cover = np.where(np.isinf(alone), 0.0, alone).max(axis=1).astype(np.int64)
-    last = int(cover.argmax())          # the widest range gets the closed form
+    widths = np.where(np.isinf(alone), 0.0, alone).max(axis=1) + 1
+    last = int(widths.argmax())         # the widest range gets the closed form
     rest = np.delete(np.arange(len(vm_catalog)), last)
+    if max(widths[last], math.prod(widths[rest].tolist())) > BOUND_BUDGET:
+        with np.errstate(divide="ignore"):
+            per_unit = np.where(eff > 0, costs[:, None] / eff, np.inf).min(axis=0)
+        # Rounded down by NEAR_TIE so float error cannot lift it past the optimum.
+        return float((per_unit * need).max()) * hours * (1 - NEAR_TIE), False
+    cover = widths.astype(np.int64) - 1
     e_last = eff[last]
     best, near = math.inf, []
     total = math.prod((cover[rest] + 1).tolist())
@@ -249,14 +268,21 @@ def _cost_bound(demand, vm_catalog, period_seconds):
         return math.inf, False
     mixes = np.vstack([m[c <= best * (1 + NEAR_TIE)] for c, m in near])
 
-    # Prices as integer multiples of one power of two, for exact sums.
+    # Prices as integer multiples of one power of two, for exact sums, and
+    # those integers over their gcd, so that sums of them mostly fit int64.
     ratios = [c.as_integer_ratio() for c in costs.tolist()]
     den = max(q for _, q in ratios)
     units = [p * (den // q) for p, q in ratios]
-    exact = [sum(int(m) * u for m, u in zip(mix, units)) for mix in mixes]
-    bound = min(exact) / den * period_hours(period_seconds)
+    g = math.gcd(*units)
+    widest = sum(int(c) * u // g for c, u in zip(cover, units))
+    dtype = np.int64 if widest < 1 << 62 else object
+    exact = mixes.astype(dtype) @ np.array([u // g for u in units], dtype=dtype)
+    bound = int(exact.min()) * g / den * hours
+    # A mix whose whole price sum is below 2**53 units has only exact partial sums.
+    inexact = mixes[exact > ((1 << 53) - 1) // g]
     certified = (float(costs.min()) > best * NEAR_TIE
-                 and all(_sub_sums_exact(mix, units) for mix in mixes))
+                 and np.prod(inexact + 1.0, axis=1).sum() <= SUBSUM_BUDGET
+                 and all(_sub_sums_exact(mix, units) for mix in inexact))
     return bound, certified
 
 

@@ -69,6 +69,15 @@ class TestKMeans:
         assert np.allclose(model.centroids[0], X.mean(axis=0))
         assert model.db_index is None and model.dunn_index is None
 
+    def test_canonical_order_of_other_patterns_refused(self):
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(20, 3))
+        canonical = clustering._canonical_order(X)
+        model = kmeans(X, 3, seed=4, canonical=canonical)
+        assert np.array_equal(model.assignments, kmeans(X, 3, seed=4).assignments)
+        with pytest.raises(ValueError):
+            kmeans(X[:15], 3, seed=4, canonical=canonical)
+
     def test_two_blobs_recovers_means(self):
         rng = np.random.default_rng(1)
         X, mean_a, mean_b, sigma = two_blobs(rng)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from packwise import (
 )
 from packwise import packing
 from packwise.packing import (
+    BOUND_BUDGET,
     FEASIBILITY_TOL,
     _cost_bound,
     _evaluate_population,
@@ -438,6 +440,28 @@ class TestGaPack:
         assert ga_fingerprint(*stopped)[:4] == ga_fingerprint(*full)[:4]
         assert stopped[1] == full[1][:len(stopped[1])]
 
+    def test_bound_past_its_budget_costs_next_to_nothing(self, monkeypatch):
+        # Six power-of-two types priced by size, 500 units of demand: about
+        # 1e9 covering mixes, far past BOUND_BUDGET, so the run takes the
+        # fractional bound and costs what a run without any bound does.
+        vms = [VmType(f"c{s}", np.array([float(s)]), float(s)) for s in (1, 2, 4, 8, 16, 32)]
+        demand = make_demand([[125.0]] * 4)
+        params = GaParams(generations=40, seed=0)
+
+        def fastest_of_three():
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                output = ga_evolve(demand, vms, params)
+                times.append(time.perf_counter() - start)
+            return min(times), ga_fingerprint(*output)
+
+        with_bound, output = fastest_of_three()
+        monkeypatch.setattr(packing, "_cost_bound", lambda *a: (0.0, False))
+        without_bound, unbounded = fastest_of_three()
+        assert with_bound < 1.5 * without_bound
+        assert output == unbounded
+
     def test_best_fitness_trace_nonincreasing(self):
         for seed in (0, 3, 8):
             demand, vms = tiny_instance(seed + 100)
@@ -458,11 +482,12 @@ class TestGaPack:
 def milp_bound(demand, vms, period_seconds=600.0):
     """mix_lower_bound's covering ILP solved by HiGHS: min cost @ n over
     integer n >= 0 with credit.T @ n >= need, where credit is capacity plus
-    FEASIBILITY_TOL in the dimensions a type has capacity in."""
+    FEASIBILITY_TOL in the dimensions a type has capacity in, over the
+    dimensions that need more than FEASIBILITY_TOL."""
     caps = np.vstack([t.capacity for t in vms])
     costs = np.array([t.hourly_cost for t in vms])
     need = demand.per_dim.sum(axis=0)
-    pos = need > 0
+    pos = need > FEASIBILITY_TOL
     if not pos.any():
         return 0.0
     credit = np.where(caps > 0, caps + FEASIBILITY_TOL, 0.0)[:, pos]
@@ -475,6 +500,18 @@ def milp_bound(demand, vms, period_seconds=600.0):
     n = np.round(res.x)
     assert np.all(n @ credit >= need[pos])
     return float(n @ costs) * period_hours(period_seconds)
+
+
+def within_budget(demand, vms):
+    """Whether mix_lower_bound enumerates (and is exact): the widest type's
+    count range and the product of the others' stay within BOUND_BUDGET."""
+    caps = np.vstack([t.capacity for t in vms])
+    need = demand.per_dim.sum(axis=0)
+    pos = need > FEASIBILITY_TOL
+    with np.errstate(divide="ignore"):
+        alone = np.ceil(need[pos] / np.where(caps > 0, caps + FEASIBILITY_TOL, 0.0)[:, pos])
+    widths = sorted((np.where(np.isinf(alone), 0.0, alone).max(axis=1, initial=0.0) + 1).tolist())
+    return widths[-1] <= BOUND_BUDGET and math.prod(widths[:-1]) <= BOUND_BUDGET
 
 
 @st.composite
@@ -508,8 +545,10 @@ class TestMixLowerBound:
         got, want = mix_lower_bound(demand, vms), milp_bound(demand, vms)
         if math.isinf(want):
             assert got == math.inf
-        else:
+        elif within_budget(demand, vms):
             assert got == pytest.approx(want, rel=1e-9, abs=0)
+        else:
+            assert 0 < got <= want
 
     def test_below_every_feasible_packing(self):
         for seed in range(30):
@@ -529,6 +568,31 @@ class TestMixLowerBound:
         lopsided = [VmType("lopsided", np.array([1.0, 0.0]), 1.0)]
         assert mix_lower_bound(make_demand([[0.0, 5.0]]), lopsided) == math.inf
         assert _cost_bound(make_demand([[0.0, 5.0]]), lopsided, 600.0) == (math.inf, False)
+
+    def test_dimension_within_tolerance_needs_no_capacity(self):
+        # 5e-10 of the second dimension fits in the feasibility tolerance, so
+        # the cheap type without capacity there is a feasible packing alone.
+        vms = [VmType("A", np.array([10.0, 0.0]), 1.0), VmType("B", np.array([10.0, 10.0]), 2.0)]
+        demand = make_demand([[5.0, 5e-10]])
+        assert mix_lower_bound(demand, vms) == period_hours(600.0)
+        solution, _ = ga_evolve(demand, vms, GaParams(seed=0))
+        assert solution.feasible and solution.total_cost == period_hours(600.0)
+        assert [inst.vm_type.id for inst in solution.instances] == ["A"]
+        assert milp_bound(demand, vms) == period_hours(600.0)
+
+    def test_past_the_budget_falls_back_to_the_fractional_bound(self):
+        # 500 units over six power-of-two types priced by size: the cheapest
+        # mix costs 500 per hour; enumerating would take about 1e9 mixes.
+        vms = [VmType(f"c{s}", np.array([float(s)]), float(s)) for s in (1, 2, 4, 8, 16, 32)]
+        demand = make_demand([[125.0]] * 4)
+        assert not within_budget(demand, vms)
+        bound, certified = _cost_bound(demand, vms, 3600.0)
+        assert not certified
+        assert bound == pytest.approx(500.0, rel=1e-8) and bound <= 500.0
+        # Within the budget the same catalog is enumerated, exact and certified.
+        demand = make_demand([[10.0]] * 4)
+        assert within_budget(demand, vms)
+        assert _cost_bound(demand, vms, 3600.0) == (40.0, True)
 
     def test_certified_only_when_sums_are_exact(self):
         tie = [VmType("p1", np.array([10.0]), 0.1), VmType("p2", np.array([20.0]), 0.2),
