@@ -20,10 +20,20 @@ of the plain broadcast-and-mask formulas (see _lloyd).
 The Dunn index reads one distance block per cluster and per pair of
 clusters, so its memory grows with the largest pair of clusters rather
 than with n^2 * S for n patterns of S services.
+
+Both skip work the triangle inequality proves cannot matter (Hamerly,
+"Making k-means even faster", SDM 2010, after Elkan, ICML 2003). A Lloyd
+sweep computes distances only for points whose bounds leave their label
+in doubt, and Dunn compares only the cluster pairs whose centroid
+distance, less both radii, does not exceed the separation found so far.
+Every bound is widened by BOUND_MARGIN beyond the rounding of the
+distances it stands for, so a skipped point's label and Dunn's minimum
+are those of the full computation bit for bit (see _lloyd and dunn).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -37,6 +47,10 @@ from .validation import as_float_matrix
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
 LINKAGES = ("ward", "complete", "average")
+# Relative widening of the triangle-inequality bounds of _lloyd and dunn;
+# the absolute one is this times (sqrt(S) * largest |value| + 1) for S
+# services.
+BOUND_MARGIN = 1e-9
 
 
 class DegenerateModelError(ValueError):
@@ -151,16 +165,28 @@ def _centroids(Xs: np.ndarray, XT: np.ndarray, labels: np.ndarray,
 
 
 def _kmeans_pp_init(X: np.ndarray, XT: np.ndarray, k: int,
-                    rng: np.random.Generator) -> np.ndarray:
+                    rng: np.random.Generator):
+    """(centers, d2): k seeds drawn by k-means++ and the (n, k) squared
+    distances to them, column j the _sq_dist column of center j."""
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]))
+    d2 = np.empty((k, n))
     centers[0] = X[rng.integers(n)]
-    d2 = _sq_dist(XT, centers[:1])[:, 0]
+    d2[0] = _sq_dist(XT, centers[:1])[:, 0]
+    nearest = d2[0]
     for j in range(1, k):
-        probs = d2 / d2.sum()
+        probs = nearest / nearest.sum()
         centers[j] = X[rng.choice(n, p=probs)]
-        d2 = np.minimum(d2, _sq_dist(XT, centers[j:j + 1])[:, 0])
-    return centers
+        d2[j] = _sq_dist(XT, centers[j:j + 1])[:, 0]
+        nearest = np.minimum(nearest, d2[j])
+    return centers, d2.T
+
+
+def _lower_bound(d2: np.ndarray, labels: np.ndarray, pad: float) -> np.ndarray:
+    """Per row of the squared distances d2, a widened lower bound on the
+    distance to every center but its own (inf for k = 1); overwrites d2."""
+    d2[np.arange(len(labels)), labels] = np.inf
+    return np.sqrt(d2.min(axis=1)) * (1.0 - BOUND_MARGIN) - pad
 
 
 def _lloyd(Xs: np.ndarray, k: int, rng: np.random.Generator):
@@ -176,38 +202,82 @@ def _lloyd(Xs: np.ndarray, k: int, rng: np.random.Generator):
     keeps the masked mean. Keep both orders when rewriting this function;
     the fixed-seed select_k outputs pinned in tests/test_clustering.py
     depend on them bit for bit.
+
+    A sweep computes distances only for the points whose label can change
+    (Hamerly 2010). Each point has an upper bound on the distance to its
+    own center and a lower bound on its distance to every other center.
+    The upper bound is the root of the objective line's squared distance
+    to the point's own updated center, so no shift has to be added to it.
+    The lower bound comes from the point's last computed distance row and
+    drops, after each centroid update, by the largest move of another
+    center. A point gets a _sq_dist row only when its bounds overlap; the
+    first sweep takes its whole matrix from the k-means++ columns, which
+    are the same floats.
+
+    Every bound and every move is widened where it is computed, by
+    BOUND_MARGIN relative plus BOUND_MARGIN * (sqrt(S) * largest |pattern
+    value| + 1) absolute. That exceeds the rounding of an S-term sum of
+    squares (about S ulps) and of one bound operation (an ulp of the
+    largest distance, 2 * sqrt(S) * largest value) for S below a million.
+    A skipped point is thus nearer its own center than any other by more
+    than any computed distance can be off, so the full matrix's argmin,
+    ties going to the first center, would give it the label it keeps, and
+    a tie is never skipped. A sweep that leaves a cluster empty computes
+    the full matrix, repairs it as before and restarts the bounds from it.
     """
     XT = np.ascontiguousarray(Xs.T)
-    centers = _kmeans_pp_init(Xs, XT, k, rng)
-    labels = np.full(Xs.shape[0], -1)
+    n, S = Xs.shape
+    centers, d2 = _kmeans_pp_init(Xs, XT, k, rng)
+    widen = 1.0 + BOUND_MARGIN
+    pad = BOUND_MARGIN * (np.sqrt(S) * float(np.abs(Xs).max()) + 1.0)
+    labels = np.full(n, -1)
     trace = []
     for _ in range(KMEANS_MAX_ITER):
-        d2 = _sq_dist(XT, centers)
-        new_labels = d2.argmin(axis=1)
-
-        # Repair empty clusters by reseeding each from the point farthest
-        # from its own centroid; sole members stay put so a repair cannot
-        # empty another cluster.
-        while True:
+        if d2 is None:
+            new_labels = labels.copy()
+            near = np.nonzero(upper >= lower)[0]
+            if near.size:
+                d2_near = _sq_dist(XT.take(near, axis=1), centers)
+                new_labels[near] = d2_near.argmin(axis=1)
+                lower[near] = _lower_bound(d2_near, new_labels[near], pad)
             sizes = np.bincount(new_labels, minlength=k)
-            empty = np.flatnonzero(sizes == 0)
-            if empty.size == 0:
-                break
-            c = int(empty[0])
-            dist_to_own = d2[np.arange(len(new_labels)), new_labels]
-            dist_to_own = np.where(sizes[new_labels] > 1, dist_to_own, -np.inf)
-            far = int(dist_to_own.argmax())
-            centers[c] = Xs[far]
-            new_labels[far] = c
-            d2[:, c] = _sq_dist(XT, centers[c:c + 1])[:, 0]
+            if sizes.min() == 0:
+                d2 = _sq_dist(XT, centers)
+        if d2 is not None:
+            new_labels = d2.argmin(axis=1)
+
+            # Repair empty clusters by reseeding each from the point farthest
+            # from its own centroid; sole members stay put so a repair cannot
+            # empty another cluster.
+            while True:
+                sizes = np.bincount(new_labels, minlength=k)
+                empty = np.flatnonzero(sizes == 0)
+                if empty.size == 0:
+                    break
+                c = int(empty[0])
+                dist_to_own = d2[np.arange(len(new_labels)), new_labels]
+                dist_to_own = np.where(sizes[new_labels] > 1, dist_to_own, -np.inf)
+                far = int(dist_to_own.argmax())
+                centers[c] = Xs[far]
+                new_labels[far] = c
+                d2[:, c] = _sq_dist(XT, centers[c:c + 1])[:, 0]
+            lower = _lower_bound(d2, new_labels, pad)
+            d2 = None
 
         converged = np.array_equal(new_labels, labels)
         labels = new_labels
+        moved_from = centers
         centers = _centroids(Xs, XT, labels, sizes)
         d2_final = ((Xs - centers[labels]) ** 2).sum(axis=1)
         trace.append(float(d2_final.sum()))
         if converged:
             break
+        upper = np.sqrt(d2_final) * widen + pad
+        shift = np.sqrt(((centers - moved_from) ** 2).sum(axis=1)) * widen + pad
+        # The largest move of another center: the runner-up move for the
+        # members of the fastest center (inf - shift stays inf for k = 1).
+        top = np.sort(shift)[-2:]
+        lower -= np.where(shift == top[-1], top[0], top[-1])[labels]
     return centers, labels, trace
 
 
@@ -250,6 +320,17 @@ def dunn(model: ClusterModel, patterns) -> float:
     Separation is the single-linkage (minimum cross-pair) distance between
     clusters; diameter is the maximum intra-cluster pairwise distance.
     All-singleton models have zero diameters and return +inf.
+
+    Cluster pairs are visited in ascending order of a lower bound on their
+    separation from the triangle inequality: the distance between their
+    centroids less both cluster radii (the largest member-to-centroid
+    distance). The visit stops once the next bound exceeds the smallest
+    separation found. Radii are widened and centroid distances narrowed by
+    BOUND_MARGIN relative and BOUND_MARGIN * (sqrt(S) * largest |value| +
+    1) absolute, more than the rounding of any computed distance, so every
+    skipped pair's cdist(...).min() is at least the minimum of the visited
+    ones. Those are the same cdist(...).min() values the all-pairs minimum
+    takes, so it is returned bit for bit.
     """
     X = as_float_matrix(patterns, "patterns")
     if model.k < 2:
@@ -257,11 +338,20 @@ def dunn(model: ClusterModel, patterns) -> float:
     blocks = [X[model.assignments == c] for c in range(model.k)]
 
     max_diameter = max(pdist(b).max(initial=0.0) for b in blocks)
-    min_separation = min(
-        cdist(blocks[i], blocks[j]).min()
-        for i in range(model.k)
-        for j in range(i + 1, model.k)
-    )
+    centroids = model.centroids
+    scale = max(np.abs(X).max(), np.abs(centroids).max())
+    pad = BOUND_MARGIN * (np.sqrt(X.shape[1]) * scale + 1.0)
+    radius = np.array([np.sqrt(((b - c) ** 2).sum(axis=1)).max()
+                       for b, c in zip(blocks, centroids)]) * (1.0 + BOUND_MARGIN) + pad
+    first, second = np.triu_indices(model.k, 1)
+    bound = (cdist(centroids, centroids)[first, second] * (1.0 - BOUND_MARGIN) - pad
+             - radius[first] - radius[second])
+    min_separation = math.inf
+    for p in np.argsort(bound, kind="stable"):
+        if bound[p] > min_separation:
+            break
+        min_separation = min(min_separation,
+                             cdist(blocks[first[p]], blocks[second[p]]).min())
     if max_diameter == 0.0:
         return float("inf")
     return float(min_separation / max_diameter)

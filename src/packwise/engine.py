@@ -449,27 +449,6 @@ class PackingAutoscaler:
         self.ga_params = ga_params
         self.seed = seed
 
-    def get_params(self, deep: bool = True) -> dict:
-        return {
-            "k_range": self.k_range,
-            "similarity": self.similarity,
-            "threshold": self.threshold,
-            "magnitude_ratio": self.magnitude_ratio,
-            "fallback": self.fallback,
-            "miss_buffer_size": self.miss_buffer_size,
-            "linkage": self.linkage,
-            "ga_params": self.ga_params,
-            "seed": self.seed,
-        }
-
-    def set_params(self, **params):
-        valid = self.get_params()
-        for key, value in params.items():
-            if key not in valid:
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
-
     def fit(self, trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog):
         self.table_, self.report_ = build_offline(
             trace, catalog, vm_catalog,

@@ -343,7 +343,9 @@ def _catalog_arrays(vm_catalog, d: int):
 
 def _evaluate_population(types, bits, per_dim, values, caps, costs, hours, lam):
     """Vectorized twin of evaluate_genome over a (P, M[, S]) population:
-    returns (fitness, cost, violation), one value per individual.
+    returns (fitness, cost, violation), one value per individual. values is
+    what an uncovered service adds to the violation: its demand in
+    evaluate_genome, at least 2 * FEASIBILITY_TOL when positive in ga_evolve.
 
     caps and costs carry a trailing all-zero row, which an off slot's -1
     indexes, so slots that decode to no instance add no cost and no
@@ -452,6 +454,10 @@ def ga_evolve(demand: DemandVector, vm_catalog, params: GaParams,
     # Off slots (-1) index the appended zero row; see _evaluate_population.
     caps0 = np.vstack([caps, np.zeros(d)])
     costs0 = np.append(costs, 0.0)
+    # What an uncovered service adds to the violation: its demand, but more
+    # than FEASIBILITY_TOL when positive, as verify_solution rejects any
+    # uncovered service with positive demand.
+    uncovered = np.where(demand.values > 0, np.maximum(demand.values, 2 * FEASIBILITY_TOL), 0.0)
     half = P // 2
     cols = np.arange(M)
     best_feasible = None   # (cost, types, bits)
@@ -459,7 +465,7 @@ def ga_evolve(demand: DemandVector, vm_catalog, params: GaParams,
     trace = []
     for gen in range(params.generations):
         fitness, cost, viol = _evaluate_population(
-            types, bits, demand.per_dim, demand.values, caps0, costs0, hours, lam)
+            types, bits, demand.per_dim, uncovered, caps0, costs0, hours, lam)
         trace.append(float(fitness.min()))
 
         feas = viol <= FEASIBILITY_TOL

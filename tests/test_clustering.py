@@ -6,8 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist, pdist
 
 from packwise import (
     ClusterModel,
@@ -138,6 +139,11 @@ def golden_patterns(S):
     return np.round(X, 2)
 
 
+def build_scale_patterns():
+    """2000 planted patterns of 5 services, the size of a benchmark build."""
+    return planted_patterns(2000, n=2000)[0]
+
+
 # Seven distinct rows, sixteen patterns in canonical (lexicographic) order:
 # at k=4 one restart of select_k(seed=19) empties a cluster and takes the
 # farthest-point repair.
@@ -176,6 +182,12 @@ class TestKMeansGolden:
     def test_select_k_pinned(self, S):
         model, rows = select_k(golden_patterns(S), (2, 9), seed=S)
         assert self.fingerprint(model, rows) == self.GOLDEN[S]
+
+    def test_select_k_pinned_at_build_scale(self):
+        # 2000 patterns, where most sweeps skip most points (see TestPruning).
+        model, rows = select_k(build_scale_patterns(), (2, 15), seed=3)
+        assert self.fingerprint(model, rows) == (
+            10, "36b2236b3b9e2ab5", "f2867417175a6482", "4cf930436b2feee4", "b7aab4c43049083d")
 
     def test_empty_cluster_repair_pinned(self, monkeypatch):
         # The repair is the only caller of np.flatnonzero in a select_k run
@@ -248,6 +260,187 @@ class TestServiceMajorKernels:
         expected = np.vstack([X[labels == c].mean(axis=0) for c in range(sizes.size)])
         got = clustering._centroids(X, np.ascontiguousarray(X.T), labels, sizes)
         assert got.tobytes() == expected.tobytes()
+
+
+def full_sweep_lloyd(Xs, k, rng):
+    """The unpruned Lloyd restart _lloyd replaces: k-means++ seeds, then a
+    full _sq_dist matrix every sweep."""
+    XT = np.ascontiguousarray(Xs.T)
+    n = Xs.shape[0]
+    centers = np.empty((k, Xs.shape[1]))
+    centers[0] = Xs[rng.integers(n)]
+    d2 = clustering._sq_dist(XT, centers[:1])[:, 0]
+    for j in range(1, k):
+        probs = d2 / d2.sum()
+        centers[j] = Xs[rng.choice(n, p=probs)]
+        d2 = np.minimum(d2, clustering._sq_dist(XT, centers[j:j + 1])[:, 0])
+    labels = np.full(n, -1)
+    trace = []
+    for _ in range(clustering.KMEANS_MAX_ITER):
+        d2 = clustering._sq_dist(XT, centers)
+        new_labels = d2.argmin(axis=1)
+        while True:
+            sizes = np.bincount(new_labels, minlength=k)
+            empty = np.flatnonzero(sizes == 0)
+            if empty.size == 0:
+                break
+            c = int(empty[0])
+            dist_to_own = d2[np.arange(len(new_labels)), new_labels]
+            dist_to_own = np.where(sizes[new_labels] > 1, dist_to_own, -np.inf)
+            far = int(dist_to_own.argmax())
+            centers[c] = Xs[far]
+            new_labels[far] = c
+            d2[:, c] = clustering._sq_dist(XT, centers[c:c + 1])[:, 0]
+        converged = np.array_equal(new_labels, labels)
+        labels = new_labels
+        centers = clustering._centroids(Xs, XT, labels, sizes)
+        d2_final = ((Xs - centers[labels]) ** 2).sum(axis=1)
+        trace.append(float(d2_final.sum()))
+        if converged:
+            break
+    return centers, labels, trace
+
+
+def all_pairs_dunn(model, X):
+    """Dunn's index with the separation taken over every pair of clusters."""
+    blocks = [X[model.assignments == c] for c in range(model.k)]
+    max_diameter = max(pdist(b).max(initial=0.0) for b in blocks)
+    min_separation = min(cdist(blocks[i], blocks[j]).min()
+                         for i in range(model.k) for j in range(i + 1, model.k))
+    if max_diameter == 0.0:
+        return math.inf
+    return float(min_separation / max_diameter)
+
+
+# (rows, k, seed): within three restarts of _lloyd(rows, k, rng(seed)) a
+# sweep leaves a cluster empty and takes the farthest-point repair.
+REPAIR_CASES = (
+    ([[0, 0], [11, 11], [10, 7], [2, 2], [11, 7], [3, 6], [7, 3], [2, 11], [9, 2],
+      [10, 3], [9, 8]], 5, 309),
+    ([[1], [0], [1], [6], [11], [9], [8], [1], [1], [9]], 3, 8268),
+    ([[11, 4], [0, 10], [3, 4], [7, 11], [9, 4], [9, 5], [9, 1], [8, 4], [2, 11],
+      [9, 8], [8, 5], [6, 1], [2, 4], [10, 2], [11, 9]], 9, 21690),
+    ([[5, 3], [9, 11], [6, 6], [10, 6], [4, 5], [3, 5], [6, 11]], 3, 24925),
+    ([[5, 4], [3, 7], [10, 8], [10, 8], [2, 5], [4, 8], [7, 2], [5, 3], [11, 11],
+      [1, 5], [5, 1], [10, 6]], 5, 50053),
+)
+
+
+@st.composite
+def repair_inputs(draw):
+    """(X, k, seed): a REPAIR_CASES entry scaled by a power of two, shifted
+    by an integer and padded with constant services up to 300 in a random
+    order. None of these changes a ratio of two distances, so the draw
+    still takes the repair."""
+    rows, k, seed = draw(st.sampled_from(REPAIR_CASES))
+    base = np.array(rows, dtype=float) * 2.0 ** draw(st.integers(-3, 6))
+    S = draw(st.integers(base.shape[1], 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.empty((len(base), S))
+    X[:] = rng.integers(0, 1000, size=S)
+    X[:, :base.shape[1]] = base + draw(st.integers(0, 1000))
+    return np.ascontiguousarray(X[:, rng.permutation(S)]), k, seed
+
+
+@st.composite
+def pruning_inputs(draw):
+    """(X, k, seed): up to 120 patterns of 1 to 300 services, integer- or
+    cent-valued, drawn around 1 to 15 modes that are well separated, that
+    overlap, or that are a few rows repeated many times; modes may be
+    constant (no noise) or single patterns, and some rows are all zero.
+    k is at most 15 and at most the number of distinct rows. A quarter of
+    the draws are repair_inputs instead."""
+    kind = draw(st.sampled_from(["separated", "overlapping", "duplicates", "repair"]))
+    if kind == "repair":
+        return draw(repair_inputs())
+    S = draw(st.one_of(st.integers(1, 20), st.integers(1, 300)))
+    n = draw(st.integers(2, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    modes = draw(st.integers(1, 15))
+    spread = {"separated": 1000, "overlapping": 40, "duplicates": 300}[kind]
+    centers = rng.integers(0, spread, size=(modes, S)).astype(float)
+    sigma = rng.choice([0.0, 1.0, 5.0, 20.0], size=modes) * (kind != "duplicates")
+    members = rng.integers(0, modes, size=n)
+    X = centers[members] + rng.normal(0.0, 1.0, size=(n, S)) * sigma[members, None]
+    X = np.abs(np.round(X) if draw(st.booleans()) else np.round(X, 2))
+    X[rng.integers(0, n, size=draw(st.integers(0, 2)))] = 0.0
+    distinct = len(np.unique(X, axis=0))
+    k = draw(st.integers(1, min(15, distinct)))
+    return X, k, draw(st.integers(0, 2**16))
+
+
+class TestPruning:
+    """The triangle-inequality pruning of Lloyd sweeps and of Dunn's
+    separation against the unpruned computations, bytewise."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pruning_inputs())
+    def test_lloyd_matches_full_sweeps(self, case):
+        X, k, seed = case
+        pruned, full = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            centers, labels, trace = clustering._lloyd(X, k, pruned)
+            want_centers, want_labels, want_trace = full_sweep_lloyd(X, k, full)
+            assert centers.tobytes() == want_centers.tobytes()
+            assert labels.tobytes() == want_labels.tobytes()
+            assert repr(trace) == repr(want_trace)
+
+    @pytest.mark.parametrize("rows,k,seed", REPAIR_CASES)
+    def test_repair_cases_take_the_repair(self, rows, k, seed, monkeypatch):
+        # As in TestKMeansGolden, only the repair finds what it looks for
+        # with np.flatnonzero.
+        repairs = []
+        flatnonzero = np.flatnonzero
+
+        def counting(a):
+            found = flatnonzero(a)
+            repairs.extend(found[:1])
+            return found
+
+        monkeypatch.setattr(np, "flatnonzero", counting)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            clustering._lloyd(np.array(rows, dtype=float), k, rng)
+        assert repairs
+
+    @settings(max_examples=300, deadline=None)
+    @given(pruning_inputs(), st.booleans())
+    def test_dunn_matches_all_pairs(self, case, fitted):
+        X, k, seed = case
+        k = max(k, 2)
+        assume(len(np.unique(X, axis=0)) >= 2)
+        if fitted:
+            model = kmeans(X, k, seed=seed)
+        else:
+            rng = np.random.default_rng(seed)
+            k = min(k, len(X))
+            labels = rng.permutation(np.concatenate(
+                [np.arange(k), rng.integers(0, k, size=len(X) - k)]))
+            model = ClusterModel(k=k, centroids=np.vstack([X[labels == c].mean(axis=0)
+                                                           for c in range(k)]),
+                                 assignments=labels, method="kmeans")
+        assert repr(dunn(model, X)) == repr(all_pairs_dunn(model, X))
+
+    def test_sweeps_skip_most_distances(self, monkeypatch):
+        # Unpruned, each restart computes its n x k k-means++ columns and then
+        # one n x k matrix per sweep; pruned, it must compute at most half.
+        X = build_scale_patterns()
+        computed, unpruned = [0], [0]
+        sq_dist, lloyd = clustering._sq_dist, clustering._lloyd
+
+        def counting_sq_dist(XT, centers):
+            computed[0] += XT.shape[1] * centers.shape[0]
+            return sq_dist(XT, centers)
+
+        def counting_lloyd(Xs, k, rng):
+            out = lloyd(Xs, k, rng)
+            unpruned[0] += len(Xs) * k * (1 + len(out[2]))
+            return out
+
+        monkeypatch.setattr(clustering, "_sq_dist", counting_sq_dist)
+        monkeypatch.setattr(clustering, "_lloyd", counting_lloyd)
+        select_k(X, (2, 15), seed=3)
+        assert 0 < computed[0] <= unpruned[0] / 2
 
 
 class TestAgglomerative:
@@ -367,6 +560,7 @@ class TestDunn:
                 else:
                     separation = min(separation, d)
         value = dunn(model, X)
+        assert repr(value) == repr(all_pairs_dunn(model, X))
         if diameter == 0.0:
             assert value == math.inf
         else:

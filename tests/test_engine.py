@@ -366,24 +366,15 @@ class TestPackingAutoscaler:
         sim = model.replay(online)
         assert len(sim.records) == 10
 
-    def test_params_round_trip(self):
-        model = PackingAutoscaler(k_range=(2, 9), similarity="euclidean")
-        params = model.get_params()
-        assert params["k_range"] == (2, 9)
-        model.set_params(similarity="pearson", miss_buffer_size=5)
-        assert model.similarity == "pearson"
-        with pytest.raises(ValueError):
-            model.set_params(nonsense=1)
-
     def test_unfitted_predict_rejected(self):
         with pytest.raises(ValueError, match="not fitted"):
             PackingAutoscaler().predict(np.array([1, 2, 3, 4, 5]))
 
     def test_invalid_fallback_rejected_by_predict(self, fitted):
         model, centers = fitted
-        model.set_params(fallback="bogus")
+        model.fallback = "bogus"
         try:
             with pytest.raises(ValueError, match="fallback"):
                 model.predict(centers[0].astype(int))
         finally:
-            model.set_params(fallback="greedy")
+            model.fallback = "greedy"

@@ -403,6 +403,15 @@ class TestGaPack:
         sol = ga_pack(demand, vms, GaParams(generations=40, seed=1))
         assert not sol.feasible
 
+    def test_demand_within_tolerance_still_gets_a_host(self):
+        # verify_solution rejects any uncovered service with positive demand,
+        # so the GA must not count the empty packing of 5e-10 as feasible.
+        vms = [VmType("unit", np.array([1.0]), 1.0)]
+        demand = make_demand([[5e-10]])
+        solution, _ = ga_evolve(demand, vms, GaParams(generations=20, seed=0))
+        assert solution.feasible and solution.instance_count == 1
+        assert verify_solution(solution, demand)
+
     def test_fixed_seed_outputs_pinned(self, five_service_catalog, three_vm_catalog):
         got = {}
         for name, demand, vms in pinned_instances(five_service_catalog, three_vm_catalog):
