@@ -24,7 +24,8 @@ class DemandVector:
 
     values[s] is the scalar demand magnitude of service s (the clustering /
     matching pattern); per_dim[s][k] is its demand in resource dimension k.
-    values[s] always equals per_dim[s].sum().
+    Every entry is finite and nonnegative, and values[s] equals
+    per_dim[s].sum() within np.allclose(rtol=1e-9, atol=1e-9).
     """
 
     values: np.ndarray
@@ -39,10 +40,15 @@ class DemandVector:
             raise ValueError(
                 f"per_dim has {per_dim.shape[0]} rows for {values.shape[0]} values"
             )
-        if values.size and (np.min(values) < 0 or np.min(per_dim) < 0):
+        if not (np.isfinite(values).all() and np.isfinite(per_dim).all()):
+            raise ValueError("demand entries must be finite")
+        if values.size and (values.min() < 0 or per_dim.min() < 0):
             raise ValueError("demand entries must be nonnegative")
         sums = per_dim.sum(axis=1)
-        if not np.allclose(values, sums, rtol=1e-9, atol=1e-9):
+        # Exact for every vector built here from counts or values; otherwise
+        # np.allclose(values, sums, rtol=1e-9, atol=1e-9) on finite inputs.
+        if not ((values == sums).all()
+                or (np.abs(values - sums) <= 1e-9 + 1e-9 * np.abs(sums)).all()):
             raise ValueError("values must equal the per-dimension row sums")
 
     @property
@@ -66,7 +72,9 @@ def demand_for_period(counts, catalog: ServiceCatalog) -> DemandVector:
             f"counts must be a vector of length {catalog.service_count}, "
             f"got shape {c.shape}"
         )
-    if c.size and np.min(c) < 0:
+    if not np.isfinite(c).all():
+        raise ValueError("counts must be finite")
+    if c.size and c.min() < 0:
         raise ValueError("counts must be nonnegative")
     per_dim = c[:, None] * catalog.unit_costs
     return DemandVector(values=per_dim.sum(axis=1), per_dim=per_dim)

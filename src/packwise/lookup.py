@@ -110,8 +110,10 @@ class LookupTable:
     """Ordered entries plus the matching policy they were built with.
 
     Tables are never mutated (derive new ones with dataclasses.replace), so
-    match() scores against arrays built once here: the (E, S) matrix
-    ``patterns``, its row-centred copy ``centred`` and ``centred_norms``.
+    match() scores against read-only arrays built once here: the (E, S)
+    matrix ``patterns``, its row-centred copy ``centred``, ``centred_norms``,
+    the mask ``flat`` of zero-variance rows (``centred_norms == 0``) and each
+    pattern's L1 norm ``magnitudes``, bit-equal to np.abs(pattern).sum().
     """
 
     entries: tuple
@@ -140,7 +142,10 @@ class LookupTable:
         self.patterns = np.vstack([e.pattern for e in self.entries])
         self.centred = self.patterns - self.patterns.mean(axis=1, keepdims=True)
         self.centred_norms = np.sqrt((self.centred ** 2).sum(axis=1))
-        for arr in (self.patterns, self.centred, self.centred_norms):
+        self.flat = self.centred_norms == 0.0
+        self.magnitudes = np.abs(self.patterns).sum(axis=1)
+        for arr in (self.patterns, self.centred, self.centred_norms, self.flat,
+                    self.magnitudes):
             arr.flags.writeable = False
 
     @property
@@ -177,10 +182,11 @@ class LookupTable:
         return self.to_doc() == other.to_doc()
 
 
-def _magnitude_ok(incoming: np.ndarray, pattern: np.ndarray, ratio: float) -> bool:
+def _magnitude_ok(incoming: np.ndarray, magnitude: float, ratio: float) -> bool:
+    """Whether the incoming L1 norm lies within ratio of an entry's magnitude."""
     if math.isinf(ratio):
         return True
-    ni, np_ = float(np.abs(incoming).sum()), float(np.abs(pattern).sum())
+    ni, np_ = float(np.abs(incoming).sum()), float(magnitude)
     if ni == 0.0 and np_ == 0.0:
         return True
     if ni == 0.0 or np_ == 0.0:
@@ -201,13 +207,16 @@ def entry_scores(table: LookupTable, vec: np.ndarray) -> np.ndarray:
     norm = np.sqrt((c ** 2).sum())
     rows, row_norms = table.centred, table.centred_norms
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.clip((rows * c).sum(axis=1) / (norm * row_norms), -1.0, 1.0)
+        r = (rows * c).sum(axis=1) / (norm * row_norms)
+    np.maximum(r, -1.0, out=r)
+    np.minimum(r, 1.0, out=r)
     # pearson()'s sentinels, lowest precedence first so that later writes win.
     r[(rows == -c).all(axis=1)] = -1.0
     r[(rows == c).all(axis=1)] = 1.0
-    zero_var = (norm == 0.0) | (row_norms == 0.0)
-    flat = rows[zero_var]   # np.allclose(c, flat, atol=1e-12) per row, written out
-    r[zero_var] = (np.abs(c - flat) <= 1e-12 + 1e-5 * np.abs(flat)).all(axis=1)
+    if norm == 0.0 or table.flat.any():
+        zero_var = table.flat | (norm == 0.0)
+        flat = rows[zero_var]   # np.allclose(c, flat, atol=1e-12) per row, written out
+        r[zero_var] = (np.abs(c - flat) <= 1e-12 + 1e-5 * np.abs(flat)).all(axis=1)
     return r
 
 
@@ -228,7 +237,7 @@ def match(table: LookupTable, incoming: DemandVector) -> MatchResult:
     if table.similarity == "pearson":
         best = int(scores.argmax())
         hit = scores[best] >= table.threshold and _magnitude_ok(
-            vec, table.patterns[best], table.magnitude_ratio)
+            vec, table.magnitudes[best], table.magnitude_ratio)
     else:
         best = int(scores.argmin())
         hit = scores[best] <= table.threshold

@@ -522,11 +522,11 @@ def ga_pack(demand: DemandVector, vm_catalog, params: GaParams | None = None,
 
 
 def _fits(load, dem, capacity) -> bool:
-    return bool(np.all(load + dem <= capacity + FEASIBILITY_TOL))
+    return bool((load + dem <= capacity + FEASIBILITY_TOL).all())
 
 
 def _cheapest_fitting_type(dem, vm_catalog):
-    fitting = [t for t in vm_catalog if np.all(dem <= t.capacity + FEASIBILITY_TOL)]
+    fitting = [t for t in vm_catalog if (dem <= t.capacity + FEASIBILITY_TOL).all()]
     if not fitting:
         return None
     return min(fitting, key=lambda t: t.hourly_cost)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from packwise import (
     DemandVector,
@@ -51,6 +53,16 @@ class TestDemandForPeriod:
         with pytest.raises(ValueError):
             demand_for_period([1, -2, 3, 4, 5], five_service_catalog)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_counts_rejected(self, five_service_catalog, bad):
+        with pytest.raises(ValueError, match="counts must be finite"):
+            demand_for_period([1, bad, 3, 4, 5], five_service_catalog)
+
+    def test_overflowing_demand_rejected(self, five_service_catalog):
+        # Finite counts whose products overflow give infinite demand.
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            demand_for_period([1, 1e308, 3, 4, 5], five_service_catalog)
+
     def test_matches_loop_oracle(self, five_service_catalog):
         rng = np.random.default_rng(12)
         for _ in range(50):
@@ -93,6 +105,17 @@ class TestDemandVectorInvariants:
         with pytest.raises(ValueError):
             DemandVector(values=np.array([-2.0]), per_dim=np.array([[-2.0]]))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            DemandVector(values=np.array([1.0, bad]), per_dim=np.array([[1.0], [1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_per_dim_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            DemandVector(values=np.array([1.0, 2.0]),
+                         per_dim=np.array([[1.0, 0.0], [1.0, bad]]))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             DemandVector(values=np.array([1.0, 2.0]), per_dim=np.array([[1.0]]))
@@ -101,6 +124,43 @@ class TestDemandVectorInvariants:
         dv = demand_for_period([1, 2, 3, 4, 5], five_service_catalog)
         with pytest.raises(ValueError):
             dv.values[0] = 99.0
+
+
+@st.composite
+def values_near_row_sums(draw):
+    """per_dim and values that equal its row sums, miss them by a multiple of
+    np.allclose's tolerance (some exactly on its edge), or sit one ulp to
+    either side of that."""
+    S, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1.0, 1e3, 1e9, 1e15]))
+    cells = draw(st.lists(st.floats(0.0, 1.0), min_size=S * d, max_size=S * d))
+    per_dim = np.array(cells).reshape(S, d) * scale
+    sums = per_dim.sum(axis=1)
+    factor = st.one_of(st.just(0.0), st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 3.0))
+    factors = np.array(draw(st.lists(factor, min_size=S, max_size=S)))
+    values = sums + factors * (1e-9 + 1e-9 * np.abs(sums))
+    toward = np.array(draw(st.lists(st.sampled_from([-np.inf, 0.0, np.inf]),
+                                    min_size=S, max_size=S)))
+    values = np.maximum(np.where(toward == 0.0, values, np.nextafter(values, toward)), 0.0)
+    return values, per_dim
+
+
+class TestRowSumInvariant:
+    @settings(max_examples=400, deadline=None)
+    @given(values_near_row_sums())
+    # 2e9 apart by half and by 1.5 times the tolerance, nearly all of it relative.
+    @example((np.array([2e9 + 1.0]), np.array([[1e9, 1e9]])))
+    @example((np.array([2e9 + 3.0]), np.array([[1e9, 1e9]])))
+    def test_accepts_exactly_what_allclose_accepts(self, case):
+        values, per_dim = case
+        expected = np.allclose(values, per_dim.sum(axis=1), rtol=1e-9, atol=1e-9)
+        try:
+            DemandVector(values=values, per_dim=per_dim)
+            accepted = True
+        except ValueError as exc:
+            assert "row sums" in str(exc)
+            accepted = False
+        assert accepted == expected
 
 
 class TestDemandSeries:

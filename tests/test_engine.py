@@ -17,6 +17,7 @@ from packwise import (
     demand_for_period,
     evaluate_methods,
     generate_trace,
+    match,
     pearson,
     run_online,
 )
@@ -365,6 +366,40 @@ class TestPackingAutoscaler:
                           periods=10, seed=3), catalog)
         sim = model.replay(online)
         assert len(sim.records) == 10
+
+    def test_hit_runs_no_tolerance_check_and_no_greedy(self, fitted, catalog, monkeypatch):
+        import packwise.engine as engine
+        model, centers = fitted
+        row = centers[0].astype(int)
+        result = match(model.table_, demand_for_period(row, catalog))
+        assert result.hit
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called on a table hit")
+
+        for name in ("allclose", "isclose"):
+            monkeypatch.setattr(np, name, forbidden)
+        monkeypatch.setattr(engine, "best_fit_pack", forbidden)
+        assert model.predict(row) is result.chosen
+
+    def test_magnitude_guard_miss_packs_once(self, fitted, catalog, vms, monkeypatch):
+        import packwise.engine as engine
+        model, centers = fitted
+        row = 2 * centers[0].astype(int)   # same shape, twice the guard's 1.5 ratio
+        dv = demand_for_period(row, catalog)
+        result = match(model.table_, dv)
+        assert result.score >= model.table_.threshold and not result.hit
+        packed = []
+        real = engine.best_fit_pack
+
+        def recording(*args):
+            packed.append(real(*args))
+            return packed[-1]
+
+        monkeypatch.setattr(engine, "best_fit_pack", recording)
+        solution = model.predict(row)
+        assert len(packed) == 1 and solution is packed[0]
+        assert solution.total_cost == real(dv, vms, model._period_seconds).total_cost
 
     def test_unfitted_predict_rejected(self):
         with pytest.raises(ValueError, match="not fitted"):

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from packwise import (
     FingerprintMismatchError,
@@ -182,6 +184,30 @@ class TestMatch:
         pattern = [10.0, 20.0, 30.0, 40.0, 50.0]
         table = table_with([pattern], vm_catalog[0], magnitude_ratio=1.5)
         assert match(table, incoming([13, 26, 39, 52, 65])).hit  # ratio 1.3
+
+
+class TestPrecomputedArrays:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 300), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_magnitudes_bit_equal_to_per_entry_sums(self, S, E, seed):
+        rng = np.random.default_rng(seed)
+        vm = VmType("VM", np.ones(1), 1.0)
+        patterns = rng.uniform(0.0, 1e4, size=(E, S)) * rng.choice([1e-6, 1.0, 1e6], size=(E, 1))
+        table = table_with(patterns, vm)
+        grown = replace(table, entries=table.entries + tuple(
+            entry(p, vm, [1] * S) for p in rng.uniform(0.0, 50.0, size=(E, S))))
+        for t in (table, grown):
+            assert [float(m) for m in t.magnitudes] == [
+                float(np.abs(e.pattern).sum()) for e in t.entries]
+            assert t.flat.tolist() == (t.centred_norms == 0).tolist()
+
+    def test_arrays_are_read_only(self, vm_catalog):
+        table = table_with([[1.0, 2.0, 3.0], [5.0, 5.0, 5.0]], vm_catalog[0])
+        assert table.flat.tolist() == [False, True]
+        assert table.magnitudes.tolist() == [6.0, 15.0]
+        for arr in (table.flat, table.magnitudes):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestMissBuffer:

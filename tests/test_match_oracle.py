@@ -78,3 +78,39 @@ class TestVectorizedMatchAgainstScalarOracle:
             # Equal patterns score bit-equal, so ties go to the lowest index.
             same = np.all(patterns == patterns[result.best_index], axis=1)
             assert result.best_index == int(np.flatnonzero(same)[0])
+
+
+def _table(patterns):
+    solution = PackingSolution(
+        (VmInstance(VmType("VM", np.ones(1), 1.0), np.ones(patterns.shape[1], dtype=int)),),
+        1.0, True)
+    return LookupTable(entries=tuple(LookupEntry(p, solution) for p in patterns),
+                       similarity="pearson", threshold=0.5)
+
+
+class TestZeroVarianceSentinels:
+    """The zero-variance sentinels apply when the probe or a row is flat; a
+    gate on either side alone leaves 0/0 scores in the other case."""
+
+    def test_constant_probe_against_varying_rows(self):
+        rng = np.random.default_rng(31)
+        for S in (2, 5, 12):
+            table = _table(rng.uniform(1.0, 100.0, size=(8, S)))
+            assert not table.flat.any()
+            for value in (0.0, 7.0, 1e3):
+                probe = np.full(S, value)
+                expected = [pearson(probe, p) for p in table.patterns]
+                assert entry_scores(table, probe).tolist() == expected == [0.0] * 8
+
+    def test_varying_probe_against_flat_rows(self):
+        rng = np.random.default_rng(32)
+        for S in (2, 5, 12):
+            patterns = rng.uniform(1.0, 100.0, size=(6, S))
+            patterns[[1, 4]] = [np.full(S, 3.0), np.zeros(S)]
+            table = _table(patterns)
+            assert table.flat.tolist() == [False, True, False, False, True, False]
+            probe = rng.uniform(1.0, 100.0, size=S)
+            expected = np.array([pearson(probe, p) for p in patterns])
+            scores = entry_scores(table, probe)
+            assert scores[table.flat].tolist() == expected[table.flat].tolist() == [0.0, 0.0]
+            assert np.all(np.abs(scores - expected) <= 1e-12)
