@@ -25,7 +25,9 @@ Both skip work the triangle inequality proves cannot matter (Hamerly,
 "Making k-means even faster", SDM 2010, after Elkan, ICML 2003). A Lloyd
 sweep computes distances only for points whose bounds leave their label
 in doubt, and Dunn compares only the cluster pairs whose centroid
-distance, less both radii, does not exceed the separation found so far.
+distance, less both radii, does not exceed the separation found so far,
+and measures only the clusters whose doubled radius reaches the largest
+diameter found so far.
 Every bound is widened by BOUND_MARGIN beyond the rounding of the
 distances it stands for, so a skipped point's label and Dunn's minimum
 are those of the full computation bit for bit (see _lloyd and dunn).
@@ -164,6 +166,20 @@ def _centroids(Xs: np.ndarray, XT: np.ndarray, labels: np.ndarray,
     return centers
 
 
+def _weighted_draw(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """rng.choice(len(probs), p=probs) for nonnegative probs: the same index
+    from the same single rng.random() draw, by choice's own cumsum and
+    searchsorted. choice's argument checks are skipped when the cumulative
+    sum is within 1e-8 of 1, where all of them pass; otherwise (NaN, or a
+    sum of squared distances that overflowed) choice itself runs, so it
+    raises or draws as before."""
+    cdf = probs.cumsum()
+    if not abs(cdf[-1] - 1.0) <= 1e-8:
+        return int(rng.choice(len(probs), p=probs))
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _kmeans_pp_init(X: np.ndarray, XT: np.ndarray, k: int,
                     rng: np.random.Generator):
     """(centers, d2): k seeds drawn by k-means++ and the (n, k) squared
@@ -175,8 +191,7 @@ def _kmeans_pp_init(X: np.ndarray, XT: np.ndarray, k: int,
     d2[0] = _sq_dist(XT, centers[:1])[:, 0]
     nearest = d2[0]
     for j in range(1, k):
-        probs = nearest / nearest.sum()
-        centers[j] = X[rng.choice(n, p=probs)]
+        centers[j] = X[_weighted_draw(nearest / nearest.sum(), rng)]
         d2[j] = _sq_dist(XT, centers[j:j + 1])[:, 0]
         nearest = np.minimum(nearest, d2[j])
     return centers, d2.T
@@ -268,7 +283,9 @@ def _lloyd(Xs: np.ndarray, k: int, rng: np.random.Generator):
         labels = new_labels
         moved_from = centers
         centers = _centroids(Xs, XT, labels, sizes)
-        d2_final = ((Xs - centers[labels]) ** 2).sum(axis=1)
+        t = XT - centers.T.take(labels, axis=1)
+        np.square(t, out=t)
+        d2_final = _plane_sum(t)
         trace.append(float(d2_final.sum()))
         if converged:
             break
@@ -321,28 +338,36 @@ def dunn(model: ClusterModel, patterns) -> float:
     clusters; diameter is the maximum intra-cluster pairwise distance.
     All-singleton models have zero diameters and return +inf.
 
-    Cluster pairs are visited in ascending order of a lower bound on their
-    separation from the triangle inequality: the distance between their
-    centroids less both cluster radii (the largest member-to-centroid
-    distance). The visit stops once the next bound exceeds the smallest
-    separation found. Radii are widened and centroid distances narrowed by
-    BOUND_MARGIN relative and BOUND_MARGIN * (sqrt(S) * largest |value| +
-    1) absolute, more than the rounding of any computed distance, so every
-    skipped pair's cdist(...).min() is at least the minimum of the visited
-    ones. Those are the same cdist(...).min() values the all-pairs minimum
-    takes, so it is returned bit for bit.
+    Both passes skip work the triangle inequality proves cannot matter.
+    Each cluster's radius is its largest member-to-centroid distance; twice
+    it bounds the cluster's diameter. Clusters are visited in descending
+    order of that bound, and the visit stops once it falls below the
+    largest diameter found. Cluster pairs are visited in ascending order
+    of a lower bound on their separation, the distance between their
+    centroids less both radii, and the visit stops once the next bound
+    exceeds the smallest separation found. Radii are widened and centroid
+    distances narrowed by BOUND_MARGIN relative and BOUND_MARGIN *
+    (sqrt(S) * largest |value| + 1) absolute, more than the rounding of
+    any computed distance, so a skipped cluster's pdist(...).max() is at
+    most the largest diameter found and a skipped pair's cdist(...).min()
+    at least the smallest separation found. The visited values are the
+    ones the all-pairs computation takes, so both extremes, and the
+    index, are returned bit for bit.
     """
     X = as_float_matrix(patterns, "patterns")
     if model.k < 2:
         raise ValueError("index needs k >= 2")
     blocks = [X[model.assignments == c] for c in range(model.k)]
-
-    max_diameter = max(pdist(b).max(initial=0.0) for b in blocks)
     centroids = model.centroids
     scale = max(np.abs(X).max(), np.abs(centroids).max())
     pad = BOUND_MARGIN * (np.sqrt(X.shape[1]) * scale + 1.0)
     radius = np.array([np.sqrt(((b - c) ** 2).sum(axis=1)).max()
                        for b, c in zip(blocks, centroids)]) * (1.0 + BOUND_MARGIN) + pad
+    max_diameter = 0.0
+    for c in np.argsort(-radius, kind="stable"):
+        if 2.0 * radius[c] < max_diameter:
+            break
+        max_diameter = max(max_diameter, pdist(blocks[c]).max(initial=0.0))
     first, second = np.triu_indices(model.k, 1)
     bound = (cdist(centroids, centroids)[first, second] * (1.0 - BOUND_MARGIN) - pad
              - radius[first] - radius[second])

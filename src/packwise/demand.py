@@ -26,6 +26,11 @@ class DemandVector:
     matching pattern); per_dim[s][k] is its demand in resource dimension k.
     Every entry is finite and nonnegative, and values[s] equals
     per_dim[s].sum() within np.allclose(rtol=1e-9, atol=1e-9).
+
+    DemandVector(values, per_dim) copies both arrays read-only and checks
+    all of that: shapes, finiteness, signs and the row sums.
+    demand_for_period builds its vectors through _checked instead, which
+    skips the checks its own steps have already proved.
     """
 
     values: np.ndarray
@@ -51,6 +56,21 @@ class DemandVector:
                 or (np.abs(values - sums) <= 1e-9 + 1e-9 * np.abs(sums)).all()):
             raise ValueError("values must equal the per-dimension row sums")
 
+    @classmethod
+    def _checked(cls, values: np.ndarray, per_dim: np.ndarray) -> DemandVector:
+        """Wrap fresh float arrays, made read-only here, without re-checking.
+
+        Only for callers that have proved the invariants: per_dim is a
+        (S, d) float array with finite, nonnegative entries and values is
+        exactly per_dim.sum(axis=1). Neither array may be used elsewhere.
+        """
+        values.flags.writeable = False
+        per_dim.flags.writeable = False
+        dv = object.__new__(cls)
+        object.__setattr__(dv, "values", values)
+        object.__setattr__(dv, "per_dim", per_dim)
+        return dv
+
     @property
     def service_count(self) -> int:
         return self.values.shape[0]
@@ -65,6 +85,14 @@ def demand_for_period(counts, catalog: ServiceCatalog) -> DemandVector:
 
     per_dim[s][k] = counts[s] * unit_costs[s][k]; values[s] is the row sum.
     No summation across services: each service keeps its own entry.
+
+    The counts are checked once (shape, finite, nonnegative) and the row
+    sums once (finite; else "demand entries must be finite", as
+    DemandVector raises). Nothing else needs checking: the catalog's unit
+    costs are not negative, so no product is either (it is finite, +inf or
+    NaN), and a row sum is then finite only when all its products are.
+    DemandVector._checked builds the vector, bit-equal to the validating
+    DemandVector(values=..., per_dim=...) of the same products.
     """
     c = np.asarray(counts, dtype=float)
     if c.ndim != 1 or c.shape[0] != catalog.service_count:
@@ -77,7 +105,10 @@ def demand_for_period(counts, catalog: ServiceCatalog) -> DemandVector:
     if c.size and c.min() < 0:
         raise ValueError("counts must be nonnegative")
     per_dim = c[:, None] * catalog.unit_costs
-    return DemandVector(values=per_dim.sum(axis=1), per_dim=per_dim)
+    values = per_dim.sum(axis=1)
+    if not np.isfinite(values).all():
+        raise ValueError("demand entries must be finite")
+    return DemandVector._checked(values, per_dim)
 
 
 def demand_series(trace: WorkloadTrace, catalog: ServiceCatalog) -> list[DemandVector]:

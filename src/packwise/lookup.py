@@ -34,6 +34,19 @@ from .workload import ServiceCatalog
 
 TABLE_VERSION = "packwise-table-v1"
 SIMILARITIES = ("pearson", "euclidean")
+# How far from +-1 a clipped Pearson quotient may lie and still need the
+# exact +-1 sentinel test of entry_scores. A row equal to +-c, for the
+# probe's centred vector c, scores +-p / (sqrt(q) * sqrt(q')), where p, q
+# and q' are sums of the same S squares c_i**2 in up to three summation
+# orders (the row's products, the probe's norm and the stored row norm).
+# Each sum is within (S - 1) * 2**-53 of the exact one, relatively. The
+# roots halve the shares of q and q', and the two roots, their product and
+# the quotient round once each, adding 2**-53 apiece, so the quotient is
+# within about (2 * (S - 1) + 4) * 2**-53 of +-1: below 1e-9 for S under
+# four million. That needs p, q, q' and the product to be normal floats,
+# which holds for 1e-150 < sqrt(q) < 1e150; outside that range every row
+# is tested.
+SENTINEL_EDGE = 1e-9
 
 
 class TableFormatError(ValueError):
@@ -203,16 +216,26 @@ def entry_scores(table: LookupTable, vec: np.ndarray) -> np.ndarray:
     score bit-equal so that ties go to the lowest index."""
     if table.similarity == "euclidean":
         return np.linalg.norm(table.patterns - vec, axis=1)
-    c = vec - vec.mean()
+    c = vec - vec.sum() / vec.shape[0]     # vec.mean(), the same float
     norm = np.sqrt((c ** 2).sum())
     rows, row_norms = table.centred, table.centred_norms
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = (rows * c).sum(axis=1) / (norm * row_norms)
+    den = norm * row_norms
+    r = (rows * c).sum(axis=1)
+    # A product of two nonzero norms is at least 5e-324, so den is zero on
+    # exactly the zero-variance rows (all rows for a flat probe), which the
+    # block at the end overwrites.
+    np.divide(r, den, out=r, where=den != 0.0)
     np.maximum(r, -1.0, out=r)
     np.minimum(r, 1.0, out=r)
     # pearson()'s sentinels, lowest precedence first so that later writes win.
-    r[(rows == -c).all(axis=1)] = -1.0
-    r[(rows == c).all(axis=1)] = 1.0
+    if 1e-150 < norm < 1e150:
+        near = np.flatnonzero(np.abs(r) >= 1.0 - SENTINEL_EDGE)
+    else:
+        near = np.arange(r.shape[0])
+    if near.size:
+        near_rows = rows[near]
+        r[near[(near_rows == -c).all(axis=1)]] = -1.0
+        r[near[(near_rows == c).all(axis=1)]] = 1.0
     if norm == 0.0 or table.flat.any():
         zero_var = table.flat | (norm == 0.0)
         flat = rows[zero_var]   # np.allclose(c, flat, atol=1e-12) per row, written out

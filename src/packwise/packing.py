@@ -521,45 +521,71 @@ def ga_pack(demand: DemandVector, vm_catalog, params: GaParams | None = None,
     return solution
 
 
-def _fits(load, dem, capacity) -> bool:
-    return bool((load + dem <= capacity + FEASIBILITY_TOL).all())
+def _greedy_pack(demand: DemandVector, vm_catalog, best_fit: bool,
+                 period_seconds) -> PackingSolution:
+    """Place the services with positive demand whole, in decreasing demand
+    order (stable), each on an open instance with room in every dimension
+    (load + demand <= capacity + FEASIBILITY_TOL): the first such instance,
+    or with best_fit the one left with the least total slack
+    (capacity - load - demand).sum(), ties to the lowest index. A service
+    no open instance holds opens a new instance of the cheapest type that
+    holds it alone (ties: first in catalog order); a service no type holds
+    goes on the roomiest type (largest capacity sum, first on ties) and
+    makes the solution infeasible.
 
-
-def _cheapest_fitting_type(dem, vm_catalog):
-    fitting = [t for t in vm_catalog if (dem <= t.capacity + FEASIBILITY_TOL).all()]
-    if not fitting:
-        return None
-    return min(fitting, key=lambda t: t.hourly_cost)
-
-
-def _greedy_pack(demand: DemandVector, vm_catalog, choose, period_seconds) -> PackingSolution:
+    The open instances' loads and capacities are (n_open, d) rows, so one
+    array operation tests a service against all of them, and one (S, T)
+    comparison per pack says which types hold which service. argmin and
+    argmax return the first extremum, the ties of min() and max() over the
+    candidates in order, and every load, slack and capacity sum is the
+    same float the per-instance arithmetic gives.
+    """
     if not vm_catalog:
         raise ValueError("vm_catalog is empty")
-    _catalog_arrays(vm_catalog, demand.dimension_count)
-    S = demand.service_count
-    order = np.argsort(-demand.values, kind="stable")
-    opened: list[list] = []  # [type, load, bits]
+    caps, costs = _catalog_arrays(vm_catalog, demand.dimension_count)
+    per_dim, values = demand.per_dim, demand.values
+    S, d = per_dim.shape
+    room = caps + FEASIBILITY_TOL
+    holds = (per_dim[:, None, :] <= room).all(axis=2)                 # (S, T)
+    # The first holding type in stable price order is the cheapest one, ties
+    # to the first in the catalog, also when prices are infinite.
+    by_price = costs.argsort(kind="stable")
+    cheapest = by_price[holds[:, by_price].argmax(axis=1)]
+    roomiest = int(caps.sum(axis=1).argmax())
+    holds_any = holds.any(axis=1)
+    # Row i of these is open instance i: its type, load, capacity and
+    # capacity + FEASIBILITY_TOL; bits[i] marks the services it hosts.
+    types = np.empty(S, dtype=np.intp)
+    loads, cap_open, room_open = np.empty((3, S, d))
+    bits: list[np.ndarray] = []
+    n = 0
     feasible = True
-    for s in order:
-        if demand.values[s] == 0:
+    vals = values.tolist()
+    for s in (-values).argsort(kind="stable").tolist():
+        if vals[s] == 0:
             continue
-        dem = demand.per_dim[s]
-        candidates = [i for i, (t, load, _) in enumerate(opened) if _fits(load, dem, t.capacity)]
-        if candidates:
-            i = choose(candidates, opened, dem)
-            opened[i][1] = opened[i][1] + dem
-            opened[i][2][s] = 1
+        dem = per_dim[s]
+        fit = (loads[:n] + dem <= room_open[:n]).all(axis=1).nonzero()[0]
+        if fit.size:
+            i = fit[0]
+            if best_fit and fit.size > 1:
+                slack = (cap_open[:n] - loads[:n] - dem).sum(axis=1)
+                i = fit[slack[fit].argmin()]
+            loads[i] += dem
+            bits[i][s] = 1
             continue
-        vm = _cheapest_fitting_type(dem, vm_catalog)
-        if vm is None:
-            # Nothing holds this service whole; place it on the roomiest
-            # type anyway and report the solution infeasible.
+        if holds_any[s]:
+            t = cheapest[s]
+        else:
             feasible = False
-            vm = max(vm_catalog, key=lambda t: float(t.capacity.sum()))
-        bits = np.zeros(S, dtype=np.uint8)
-        bits[s] = 1
-        opened.append([vm, dem.copy(), bits])
-    instances = tuple(VmInstance(t, bits) for t, _, bits in opened)
+            t = roomiest
+        types[n] = t
+        loads[n], cap_open[n], room_open[n] = dem, caps[t], room[t]
+        hosted = np.zeros(S, dtype=np.uint8)
+        hosted[s] = 1
+        bits.append(hosted)
+        n += 1
+    instances = tuple(VmInstance(vm_catalog[t], b) for t, b in zip(types[:n], bits))
     return PackingSolution(
         instances=instances,
         total_cost=solution_cost(instances, period_seconds),
@@ -572,21 +598,14 @@ def first_fit_pack(demand: DemandVector, vm_catalog,
     """Greedy baseline: services in decreasing demand order, each placed
     whole on the first open instance with room, else on a new instance of
     the cheapest type that holds it alone."""
-    return _greedy_pack(demand, vm_catalog, lambda cands, _o, _d: cands[0], period_seconds)
+    return _greedy_pack(demand, vm_catalog, False, period_seconds)
 
 
 def best_fit_pack(demand: DemandVector, vm_catalog,
                   period_seconds: float = DEFAULT_PERIOD_SECONDS) -> PackingSolution:
     """Greedy baseline like first_fit_pack, but each service goes to the
     open instance left with the least total slack (ties: lowest index)."""
-
-    def choose(cands, opened, dem):
-        def slack(i):
-            t, load, _ = opened[i]
-            return float((t.capacity - load - dem).sum())
-        return min(cands, key=slack)
-
-    return _greedy_pack(demand, vm_catalog, choose, period_seconds)
+    return _greedy_pack(demand, vm_catalog, True, period_seconds)
 
 
 def brute_force_pack(demand: DemandVector, vm_catalog, m_cap: int,

@@ -443,6 +443,89 @@ class TestPruning:
         assert 0 < computed[0] <= unpruned[0] / 2
 
 
+    def test_dunn_diameter_bound_covers_rounding(self):
+        # Cluster 1 is a pair whose computed distance exceeds twice its
+        # computed radius by two ulps or more. Cluster 0, 8 away in service
+        # 0, has a larger radius and a diameter between those two, so it is
+        # measured first; an unwidened bound would then skip cluster 1.
+        def radius(b):
+            return np.sqrt(((b - b.mean(axis=0)) ** 2).sum(axis=1)).max()
+
+        rng = np.random.default_rng(5)
+        while True:
+            pair = rng.uniform(0.0, 1.0, size=(2, 57))
+            pair[:, 0] = 0.0
+            diameter = pdist(pair)[0]
+            if diameter - 2.0 * radius(pair) >= 2.0 * np.spacing(diameter):
+                break
+        x, y = pair.copy()
+        j = 1
+        while pdist(np.vstack([x, y]))[0] >= diameter:
+            y[j] = np.nextafter(y[j], x[j])
+            j = j % 56 + 1
+        apex = (x + y) / 2
+        apex[0] = diameter / 2
+        wide = np.vstack([x, y, apex])
+        wide[:, 0] += 8.0
+        X = np.vstack([wide, pair])
+        labels = np.array([0, 0, 0, 1, 1])
+        model = ClusterModel(k=2, centroids=np.vstack([X[labels == c].mean(axis=0)
+                                                       for c in range(2)]),
+                             assignments=labels, method="kmeans")
+        assert radius(wide) > radius(pair)
+        assert 2.0 * radius(pair) < pdist(wide).max() < diameter
+        assert repr(dunn(model, X)) == repr(all_pairs_dunn(model, X))
+
+    def test_dunn_measures_fewer_diameters(self, monkeypatch):
+        X = build_scale_patterns()
+        model = kmeans(X, 10, seed=10)
+        calls = []
+        monkeypatch.setattr(clustering, "pdist",
+                            lambda b: calls.append(len(b)) or pdist(b))
+        assert repr(dunn(model, X)) == repr(all_pairs_dunn(model, X))
+        assert 0 < len(calls) < model.k
+
+
+@st.composite
+def draw_weights(draw):
+    """Nonnegative weights over up to 5000 items: with zeros, with a single
+    nonzero weight, or all positive, at magnitudes from 1e-300 to 1e300."""
+    n = draw(st.one_of(st.integers(1, 20), st.integers(1, 5000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["zeros", "single", "positive"]))
+    w = rng.random(n) * 10.0 ** draw(st.integers(-300, 300))
+    if kind == "zeros":
+        w[rng.random(n) < draw(st.floats(0.0, 1.0))] = 0.0
+    elif kind == "single":
+        w[:] = 0.0
+        w[rng.integers(n)] = draw(st.floats(1e-300, 1e300))
+    if not w.any():
+        w[-1] = 1.0
+    return w, draw(st.integers(0, 2**32 - 1))
+
+
+class TestWeightedDraw:
+    @settings(max_examples=300, deadline=None)
+    @given(draw_weights())
+    def test_same_index_and_state_as_choice(self, case):
+        w, seed = case
+        probs = w / w.sum()
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert clustering._weighted_draw(probs, fast) == slow.choice(len(w), p=probs)
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+    @pytest.mark.parametrize("w", [[1.0, np.nan, 2.0], [0.0, 0.0], [1e308, 1e308]])
+    def test_rejects_what_choice_rejects(self, w):
+        with np.errstate(over="ignore", invalid="ignore"):
+            probs = np.array(w) / np.array(w).sum()
+        with pytest.raises(ValueError) as want:
+            np.random.default_rng(0).choice(len(w), p=probs)
+        with pytest.raises(ValueError) as got:
+            clustering._weighted_draw(probs, np.random.default_rng(0))
+        assert str(got.value) == str(want.value)
+
+
 class TestAgglomerative:
     def test_merge_count(self):
         X, _, _ = planted_patterns(6, n=40)

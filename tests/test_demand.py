@@ -127,6 +127,60 @@ class TestDemandVectorInvariants:
 
 
 @st.composite
+def counts_and_catalogs(draw):
+    """Counts (integers, fractions, zeros, -0.0) and nonnegative unit costs
+    with zero entries, for catalogs of up to 8 services and 4 dimensions."""
+    S, d = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    amount = st.one_of(st.integers(0, 1000).map(float), st.just(-0.0),
+                       st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False))
+    counts = draw(st.lists(amount, min_size=S, max_size=S))
+    unit = st.one_of(st.just(0.0), st.integers(1, 4).map(float), st.floats(0.01, 10.0))
+    costs = np.array(draw(st.lists(unit, min_size=S * d, max_size=S * d))).reshape(S, d)
+    costs[:, 0] += costs.sum(axis=1) == 0      # every service costs something
+    return counts, ServiceCatalog(costs)
+
+
+class TestCheckedConstruction:
+    """demand_for_period skips only the DemandVector checks its own steps
+    prove; the vector is the validating constructor's, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(counts_and_catalogs())
+    def test_bit_equal_to_validating_constructor(self, case):
+        counts, catalog = case
+        products = np.asarray(counts, dtype=float)[:, None] * catalog.unit_costs
+        want = DemandVector(values=products.sum(axis=1), per_dim=products)
+        got = demand_for_period(counts, catalog)
+        for a, b in ((got.values, want.values), (got.per_dim, want.per_dim)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+            assert not np.shares_memory(a, catalog.unit_costs)
+        assert not np.shares_memory(got.values, got.per_dim)
+
+    @pytest.mark.parametrize("unit_costs, counts, message", [
+        (None, [1, np.inf, 3, 4, 5], "counts must be finite"),
+        (None, [1, 2, np.nan, 4, 5], "counts must be finite"),
+        (None, [1, -2, 3, 4, 5], "counts must be nonnegative"),
+        (None, [1, 2, 3], "counts must be a vector of length 5, got shape (3,)"),
+        (None, [[1, 2, 3, 4, 5]], "counts must be a vector of length 5, got shape (1, 5)"),
+        (None, [1, 1e308, 3, 4, 5], "demand entries must be finite"),
+        ([[1e200, 1e200], [1.0, 1.0]], [1e200, 1], "demand entries must be finite"),
+        ([[np.inf, 1.0], [1.0, 1.0]], [0, 1], "demand entries must be finite"),
+        ([[np.inf, 1.0], [1.0, 1.0]], [2, 1], "demand entries must be finite"),
+        ([[np.nan, 1.0], [1.0, 1.0]], [2, 1], "demand entries must be finite"),
+    ])
+    def test_rejections_keep_their_messages(self, five_service_catalog, unit_costs,
+                                            counts, message):
+        catalog = (five_service_catalog if unit_costs is None
+                   else ServiceCatalog(np.array(unit_costs)))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError) as exc:
+            demand_for_period(counts, catalog)
+        assert str(exc.value) == message
+
+
+@st.composite
 def values_near_row_sums(draw):
     """per_dim and values that equal its row sums, miss them by a multiple of
     np.allclose's tolerance (some exactly on its edge), or sit one ulp to

@@ -2,6 +2,7 @@
 per-entry np.linalg.norm loop."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,3 +115,80 @@ class TestZeroVarianceSentinels:
             scores = entry_scores(table, probe)
             assert scores[table.flat].tolist() == expected[table.flat].tolist() == [0.0, 0.0]
             assert np.all(np.abs(scores - expected) <= 1e-12)
+
+
+def all_rows_scores(table, vec):
+    """entry_scores' Pearson branch as it was written with the exact +-1
+    sentinel tests on every row, kept verbatim as the oracle of the
+    near-+-1 subset that entry_scores tests now."""
+    c = vec - vec.mean()
+    norm = np.sqrt((c ** 2).sum())
+    rows, row_norms = table.centred, table.centred_norms
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = (rows * c).sum(axis=1) / (norm * row_norms)
+    np.maximum(r, -1.0, out=r)
+    np.minimum(r, 1.0, out=r)
+    # pearson()'s sentinels, lowest precedence first so that later writes win.
+    r[(rows == -c).all(axis=1)] = -1.0
+    r[(rows == c).all(axis=1)] = 1.0
+    if norm == 0.0 or table.flat.any():
+        zero_var = table.flat | (norm == 0.0)
+        flat = rows[zero_var]   # np.allclose(c, flat, atol=1e-12) per row, written out
+        r[zero_var] = (np.abs(c - flat) <= 1e-12 + 1e-5 * np.abs(flat)).all(axis=1)
+    return r
+
+
+class TestSentinelsOnLargeTables:
+    """At 1000 entries: copies of the probe (centred rows equal to c),
+    mirrored copies (often -c), power-of-two multiples and shifted copies,
+    whose quotients land within a few ulps of +-1 without being sentinels,
+    and unrelated rows."""
+
+    def test_scores_bit_equal_to_all_rows_sentinels(self):
+        rng = np.random.default_rng(41)
+        short_of_one = 0
+        for S in (2, 3, 5, 8, 12, 40):
+            for decimals in (0, 2, 6):
+                base = rng.uniform(0.0, 1000.0, size=(10, S)).round(decimals)
+                probe = base[0]
+                kinds = rng.integers(0, 5, size=1000)
+                shifts = rng.integers(1, 100, size=1000).astype(float)
+                powers = 2.0 ** rng.integers(-4, 5, size=1000)
+                rows = np.empty((1000, S))
+                for j, kind in enumerate(kinds):
+                    b = base[j % 10] if kind == 4 else probe
+                    rows[j] = (b, b.max() + b.min() - b, powers[j] * b, b + shifts[j],
+                               b)[kind]
+                table = _table(rows)
+                scores = entry_scores(table, probe)
+                assert scores.tobytes() == all_rows_scores(table, probe).tobytes()
+                oracle = np.array([pearson(probe, p) for p in rows])
+                assert np.all(np.abs(scores - oracle) <= 1e-12)
+                c = probe - probe.mean()
+                exact = (table.centred == c).all(axis=1) | (table.centred == -c).all(axis=1)
+                assert exact.any()
+                assert scores[exact].tolist() == oracle[exact].tolist()
+                assert set(scores[exact].tolist()) <= {-1.0, 1.0}
+                # The raw quotient of an exact row falls short of +-1 in the
+                # last bits, which only the sentinel corrects.
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    raw = ((table.centred * c).sum(axis=1)
+                           / (np.sqrt((c ** 2).sum()) * table.centred_norms))
+                short_of_one += int((np.abs(raw[exact]) < 1.0).sum())
+        assert short_of_one > 0
+
+    @pytest.mark.parametrize("scale", [1e-161, 3e-160, 1e155, 1e160])
+    def test_extreme_magnitudes_test_every_row(self, scale):
+        # Past the range of the rounding bound: sums of squares that
+        # overflow make an exact row's quotient NaN, and subnormal ones fall
+        # outside the bound's derivation, so every row is tested there.
+        rng = np.random.default_rng(43)
+        for S in (2, 5, 12):
+            probe = rng.uniform(1.0, 9.0, size=S).round(1) * scale
+            rows = np.vstack([probe, probe.max() + probe.min() - probe,
+                              rng.uniform(1.0, 9.0, size=(6, S)) * scale])
+            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                table = _table(rows)
+                scores = entry_scores(table, probe)
+                assert scores.tobytes() == all_rows_scores(table, probe).tobytes()
+            assert scores[0] == 1.0

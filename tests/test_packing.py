@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -679,6 +679,125 @@ class TestGreedy:
             if ga.total_cost <= ff.total_cost + 1e-12:
                 wins += 1
         assert wins >= int(0.8 * runs)
+
+
+# The greedy packers as they were written with one instance at a time,
+# kept verbatim as the oracle of the array form in packing._greedy_pack.
+def _fits(load, dem, capacity) -> bool:
+    return bool((load + dem <= capacity + FEASIBILITY_TOL).all())
+
+
+def _cheapest_fitting_type(dem, vm_catalog):
+    fitting = [t for t in vm_catalog if (dem <= t.capacity + FEASIBILITY_TOL).all()]
+    if not fitting:
+        return None
+    return min(fitting, key=lambda t: t.hourly_cost)
+
+
+def _greedy_pack(demand: DemandVector, vm_catalog, choose, period_seconds) -> PackingSolution:
+    if not vm_catalog:
+        raise ValueError("vm_catalog is empty")
+    packing._catalog_arrays(vm_catalog, demand.dimension_count)
+    S = demand.service_count
+    order = np.argsort(-demand.values, kind="stable")
+    opened: list[list] = []  # [type, load, bits]
+    feasible = True
+    for s in order:
+        if demand.values[s] == 0:
+            continue
+        dem = demand.per_dim[s]
+        candidates = [i for i, (t, load, _) in enumerate(opened) if _fits(load, dem, t.capacity)]
+        if candidates:
+            i = choose(candidates, opened, dem)
+            opened[i][1] = opened[i][1] + dem
+            opened[i][2][s] = 1
+            continue
+        vm = _cheapest_fitting_type(dem, vm_catalog)
+        if vm is None:
+            # Nothing holds this service whole; place it on the roomiest
+            # type anyway and report the solution infeasible.
+            feasible = False
+            vm = max(vm_catalog, key=lambda t: float(t.capacity.sum()))
+        bits = np.zeros(S, dtype=np.uint8)
+        bits[s] = 1
+        opened.append([vm, dem.copy(), bits])
+    instances = tuple(VmInstance(t, bits) for t, _, bits in opened)
+    return PackingSolution(
+        instances=instances,
+        total_cost=solution_cost(instances, period_seconds),
+        feasible=feasible,
+    )
+
+
+def oracle_first_fit(demand, vm_catalog, period_seconds=600.0):
+    return _greedy_pack(demand, vm_catalog, lambda cands, _o, _d: cands[0], period_seconds)
+
+
+def oracle_best_fit(demand, vm_catalog, period_seconds=600.0):
+    def choose(cands, opened, dem):
+        def slack(i):
+            t, load, _ = opened[i]
+            return float((t.capacity - load - dem).sum())
+        return min(cands, key=slack)
+
+    return _greedy_pack(demand, vm_catalog, choose, period_seconds)
+
+
+@st.composite
+def greedy_problems(draw):
+    """Catalogs and demands built for ties: small integer and half-integer
+    amounts tie in slack and in demand order, prices come from a short list,
+    some capacity entries are zero, some services have zero demand, and
+    some need more than any type has in a dimension."""
+    S, T, d = draw(st.integers(1, 20)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    amount = st.one_of(st.integers(0, 12).map(float), st.integers(0, 24).map(lambda v: v / 2),
+                       st.floats(0.0, 12.0, allow_nan=False, allow_infinity=False))
+    row = st.lists(amount, min_size=d, max_size=d)
+    per_dim = np.array(draw(st.lists(st.one_of(st.just([0.0] * d), row,
+                                               row.map(lambda r: [v + 20.0 for v in r])),
+                                     min_size=S, max_size=S)))
+    vms = []
+    for j in range(T):
+        cap = draw(st.lists(st.one_of(st.just(0.0), st.integers(1, 16).map(float),
+                                      st.floats(0.5, 16.0)), min_size=d, max_size=d))
+        if max(cap) <= 0:
+            cap[draw(st.integers(0, d - 1))] = 8.0
+        vms.append(VmType(f"t{j}", np.array(cap), draw(st.sampled_from([1.0, 1.6, 2.0, 0.1]))))
+    return make_demand(per_dim), vms
+
+
+# Two types tied in price and an instance pair tied in slack; random draws
+# reach such ties only now and then, so every run also packs this one.
+TIED = (make_demand([[6.0], [6.0], [4.0]]),
+        [VmType("a", np.array([10.0]), 1.0), VmType("b", np.array([10.0]), 1.0),
+         VmType("c", np.array([20.0]), 1.0)])
+
+
+class TestGreedyAgainstScalarOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(greedy_problems())
+    @example(TIED)
+    def test_same_packing_as_one_instance_at_a_time(self, case):
+        demand, vms = case
+        for packer, oracle in ((first_fit_pack, oracle_first_fit),
+                               (best_fit_pack, oracle_best_fit)):
+            got, want = packer(demand, vms, 600.0), oracle(demand, vms, 600.0)
+            assert [i.vm_type.id for i in got.instances] == [i.vm_type.id for i in want.instances]
+            assert ([i.assignment.tobytes() for i in got.instances]
+                    == [i.assignment.tobytes() for i in want.instances])
+            assert repr(got.total_cost) == repr(want.total_cost)
+            assert got.feasible == want.feasible
+
+    def test_ties_go_to_the_first_instance_and_the_first_type(self):
+        # 6 and 6 open one instance each; 4 leaves both with slack 0.
+        demand, vms = TIED
+        for packer in (first_fit_pack, best_fit_pack):
+            sol = packer(demand, vms)
+            assert [i.vm_type.id for i in sol.instances] == ["a", "a"]
+            assert [i.assignment.tolist() for i in sol.instances] == [[1, 0, 1], [0, 1, 0]]
+        # Nothing holds 30: the roomiest type takes it, the infeasible flag is set.
+        sol = best_fit_pack(make_demand([[30.0]]), vms)
+        assert [i.vm_type.id for i in sol.instances] == ["c"] and not sol.feasible
 
 
 class TestBruteForce:
