@@ -4,6 +4,8 @@ Subcommands: gen (synthetic traces), build (offline table construction),
 run (online replay), compare (method cost comparison), inspect-table.
 Every subcommand is deterministic given --seed. Settings resolve as
 command-line flags > --config file (key=value lines) > built-in defaults.
+--log-level (debug, info, warning or error; default warning) sets which
+log records reach stderr; it changes no output file.
 
 Exit codes: 0 success, 2 build/usage/parse error, 3 table-catalog
 fingerprint mismatch.
@@ -12,13 +14,15 @@ fingerprint mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .clustering import save_dendrogram, save_index_table
+from .clustering import ahc, save_dendrogram, save_index_table
+from .demand import demand_patterns
 from .engine import (
     FALLBACKS,
     BuildError,
@@ -128,14 +132,18 @@ def cmd_build(args) -> int:
         threshold=s.get("threshold", None, float),
         # float("inf") disables the magnitude guard; "--magnitude-ratio inf" parses fine.
         magnitude_ratio=float(s.get("magnitude_ratio", 1.5, float)),
-        linkage=s.get("linkage", "ward"),
         seed=seed,
     )
+    # The dendrogram needs O(n^2) memory for n periods, so the library build
+    # leaves it out; it runs before any file is written, so a degenerate
+    # tree still leaves no artifact behind.
+    ahc_model, dendrogram = ahc(demand_patterns(trace, catalog), report.best_k,
+                                s.get("linkage", "ward"))
     out = _outdir(args)
     save_table(table, out / "table.json")
-    report.to_csv(out / "offline_report.csv")
+    report.to_csv(out / "offline_report.csv", ahc_model)
     save_index_table(report.index_rows, out / "index_table.csv")
-    save_dendrogram(report.dendrogram, out / "dendrogram.csv")
+    save_dendrogram(dendrogram, out / "dendrogram.csv")
     print(f"built table with {len(table.entries)} entries (k={report.best_k}) in {out}")
     return 0
 
@@ -220,15 +228,23 @@ def _add_ga_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--elitism", type=int, default=None)
 
 
+LOG_LEVELS = ("debug", "info", "warning", "error")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="packwise",
         description="Learn demand patterns from a trace, precompute VM packings, "
                     "and answer scaling queries by table lookup.",
     )
+    # Every subcommand takes --log-level after its name.
+    logging_flags = argparse.ArgumentParser(add_help=False)
+    logging_flags.add_argument("--log-level", choices=LOG_LEVELS, default="warning",
+                               help="least severe log records shown (default: warning)")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, parents=[logging_flags])
 
-    p = sub.add_parser("gen", help="generate a synthetic multi-mode trace")
+    p = add_parser("gen", help="generate a synthetic multi-mode trace")
     p.add_argument("--services", type=int, required=True)
     p.add_argument("--periods", type=int, required=True)
     p.add_argument("--modes", type=int, default=10)
@@ -241,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="trace file to write")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("build", help="build the lookup table from a trace")
+    p = add_parser("build", help="build the lookup table from a trace")
     _add_common(p)
     p.add_argument("--k-min", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
@@ -252,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ga_flags(p)
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("run", help="replay a trace against a table")
+    p = add_parser("run", help="replay a trace against a table")
     _add_common(p, table=True)
     p.add_argument("--fallback", choices=FALLBACKS, default=None)
     p.add_argument("--miss-buffer", type=int, default=None)
@@ -262,12 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ga_flags(p)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("compare", help="cost comparison across methods")
+    p = add_parser("compare", help="cost comparison across methods")
     _add_common(p, table=True)
     _add_ga_flags(p)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("inspect-table", help="print a table summary")
+    p = add_parser("inspect-table", help="print a table summary")
     p.add_argument("--table", required=True)
     p.add_argument("--catalog", required=True)
     p.add_argument("--vm-catalog", required=True)
@@ -280,6 +296,11 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The level is the package logger's for this command only, so callers
+    # that run main() in process get their own level back.
+    logger = logging.getLogger("packwise")
+    previous = logger.level
+    logger.setLevel(args.log_level.upper())
     try:
         return args.func(args)
     except FingerprintMismatchError as exc:
@@ -288,6 +309,8 @@ def main(argv=None) -> int:
     except (BuildError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        logger.setLevel(previous)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ because the rest of the system depends on behavior a library call does not
 expose: a per-iteration objective trace, deterministic farthest-point
 repair of empty clusters, and a seeded initialization that is invariant to
 input ordering. Agglomerative clustering delegates the tree construction
-to scipy and exposes the merge list for dendrogram plotting.
+to scipy and exposes the merge list for dendrogram plotting; scipy's
+linkage holds all n(n-1)/2 pairwise distances, so only the CLI's build
+runs it, not build_offline.
 
 Clustering runs on raw (unnormalized) pattern values: magnitudes carry the
 machine-count signal, so scaling the data away would destroy exactly what
@@ -17,9 +19,8 @@ order numpy's own last-axis sum uses, and centroids are per-service
 bincount sums in member order, so the fitted models are bit for bit those
 of the plain broadcast-and-mask formulas (see _lloyd).
 
-The Dunn index reads one distance block per cluster and per pair of
-clusters, so its memory grows with the largest pair of clusters rather
-than with n^2 * S for n patterns of S services.
+The Dunn index reads its distances in tiles of at most DUNN_BLOCK, so its
+memory stays fixed however many patterns a cluster holds.
 
 Both skip work the triangle inequality proves cannot matter (Hamerly,
 "Making k-means even faster", SDM 2010, after Elkan, ICML 2003). A Lloyd
@@ -42,7 +43,7 @@ from pathlib import Path
 import numpy as np
 from scipy.cluster.hierarchy import fcluster
 from scipy.cluster.hierarchy import linkage as scipy_linkage
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist
 
 from .validation import as_float_matrix
 
@@ -53,6 +54,9 @@ LINKAGES = ("ward", "complete", "average")
 # the absolute one is this times (sqrt(S) * largest |value| + 1) for S
 # services.
 BOUND_MARGIN = 1e-9
+# Most distances one cdist call of dunn returns: a 512-KB tile, which its
+# max or min reads back from cache.
+DUNN_BLOCK = 1 << 16
 
 
 class DegenerateModelError(ValueError):
@@ -331,6 +335,20 @@ def davies_bouldin(model: ClusterModel, patterns) -> float:
     return float(ratio.max(axis=1).mean())
 
 
+def _cdist_tiles(A: np.ndarray, B: np.ndarray, triangle: bool = False):
+    """cdist(A, B) as tiles of at most DUNN_BLOCK distances: row slices of A
+    against column slices of B. With triangle (A is B), a row slice starting
+    at row i meets only the columns from i on, which still holds every pair
+    of distinct rows once. Each distance is the float that cdist or pdist
+    computes for that pair in either order, as (a - b)**2 == (b - a)**2
+    exactly."""
+    cols = min(len(B), DUNN_BLOCK)
+    rows = max(1, DUNN_BLOCK // cols)
+    for i in range(0, len(A), rows):
+        for j in range(i if triangle else 0, len(B), cols):
+            yield cdist(A[i:i + rows], B[j:j + cols])
+
+
 def dunn(model: ClusterModel, patterns) -> float:
     """Separation/diameter ratio; higher is better.
 
@@ -348,11 +366,15 @@ def dunn(model: ClusterModel, patterns) -> float:
     exceeds the smallest separation found. Radii are widened and centroid
     distances narrowed by BOUND_MARGIN relative and BOUND_MARGIN *
     (sqrt(S) * largest |value| + 1) absolute, more than the rounding of
-    any computed distance, so a skipped cluster's pdist(...).max() is at
-    most the largest diameter found and a skipped pair's cdist(...).min()
-    at least the smallest separation found. The visited values are the
-    ones the all-pairs computation takes, so both extremes, and the
-    index, are returned bit for bit.
+    any computed distance, so a skipped cluster's diameter is at most the
+    largest diameter found and a skipped pair's separation at least the
+    smallest separation found. The visited values are the ones the
+    all-pairs computation takes, so both extremes, and the index, are
+    returned bit for bit.
+
+    Each diameter and each separation is read through _cdist_tiles, so
+    memory holds at most DUNN_BLOCK distances at a time, whatever the
+    cluster sizes.
     """
     X = as_float_matrix(patterns, "patterns")
     if model.k < 2:
@@ -367,7 +389,8 @@ def dunn(model: ClusterModel, patterns) -> float:
     for c in np.argsort(-radius, kind="stable"):
         if 2.0 * radius[c] < max_diameter:
             break
-        max_diameter = max(max_diameter, pdist(blocks[c]).max(initial=0.0))
+        tiles = _cdist_tiles(blocks[c], blocks[c], triangle=True)
+        max_diameter = max(max_diameter, *(t.max() for t in tiles))
     first, second = np.triu_indices(model.k, 1)
     bound = (cdist(centroids, centroids)[first, second] * (1.0 - BOUND_MARGIN) - pad
              - radius[first] - radius[second])
@@ -375,8 +398,8 @@ def dunn(model: ClusterModel, patterns) -> float:
     for p in np.argsort(bound, kind="stable"):
         if bound[p] > min_separation:
             break
-        min_separation = min(min_separation,
-                             cdist(blocks[first[p]], blocks[second[p]]).min())
+        tiles = _cdist_tiles(blocks[first[p]], blocks[second[p]])
+        min_separation = min(min_separation, *(t.min() for t in tiles))
     if max_diameter == 0.0:
         return float("inf")
     return float(min_separation / max_diameter)

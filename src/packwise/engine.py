@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import Dendrogram, ahc, kmeans, select_k
+from .clustering import ClusterModel, kmeans, select_k
 from .demand import DemandVector, demand_for_period, demand_from_values, demand_patterns
 from .lookup import (
     FingerprintMismatchError,
@@ -69,18 +69,21 @@ class OfflineReport:
 
     best_k: int
     index_rows: tuple          # (k, davies_bouldin, dunn) from the k-means sweep
-    ahc_db_index: float | None
-    ahc_dunn_index: float | None
     centroid_rows: tuple       # (index, pattern, ga, first_fit, best_fit, brute|None)
     lower_bounds: tuple        # mix_lower_bound of each centroid row's pattern
-    dendrogram: Dendrogram
     timings: dict = field(compare=False, default_factory=dict)
 
-    def to_csv(self, path) -> None:
+    def to_csv(self, path, ahc_model: ClusterModel | None = None) -> None:
+        """Write the report; ahc_model, the hierarchical clustering of the
+        same patterns cut at best_k, fills the ahc_* comment fields, which
+        stay empty without it."""
+        db = dn = None
+        if ahc_model is not None:
+            db, dn = ahc_model.db_index, ahc_model.dunn_index
         lines = [
             f"# best_k={self.best_k}",
-            f"# ahc_davies_bouldin={_fmt(self.ahc_db_index) if self.ahc_db_index is not None else ''}"
-            f" ahc_dunn={_fmt(self.ahc_dunn_index) if self.ahc_dunn_index is not None else ''}",
+            f"# ahc_davies_bouldin={_fmt(db) if db is not None else ''}"
+            f" ahc_dunn={_fmt(dn) if dn is not None else ''}",
             "representative,pattern,ga_cost,first_fit_cost,best_fit_cost,brute_force_cost,"
             "lower_bound,gap",
         ]
@@ -219,15 +222,15 @@ def euclidean_default_threshold(centroids) -> float:
 def build_offline(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
                   k_range=(2, 15), ga_params: GaParams | None = None, *,
                   similarity: str = "pearson", threshold: float | None = None,
-                  magnitude_ratio: float = 1.5, linkage: str = "ward",
-                  seed: int = 0):
+                  magnitude_ratio: float = 1.5, seed: int = 0):
     """Construct the lookup table from a historical trace.
 
     Pipeline: demand patterns -> cluster-count selection -> k-means
-    representatives (hierarchical clustering runs alongside for the
-    dendrogram artifact) -> GA packing per representative. Any
-    representative without a feasible packing aborts the build: the table
-    must only ever serve feasible configurations.
+    representatives -> GA packing per representative. Any representative
+    without a feasible packing aborts the build: the table must only ever
+    serve feasible configurations. Nothing here holds O(n^2) memory for n
+    periods; hierarchical clustering, which does, is left to callers that
+    want a dendrogram (the CLI's build).
 
     Returns (LookupTable, OfflineReport).
     """
@@ -241,7 +244,6 @@ def build_offline(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
 
     t0 = time.perf_counter()
     model, index_rows = select_k(patterns, k_range, seed=seed)
-    ahc_model, dendrogram = ahc(patterns, model.k, linkage=linkage)
     timings["clustering"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -266,11 +268,8 @@ def build_offline(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
     report = OfflineReport(
         best_k=model.k,
         index_rows=tuple(index_rows),
-        ahc_db_index=ahc_model.db_index,
-        ahc_dunn_index=ahc_model.dunn_index,
         centroid_rows=tuple(row for row, _ in report_rows),
         lower_bounds=tuple(bound for _, bound in report_rows),
-        dendrogram=dendrogram,
         timings=timings,
     )
     log.info("offline build: %s", " ".join(f"{k}={v:.2f}s" for k, v in timings.items()))
@@ -438,14 +437,13 @@ class PackingAutoscaler:
 
     def __init__(self, k_range=(2, 15), similarity="pearson", threshold=None,
                  magnitude_ratio=1.5, fallback="greedy", miss_buffer_size=20,
-                 linkage="ward", ga_params=None, seed=0):
+                 ga_params=None, seed=0):
         self.k_range = k_range
         self.similarity = similarity
         self.threshold = threshold
         self.magnitude_ratio = magnitude_ratio
         self.fallback = fallback
         self.miss_buffer_size = miss_buffer_size
-        self.linkage = linkage
         self.ga_params = ga_params
         self.seed = seed
 
@@ -457,7 +455,6 @@ class PackingAutoscaler:
             similarity=self.similarity,
             threshold=self.threshold,
             magnitude_ratio=self.magnitude_ratio,
-            linkage=self.linkage,
             seed=self.seed,
         )
         self._catalog = catalog

@@ -49,10 +49,12 @@ class VmType:
     def __post_init__(self):
         cap = as_float_vector(self.capacity, "capacity")
         object.__setattr__(self, "capacity", cap)
+        if not np.isfinite(cap).all():
+            raise ValueError(f"type {self.id}: capacity must be finite")
         if np.min(cap) < 0 or cap.max() <= 0:
             raise ValueError(f"type {self.id}: capacity must be nonnegative with some positive entry")
-        if self.hourly_cost <= 0:
-            raise ValueError(f"type {self.id}: hourly cost must be positive")
+        if not (math.isfinite(self.hourly_cost) and self.hourly_cost > 0):
+            raise ValueError(f"type {self.id}: hourly cost must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,8 @@ class ServiceCatalog:
         object.__setattr__(self, "unit_costs", costs)
         if costs.shape[0] < 1 or costs.shape[1] < 1:
             raise ValueError("catalog needs at least one service and one dimension")
+        if not np.isfinite(costs).all():
+            raise ValueError("unit costs must be finite")
         if np.min(costs) < 0:
             raise ValueError("unit costs must be nonnegative")
         if np.any(costs.sum(axis=1) <= 0):

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes, artifact files."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,24 @@ class TestBuild:
             assert (out / name).exists(), name
         header = (out / "index_table.csv").read_text().split("\n")[0]
         assert header == "k,davies_bouldin,dunn"
+
+    def test_ahc_artifacts(self, workspace):
+        rc, out = build(workspace)
+        assert rc == 0
+        merges = (out / "dendrogram.csv").read_text().strip().split("\n")[1:]
+        assert len(merges) == 100 - 1
+        ahc_line = (out / "offline_report.csv").read_text().split("\n")[1]
+        assert re.fullmatch(r"# ahc_davies_bouldin=\S+ ahc_dunn=\S+", ahc_line)
+
+    def test_non_finite_vm_price_exits_2(self, workspace, capsys):
+        tmp_path, services, _, trace = workspace
+        vms = tmp_path / "nan_vms.csv"
+        vms.write_text("small,200,200,300,1.0\nlarge,600,600,700,nan\n")
+        rc = main(["build", "--trace", str(trace), "--catalog", str(services),
+                   "--vm-catalog", str(vms), "--out", str(tmp_path / "nan")])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "nan" / "table.json").exists()
 
     def test_single_service_pearson_exits_2(self, tmp_path, capsys):
         services, vms, trace = single_service_workspace(tmp_path)
@@ -181,6 +201,30 @@ class TestRun:
             assert len(sources[policy]) == 5
         assert set(sources["greedy"]) == {"fallback-greedy"}
         assert set(sources["nearest"]) == {"fallback-nearest"}
+
+
+class TestLogLevel:
+    def test_error_hides_violation_summary_and_changes_no_artifact(self, workspace,
+                                                                     caplog):
+        tmp_path, services, vms, trace = workspace
+        warned, files = {}, {}
+        for level in ("warning", "error"):
+            caplog.clear()
+            rc, out = build(workspace, f"build_{level}", ("--log-level", level))
+            assert rc == 0
+            run_dir = tmp_path / f"run_{level}"
+            assert main(["run", "--trace", str(trace), "--catalog", str(services),
+                         "--vm-catalog", str(vms), "--table", str(out / "table.json"),
+                         "--out", str(run_dir), "--seed", "3",
+                         "--log-level", level]) == 0
+            warned[level] = any("violates live demand" in r.getMessage()
+                                for r in caplog.records)
+            files[level] = [(out / name).read_bytes() for name in
+                            ("table.json", "offline_report.csv", "index_table.csv",
+                             "dendrogram.csv")]
+            files[level].append((run_dir / "simulation.csv").read_bytes())
+        assert warned == {"warning": True, "error": False}
+        assert files["warning"] == files["error"]
 
 
 class TestCompare:

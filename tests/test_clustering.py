@@ -480,8 +480,14 @@ class TestPruning:
         X = build_scale_patterns()
         model = kmeans(X, 10, seed=10)
         calls = []
-        monkeypatch.setattr(clustering, "pdist",
-                            lambda b: calls.append(len(b)) or pdist(b))
+        tiles = clustering._cdist_tiles
+
+        def counted(A, B, triangle=False):
+            if triangle:
+                calls.append(len(A))
+            return tiles(A, B, triangle)
+
+        monkeypatch.setattr(clustering, "_cdist_tiles", counted)
         assert repr(dunn(model, X)) == repr(all_pairs_dunn(model, X))
         assert 0 < len(calls) < model.k
 
@@ -651,20 +657,39 @@ class TestDunn:
             assert abs(value - oracle) <= 1e-12 * max(1.0, abs(oracle))
 
     def test_memory_bounded_by_cluster_blocks(self):
-        # The n x n x S difference tensor of 2000 x 5 patterns alone is 160 MB.
-        rng = np.random.default_rng(0)
-        X = rng.normal(100.0, 30.0, size=(2000, 5))
-        labels = rng.integers(0, 2, size=2000)
-        model = ClusterModel(k=2, centroids=np.vstack([X[labels == c].mean(axis=0)
-                                                       for c in range(2)]),
-                             assignments=labels, method="kmeans")
-        tracemalloc.start()
-        try:
-            dunn(model, X)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+        # The n x n x S difference tensor of 2000 x 5 patterns alone is 160 MB;
+        # one 4000 x 4000 separation block of 8000 patterns is 128 MB. Tiles of
+        # DUNN_BLOCK distances keep both well under one fixed bound.
+        for n in (2000, 8000):
+            rng = np.random.default_rng(0)
+            X = rng.normal(100.0, 30.0, size=(n, 5))
+            labels = rng.integers(0, 2, size=n)
+            model = ClusterModel(k=2, centroids=np.vstack([X[labels == c].mean(axis=0)
+                                                           for c in range(2)]),
+                                 assignments=labels, method="kmeans")
+            tracemalloc.start()
+            try:
+                dunn(model, X)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20, n
+
+    def test_tiles_match_all_pairs_on_clusters_beyond_one_block(self, monkeypatch):
+        # Integer rows repeat within each cluster; the label shift keeps the
+        # clusters apart. Every cluster exceeds one tile per diameter and per
+        # separation; blocks smaller than a cluster also slice columns.
+        for n, block in ((900, clustering.DUNN_BLOCK), (60, 7), (40, 1)):
+            monkeypatch.setattr(clustering, "DUNN_BLOCK", block)
+            rng = np.random.default_rng(n)
+            labels = rng.integers(0, 3, size=n)
+            X = (rng.integers(0, 6, size=(n, 3)) + 4 * labels[:, None]).astype(float)
+            assert len(np.unique(X, axis=0)) < n
+            model = ClusterModel(k=3, centroids=np.vstack([X[labels == c].mean(axis=0)
+                                                           for c in range(3)]),
+                                 assignments=labels, method="kmeans")
+            assert min(np.bincount(labels)) ** 2 > block
+            assert repr(dunn(model, X)) == repr(all_pairs_dunn(model, X)), (n, block)
 
 
 class TestSelectK:

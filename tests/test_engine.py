@@ -1,5 +1,7 @@
 """Offline build, online replay, method comparison, estimator front door."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -64,8 +66,22 @@ class TestBuildOffline:
         assert len(table.entries) == 10
         assert len(report.centroid_rows) == 10
         assert [r[0] for r in report.index_rows] == list(range(2, 16))
-        assert report.dendrogram.n_merges == 99
-        assert report.ahc_db_index is not None
+
+    def test_long_trace_builds_in_bounded_memory(self, catalog, vms):
+        # A 6000-period trace: the condensed matrix of a hierarchical
+        # clustering alone would be 144 MB, and one all-pairs Dunn block at
+        # k = 2 up to 72 MB.
+        trace, _, _ = planted_trace(catalog, 61, periods=6000)
+        tracemalloc.start()
+        try:
+            table, _ = build_offline(trace, catalog, vms, k_range=(2, 4),
+                                     ga_params=GaParams(population=20, generations=20,
+                                                        seed=2), seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table.entries) in (2, 3, 4)
+        assert peak < 20 * 2**20
 
     def test_report_gap_to_cost_lower_bound(self, built, tmp_path):
         _, _, _, _, report = built

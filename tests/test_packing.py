@@ -220,6 +220,17 @@ class TestTypes:
         with pytest.raises(ValueError):
             VmType("z", np.array([1.0]), 0.0)
 
+    @pytest.mark.parametrize("capacity, cost", [
+        ([1.0, np.nan], 1.0),
+        ([1.0, np.inf], 1.0),
+        ([np.nan, np.nan], 1.0),
+        ([1.0, 1.0], float("nan")),
+        ([1.0, 1.0], float("inf")),
+    ])
+    def test_vm_type_needs_finite_numbers(self, capacity, cost):
+        with pytest.raises(ValueError, match="finite"):
+            VmType("z", np.array(capacity), cost)
+
     def test_instance_bits_binary(self, one_type):
         for bad in ([0, 2], [0, -1], [0.5, 1.0]):
             with pytest.raises(ValueError):

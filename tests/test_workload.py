@@ -32,6 +32,11 @@ class TestCatalog:
         with pytest.raises(ValueError):
             ServiceCatalog(np.array([[1.0], [-0.5]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_cost(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ServiceCatalog(np.array([[1.0, bad], [1.0, 1.0]]))
+
     def test_rejects_all_zero_service(self):
         with pytest.raises(ValueError):
             ServiceCatalog(np.array([[1.0, 1.0], [0.0, 0.0]]))
