@@ -24,6 +24,7 @@ import numpy as np
 from .clustering import ahc, save_dendrogram, save_index_table
 from .demand import demand_patterns
 from .engine import (
+    DEFAULT_K_RANGE,
     FALLBACKS,
     BuildError,
     MissPolicy,
@@ -73,20 +74,26 @@ class Settings:
             return cast(self.cfg[name])
         return default
 
+    def given(self, **params) -> dict:
+        """Keyword arguments for the settings that a flag or config line
+        sets; params maps each keyword to its (setting name, cast). The rest
+        are left out, so the callee's own defaults apply."""
+        return {key: value for key, (name, cast) in params.items()
+                if (value := self.get(name, None, cast)) is not None}
+
+    def k_range(self) -> tuple:
+        return (self.get("k_min", DEFAULT_K_RANGE[0], int),
+                self.get("k_max", DEFAULT_K_RANGE[1], int))
+
+
+_GA_SETTINGS = {"population": int, "generations": int, "crossover_rate": float,
+                "mutation_rate": float, "max_instances": int, "penalty_weight": float,
+                "elitism": int}
+
 
 def _ga_params(s: Settings, seed: int) -> GaParams:
-    max_inst = s.get("max_instances", None, int)
-    penalty = s.get("penalty_weight", None, float)
-    return GaParams(
-        population=s.get("population", 80, int),
-        generations=s.get("generations", 300, int),
-        crossover_rate=s.get("crossover_rate", 0.9, float),
-        mutation_rate=s.get("mutation_rate", 0.05, float),
-        max_instances=max_inst,
-        penalty_weight=penalty,
-        elitism=s.get("elitism", 2, int),
-        seed=s.get("ga_seed", seed, int),
-    )
+    return GaParams(**s.given(**{name: (name, cast) for name, cast in _GA_SETTINGS.items()}),
+                    seed=s.get("ga_seed", seed, int))
 
 
 def _outdir(args) -> Path:
@@ -123,22 +130,20 @@ def cmd_build(args) -> int:
     catalog = load_catalog(args.catalog)
     vm_catalog = load_vm_catalog(args.vm_catalog)
     trace = load_trace(args.trace, catalog)
-    k_range = (s.get("k_min", 2, int), s.get("k_max", 15, int))
     table, report = build_offline(
         trace, catalog, vm_catalog,
-        k_range=k_range,
+        k_range=s.k_range(),
         ga_params=_ga_params(s, seed),
-        similarity=s.get("similarity", "pearson"),
-        threshold=s.get("threshold", None, float),
         # float("inf") disables the magnitude guard; "--magnitude-ratio inf" parses fine.
-        magnitude_ratio=float(s.get("magnitude_ratio", 1.5, float)),
+        **s.given(similarity=("similarity", str), threshold=("threshold", float),
+                  magnitude_ratio=("magnitude_ratio", float)),
         seed=seed,
     )
     # The dendrogram needs O(n^2) memory for n periods, so the library build
     # leaves it out; it runs before any file is written, so a degenerate
     # tree still leaves no artifact behind.
     ahc_model, dendrogram = ahc(demand_patterns(trace, catalog), report.best_k,
-                                s.get("linkage", "ward"))
+                                **s.given(linkage=("linkage", str)))
     out = _outdir(args)
     save_table(table, out / "table.json")
     report.to_csv(out / "offline_report.csv", ahc_model)
@@ -156,14 +161,14 @@ def cmd_run(args) -> int:
     trace = load_trace(args.trace, catalog)
     table = load_table(args.table, catalog, vm_catalog)
     policy = MissPolicy(
-        buffer_size=s.get("miss_buffer", 20, int),
+        **s.given(buffer_size=("miss_buffer", int)),
         mode="full" if args.full_recluster else "incremental",
         ga_params=_ga_params(s, seed),
-        k_range=(s.get("k_min", 2, int), s.get("k_max", 15, int)),
+        k_range=s.k_range(),
         seed=seed,
     )
     report = run_online(table, trace, catalog, vm_catalog,
-                        fallback_policy=s.get("fallback", "greedy"),
+                        **s.given(fallback_policy=("fallback", str)),
                         miss_policy=policy)
     out = _outdir(args)
     report.to_csv(out / "simulation.csv")

@@ -9,8 +9,7 @@ the vector of those S values is what gets clustered and matched. The full
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,39 +21,31 @@ from .workload import ServiceCatalog, WorkloadTrace
 class DemandVector:
     """Resource demand for one period.
 
-    values[s] is the scalar demand magnitude of service s (the clustering /
-    matching pattern); per_dim[s][k] is its demand in resource dimension k.
-    Every entry is finite and nonnegative, and values[s] equals
-    per_dim[s].sum() within np.allclose(rtol=1e-9, atol=1e-9).
+    per_dim[s][k] is the demand of service s in resource dimension k, and
+    values[s] = per_dim[s].sum() its scalar demand magnitude (the
+    clustering / matching pattern). Every entry and every row sum is
+    finite, and every entry is nonnegative.
 
-    DemandVector(values, per_dim) copies both arrays read-only and checks
-    all of that: shapes, finiteness, signs and the row sums.
-    demand_for_period builds its vectors through _checked instead, which
-    skips the checks its own steps have already proved.
+    DemandVector(per_dim) copies per_dim read-only, derives values from
+    it, read-only too, and checks the entries. demand_for_period builds its
+    vectors through _checked instead, which skips the checks its own steps
+    have already proved.
     """
 
-    values: np.ndarray
     per_dim: np.ndarray
+    values: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        values = as_float_vector(self.values, "values")
         per_dim = as_float_matrix(self.per_dim, "per_dim")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "per_dim", per_dim)
-        if per_dim.shape[0] != values.shape[0]:
-            raise ValueError(
-                f"per_dim has {per_dim.shape[0]} rows for {values.shape[0]} values"
-            )
-        if not (np.isfinite(values).all() and np.isfinite(per_dim).all()):
+        values = per_dim.sum(axis=1)
+        # A row sum is finite only when every entry of the row is.
+        if not np.isfinite(values).all():
             raise ValueError("demand entries must be finite")
-        if values.size and (values.min() < 0 or per_dim.min() < 0):
+        if per_dim.size and per_dim.min() < 0:
             raise ValueError("demand entries must be nonnegative")
-        sums = per_dim.sum(axis=1)
-        # Exact for every vector built here from counts or values; otherwise
-        # np.allclose(values, sums, rtol=1e-9, atol=1e-9) on finite inputs.
-        if not ((values == sums).all()
-                or (np.abs(values - sums) <= 1e-9 + 1e-9 * np.abs(sums)).all()):
-            raise ValueError("values must equal the per-dimension row sums")
+        values.flags.writeable = False
+        object.__setattr__(self, "per_dim", per_dim)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def _checked(cls, values: np.ndarray, per_dim: np.ndarray) -> DemandVector:
@@ -92,7 +83,7 @@ def demand_for_period(counts, catalog: ServiceCatalog) -> DemandVector:
     costs are not negative, so no product is either (it is finite, +inf or
     NaN), and a row sum is then finite only when all its products are.
     DemandVector._checked builds the vector, bit-equal to the validating
-    DemandVector(values=..., per_dim=...) of the same products.
+    DemandVector(per_dim) of the same products.
     """
     c = np.asarray(counts, dtype=float)
     if c.ndim != 1 or c.shape[0] != catalog.service_count:
@@ -149,11 +140,4 @@ def demand_from_values(values, catalog: ServiceCatalog) -> DemandVector:
             f"values must have length {catalog.service_count}, got {v.shape[0]}"
         )
     weights = catalog.unit_costs / catalog.unit_costs.sum(axis=1, keepdims=True)
-    per_dim = v[:, None] * weights
-    return DemandVector(values=per_dim.sum(axis=1), per_dim=per_dim)
-
-
-def save_demand_series(series: list[DemandVector], path) -> None:
-    """Write pattern values as CSV rows (6 significant digits) for inspection."""
-    lines = [",".join(f"{v:.6g}" for v in dv.values) for dv in series]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return DemandVector(v[:, None] * weights)

@@ -49,6 +49,7 @@ log = logging.getLogger(__name__)
 
 BRUTE_FORCE_SLOTS = 3
 FALLBACKS = ("greedy", "nearest")
+DEFAULT_K_RANGE = (2, 15)   # inclusive range of cluster counts the builds try
 
 
 class BuildError(RuntimeError):
@@ -161,7 +162,7 @@ class MissPolicy:
     buffer_size: int = 20
     mode: str = "incremental"
     ga_params: GaParams = field(default_factory=GaParams)
-    k_range: tuple = (2, 15)
+    k_range: tuple = DEFAULT_K_RANGE
     seed: int = 0
 
     def __post_init__(self):
@@ -220,7 +221,7 @@ def euclidean_default_threshold(centroids) -> float:
 
 
 def build_offline(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
-                  k_range=(2, 15), ga_params: GaParams | None = None, *,
+                  k_range=DEFAULT_K_RANGE, ga_params: GaParams | None = None, *,
                   similarity: str = "pearson", threshold: float | None = None,
                   magnitude_ratio: float = 1.5, seed: int = 0):
     """Construct the lookup table from a historical trace.
@@ -435,7 +436,7 @@ class PackingAutoscaler:
     including miss recycling and returns the simulation report.
     """
 
-    def __init__(self, k_range=(2, 15), similarity="pearson", threshold=None,
+    def __init__(self, k_range=DEFAULT_K_RANGE, similarity="pearson", threshold=None,
                  magnitude_ratio=1.5, fallback="greedy", miss_buffer_size=20,
                  ga_params=None, seed=0):
         self.k_range = k_range

@@ -14,6 +14,10 @@ Solvers:
 * best_fit_pack  - greedy, decreasing demand, tightest instance that fits
 * brute_force_pack - exhaustive optimum for tiny instances (the oracle)
 
+Every solver yields a slot genome: one VM type index per slot and a
+(slots, S) uint8 matrix of assignment rows. _decode builds every solution
+from one; the greedy genomes also seed the GA's population as they are.
+
 verify_solution re-checks coverage and capacity with plain loops,
 independent of the solvers' vectorized arithmetic.
 """
@@ -125,11 +129,6 @@ def period_hours(period_seconds: float) -> float:
 
 def solution_cost(instances, period_seconds: float) -> float:
     return sum(inst.vm_type.hourly_cost for inst in instances) * period_hours(period_seconds)
-
-
-def prune_empty_instances(instances) -> tuple:
-    """Drop instances hosting nothing; load and feasibility are unchanged."""
-    return tuple(inst for inst in instances if inst.assignment.any())
 
 
 def feasibility_violations(solution: PackingSolution, demand: DemandVector,
@@ -375,12 +374,13 @@ def _evaluate_population(types, bits, per_dim, values, caps, costs, hours, lam):
     return cost + lam * viol, cost, viol
 
 
-def _decode(slot_types, slot_bits, vm_catalog, feasible, period_seconds) -> PackingSolution:
-    instances = tuple(
-        VmInstance(vm_catalog[int(t)], slot_bits[m])
-        for m, t in enumerate(slot_types)
-        if t >= 0 and slot_bits[m].any()
-    )
+def _decode(vm_catalog, slot_types, slot_bits, feasible, period_seconds) -> PackingSolution:
+    """The solution renting one instance per slot, in slot order: slot m is
+    vm_catalog[slot_types[m]] hosting the services slot_bits[m] marks.
+    Callers drop a genome's off and empty slots first; greedy genomes have
+    none."""
+    instances = tuple(VmInstance(vm_catalog[t], row)
+                      for t, row in zip(slot_types.tolist(), slot_bits))
     return PackingSolution(
         instances=instances,
         total_cost=solution_cost(instances, period_seconds),
@@ -388,17 +388,10 @@ def _decode(slot_types, slot_bits, vm_catalog, feasible, period_seconds) -> Pack
     )
 
 
-def _encode_solution(solution: PackingSolution, vm_catalog, m_slots: int, S: int):
-    """Greedy solution -> genome arrays, or None when it needs more slots."""
-    if solution.instance_count > m_slots:
-        return None
-    ids = [t.id for t in vm_catalog]
-    types = np.full(m_slots, -1, dtype=np.int64)
-    bits = np.zeros((m_slots, S), dtype=np.uint8)
-    for m, inst in enumerate(solution.instances):
-        types[m] = ids.index(inst.vm_type.id)
-        bits[m] = inst.assignment
-    return types, bits
+def _slots_on(slot_types, slot_bits):
+    """A genome's slots that decode to an instance: on, hosting something."""
+    on = (slot_types >= 0) & slot_bits.any(axis=1)
+    return slot_types[on], slot_bits[on]
 
 
 def ga_evolve(demand: DemandVector, vm_catalog, params: GaParams,
@@ -431,11 +424,10 @@ def ga_evolve(demand: DemandVector, vm_catalog, params: GaParams,
     if demand.values.sum() == 0:
         return PackingSolution((), 0.0, True), ()
 
-    min_slots = math.ceil(float(demand.values.sum()) / float(caps.sum(axis=1).max()))
-    M = params.max_instances if params.max_instances is not None \
-        else default_max_instances(demand, vm_catalog)
-    if M < min_slots:
-        raise ValueError(f"max_instances={M} below the slot lower bound {min_slots}")
+    budget = default_max_instances(demand, vm_catalog)   # twice the slot lower bound
+    M = params.max_instances if params.max_instances is not None else budget
+    if M < budget // 2:
+        raise ValueError(f"max_instances={M} below the slot lower bound {budget // 2}")
     lam = params.penalty_weight if params.penalty_weight is not None \
         else 1e4 * float(costs.max())
     hours = period_hours(period_seconds)
@@ -447,11 +439,12 @@ def ga_evolve(demand: DemandVector, vm_catalog, params: GaParams,
 
     types = rng.integers(-1, T, size=(P, M))
     bits = rng.integers(0, 2, size=(P, M, S), dtype=np.uint8)
-    for row, greedy in enumerate((first_fit_pack, best_fit_pack)):
-        sol = greedy(demand, vm_catalog, period_seconds=period_seconds)
-        encoded = _encode_solution(sol, vm_catalog, M, S) if sol.feasible else None
-        if encoded is not None:
-            types[row], bits[row] = encoded
+    for row, best_fit in enumerate((False, True)):
+        seed_types, seed_bits, feasible = _greedy_genome(demand, vm_catalog, best_fit)
+        n = len(seed_types)
+        if feasible and n <= M:
+            types[row, :n], types[row, n:] = seed_types, -1
+            bits[row, :n], bits[row, n:] = seed_bits, 0
 
     # Off slots (-1) index the appended zero row; see _evaluate_population.
     caps0 = np.vstack([caps, np.zeros(d)])
@@ -509,11 +502,11 @@ def ga_evolve(demand: DemandVector, vm_catalog, params: GaParams,
 
     if best_feasible is not None:
         _, bt, bb = best_feasible
-        solution = _decode(bt, bb, vm_catalog, feasible=True, period_seconds=period_seconds)
+        solution = _decode(vm_catalog, *_slots_on(bt, bb), True, period_seconds)
         assert verify_solution(solution, demand), "GA champion failed the independent check"
         return solution, tuple(trace)
     _, _, lt, lb = least_violating
-    return _decode(lt, lb, vm_catalog, feasible=False, period_seconds=period_seconds), tuple(trace)
+    return _decode(vm_catalog, *_slots_on(lt, lb), False, period_seconds), tuple(trace)
 
 
 def ga_pack(demand: DemandVector, vm_catalog, params: GaParams | None = None,
@@ -523,9 +516,12 @@ def ga_pack(demand: DemandVector, vm_catalog, params: GaParams | None = None,
     return solution
 
 
-def _greedy_pack(demand: DemandVector, vm_catalog, best_fit: bool,
-                 period_seconds) -> PackingSolution:
-    """Place the services with positive demand whole, in decreasing demand
+def _greedy_genome(demand: DemandVector, vm_catalog, best_fit: bool):
+    """The greedy packing as a genome: (types, bits, feasible), the type
+    index of each opened instance, their (n, S) uint8 assignment rows and
+    whether every service fits.
+
+    Place the services with positive demand whole, in decreasing demand
     order (stable), each on an open instance with room in every dimension
     (load + demand <= capacity + FEASIBILITY_TOL): the first such instance,
     or with best_fit the one left with the least total slack
@@ -533,7 +529,8 @@ def _greedy_pack(demand: DemandVector, vm_catalog, best_fit: bool,
     no open instance holds opens a new instance of the cheapest type that
     holds it alone (ties: first in catalog order); a service no type holds
     goes on the roomiest type (largest capacity sum, first on ties) and
-    makes the solution infeasible.
+    makes the packing infeasible. Every instance hosts a service, so no
+    slot is off or empty.
 
     The open instances' loads and capacities are (n_open, d) rows, so one
     array operation tests a service against all of them, and one (S, T)
@@ -555,11 +552,11 @@ def _greedy_pack(demand: DemandVector, vm_catalog, best_fit: bool,
     cheapest = by_price[holds[:, by_price].argmax(axis=1)]
     roomiest = int(caps.sum(axis=1).argmax())
     holds_any = holds.any(axis=1)
-    # Row i of these is open instance i: its type, load, capacity and
-    # capacity + FEASIBILITY_TOL; bits[i] marks the services it hosts.
+    # Row i of these is open instance i: its type, load, capacity,
+    # capacity + FEASIBILITY_TOL and the services it hosts.
     types = np.empty(S, dtype=np.intp)
     loads, cap_open, room_open = np.empty((3, S, d))
-    bits: list[np.ndarray] = []
+    bits = np.zeros((S, S), dtype=np.uint8)
     n = 0
     feasible = True
     vals = values.tolist()
@@ -574,7 +571,7 @@ def _greedy_pack(demand: DemandVector, vm_catalog, best_fit: bool,
                 slack = (cap_open[:n] - loads[:n] - dem).sum(axis=1)
                 i = fit[slack[fit].argmin()]
             loads[i] += dem
-            bits[i][s] = 1
+            bits[i, s] = 1
             continue
         if holds_any[s]:
             t = cheapest[s]
@@ -583,16 +580,9 @@ def _greedy_pack(demand: DemandVector, vm_catalog, best_fit: bool,
             t = roomiest
         types[n] = t
         loads[n], cap_open[n], room_open[n] = dem, caps[t], room[t]
-        hosted = np.zeros(S, dtype=np.uint8)
-        hosted[s] = 1
-        bits.append(hosted)
+        bits[n, s] = 1
         n += 1
-    instances = tuple(VmInstance(vm_catalog[t], b) for t, b in zip(types[:n], bits))
-    return PackingSolution(
-        instances=instances,
-        total_cost=solution_cost(instances, period_seconds),
-        feasible=feasible,
-    )
+    return types[:n], bits[:n], feasible
 
 
 def first_fit_pack(demand: DemandVector, vm_catalog,
@@ -600,14 +590,14 @@ def first_fit_pack(demand: DemandVector, vm_catalog,
     """Greedy baseline: services in decreasing demand order, each placed
     whole on the first open instance with room, else on a new instance of
     the cheapest type that holds it alone."""
-    return _greedy_pack(demand, vm_catalog, False, period_seconds)
+    return _decode(vm_catalog, *_greedy_genome(demand, vm_catalog, False), period_seconds)
 
 
 def best_fit_pack(demand: DemandVector, vm_catalog,
                   period_seconds: float = DEFAULT_PERIOD_SECONDS) -> PackingSolution:
     """Greedy baseline like first_fit_pack, but each service goes to the
     open instance left with the least total slack (ties: lowest index)."""
-    return _greedy_pack(demand, vm_catalog, True, period_seconds)
+    return _decode(vm_catalog, *_greedy_genome(demand, vm_catalog, True), period_seconds)
 
 
 def brute_force_pack(demand: DemandVector, vm_catalog, m_cap: int,
@@ -664,7 +654,7 @@ def brute_force_pack(demand: DemandVector, vm_catalog, m_cap: int,
 
     if best is None:
         return PackingSolution((), 0.0, False)
-    return _decode(best[4], best[5], vm_catalog, feasible=True, period_seconds=period_seconds)
+    return _decode(vm_catalog, *_slots_on(best[4], best[5]), True, period_seconds)
 
 
 def load_vm_catalog(path) -> list[VmType]:

@@ -84,10 +84,6 @@ class WorkloadTrace:
     def service_count(self) -> int:
         return self.counts.shape[1]
 
-    @property
-    def period_hours(self) -> float:
-        return self.period_seconds / 3600.0
-
 
 @dataclass(frozen=True)
 class SyntheticSpec:

@@ -63,5 +63,5 @@ def tiny_instance(seed):
     costs = rng.uniform(1.0, 5.0, size=T).round(2)
     vm_catalog = [VmType(f"t{j}", caps[j], float(costs[j])) for j in range(T)]
     per_dim = rng.uniform(0.1, 0.5, size=(S, d)) * caps.min(axis=0)
-    demand = DemandVector(values=per_dim.sum(axis=1), per_dim=per_dim)
+    demand = DemandVector(per_dim)
     return demand, vm_catalog

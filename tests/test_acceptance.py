@@ -204,7 +204,7 @@ def test_criterion_5_matcher_contract(vms):
         x = (x - x.min()) + 1.0  # shift into demand range; correlation unchanged
         oracle_score = float(np.corrcoef(x, pattern)[0, 1])
         assert (oracle_score >= 0.7) == expect_hit
-        incoming = DemandVector(values=x, per_dim=x[:, None])
+        incoming = DemandVector(x[:, None])
         result = match(table, incoming)
         assert abs(result.score - oracle_score) < 1e-12
         assert result.hit == expect_hit

@@ -52,7 +52,7 @@ class TestVectorizedMatchAgainstScalarOracle:
         solution = PackingSolution(
             (VmInstance(VmType("VM", np.ones(1), 1.0), np.ones(len(probe), dtype=int)),),
             1.0, True)
-        dv = DemandVector(values=probe, per_dim=probe[:, None])
+        dv = DemandVector(probe[:, None])
         for similarity, oracle, pick in (
                 ("pearson", [pearson(probe, p) for p in patterns], np.argmax),
                 ("euclidean", [float(np.linalg.norm(probe - p)) for p in patterns], np.argmin)):

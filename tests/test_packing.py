@@ -38,7 +38,6 @@ from packwise.packing import (
     feasibility_violations,
     ga_evolve,
     period_hours,
-    prune_empty_instances,
     solution_cost,
 )
 
@@ -46,8 +45,7 @@ from conftest import tiny_instance
 
 
 def make_demand(per_dim):
-    per_dim = np.asarray(per_dim, dtype=float)
-    return DemandVector(values=per_dim.sum(axis=1), per_dim=per_dim)
+    return DemandVector(per_dim)
 
 
 @pytest.fixture
@@ -460,6 +458,21 @@ class TestGaPack:
         assert ga_fingerprint(*stopped)[:4] == ga_fingerprint(*full)[:4]
         assert stopped[1] == full[1][:len(stopped[1])]
 
+    def test_seeds_from_greedy_genomes_not_the_public_packers(
+            self, monkeypatch, five_service_catalog, three_vm_catalog):
+        cases = pinned_instances(five_service_catalog, three_vm_catalog)
+        want = [ga_fingerprint(*ga_evolve(demand, vms, GaParams(seed=7)))
+                for _, demand, vms in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ga_evolve called a public greedy packer")
+
+        monkeypatch.setattr(packing, "first_fit_pack", refuse)
+        monkeypatch.setattr(packing, "best_fit_pack", refuse)
+        got = [ga_fingerprint(*ga_evolve(demand, vms, GaParams(seed=7)))
+               for _, demand, vms in cases]
+        assert got == want
+
     def test_bound_past_its_budget_costs_next_to_nothing(self, monkeypatch):
         # Six power-of-two types priced by size, 500 units of demand: about
         # 1e9 covering mixes, far past BOUND_BUDGET, so the run takes the
@@ -693,7 +706,7 @@ class TestGreedy:
 
 
 # The greedy packers as they were written with one instance at a time,
-# kept verbatim as the oracle of the array form in packing._greedy_pack.
+# kept verbatim as the oracle of the array form in packing._greedy_genome.
 def _fits(load, dem, capacity) -> bool:
     return bool((load + dem <= capacity + FEASIBILITY_TOL).all())
 
@@ -904,18 +917,6 @@ class TestVerifier:
             (VmInstance(one_type[0], np.array([1])),
              VmInstance(one_type[0], np.array([0]))), 4.0 / 6, True)
         assert not verify_solution(sol, demand)
-
-    def test_prune_preserves_load_and_feasibility(self, one_type):
-        demand = make_demand([[4.0, 4.0]])
-        kept = VmInstance(one_type[0], np.array([1]))
-        empty = VmInstance(one_type[0], np.array([0]))
-        pruned = prune_empty_instances((kept, empty))
-        assert pruned == (kept,)
-        before = PackingSolution((kept, empty), 4.0 / 6, True)
-        after = PackingSolution(pruned, solution_cost(pruned, 600), True)
-        violations_before = [m for m in feasibility_violations(before, demand)
-                             if "no service" not in m]
-        assert violations_before == feasibility_violations(after, demand)
 
 
 class TestVmCatalogIO:

@@ -197,6 +197,3 @@ class TestWorkloadTrace:
         trace = WorkloadTrace(np.array([[1, 2]]))
         with pytest.raises(ValueError):
             trace.counts[0, 0] = 9
-
-    def test_period_hours(self):
-        assert WorkloadTrace(np.array([[1]]), period_seconds=600).period_hours == pytest.approx(1 / 6)
