@@ -87,8 +87,7 @@ class Settings:
 
 
 _GA_SETTINGS = {"population": int, "generations": int, "crossover_rate": float,
-                "mutation_rate": float, "max_instances": int, "penalty_weight": float,
-                "elitism": int}
+                "mutation_rate": float, "max_instances": int, "elitism": int}
 
 
 def _ga_params(s: Settings, seed: int) -> GaParams:
@@ -229,7 +228,6 @@ def _add_ga_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--crossover-rate", type=float, default=None)
     p.add_argument("--mutation-rate", type=float, default=None)
     p.add_argument("--max-instances", type=int, default=None)
-    p.add_argument("--penalty-weight", type=float, default=None)
     p.add_argument("--elitism", type=int, default=None)
 
 

@@ -306,7 +306,8 @@ def load_table(path, catalog: ServiceCatalog, vm_catalog,
     """Load and validate a table file.
 
     The file stores VM types by id only, so the catalogs are required to
-    resolve instances and to verify the fingerprint. Entry costs are taken
+    resolve instances and to verify the fingerprint, and a vm_catalog that
+    repeats an id is refused. Entry costs are taken
     from the file; when period_seconds is given they are cross-checked
     against the catalog prices.
     """
@@ -324,6 +325,8 @@ def load_table(path, catalog: ServiceCatalog, vm_catalog,
             f"{path}: table was built for different catalogs"
         )
     by_id = {t.id: t for t in vm_catalog}
+    if len(by_id) < len(vm_catalog):
+        raise ValueError("vm_catalog repeats a type id, so stored ids are ambiguous")
     entries = []
     try:
         for rec in doc["entries"]:

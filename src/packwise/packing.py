@@ -9,7 +9,8 @@ hourly cost times period length in hours.
 
 Solvers:
 
-* ga_pack        - genetic algorithm over fixed-slot genomes, penalty fitness
+* ga_pack        - genetic algorithm over fixed-slot genomes, penalty fitness,
+                   stopped at mix_lower_bound
 * first_fit_pack - greedy, decreasing demand, first instance that fits
 * best_fit_pack  - greedy, decreasing demand, tightest instance that fits
 * brute_force_pack - exhaustive optimum for tiny instances (the oracle)
@@ -17,6 +18,9 @@ Solvers:
 Every solver yields a slot genome: one VM type index per slot and a
 (slots, S) uint8 matrix of assignment rows. _decode builds every solution
 from one; the greedy genomes also seed the GA's population as they are.
+
+The GA's champion and mix_lower_bound price a mix (instances per VM
+type) with one function, _mix_price, so a champion at the bound is final.
 
 verify_solution re-checks coverage and capacity with plain loops,
 independent of the solvers' vectorized arithmetic.
@@ -38,8 +42,7 @@ from .workload import DEFAULT_PERIOD_SECONDS, TraceParseError
 FEASIBILITY_TOL = 1e-9
 BOUND_CHUNK = 1 << 15   # type-count mixes per step of mix_lower_bound's enumeration
 BOUND_BUDGET = 1 << 16  # most mixes it enumerates before falling back to a fractional bound
-SUBSUM_BUDGET = 1 << 12  # most partial price sums _cost_bound checks one by one to certify
-NEAR_TIE = 1e-9         # relative cost gap below which float rounding may reorder two mixes
+NEAR_TIE = 1e-9         # relative margin that keeps the fractional bound below every mix price
 
 
 @dataclass(frozen=True)
@@ -97,16 +100,14 @@ class PackingSolution:
 
 @dataclass
 class GaParams:
-    """Genetic-algorithm knobs. max_instances / penalty_weight default to
-    instance-derived values when left as None (default_max_instances,
-    twice the slot-count lower bound; 1e4 times the priciest type)."""
+    """Genetic-algorithm knobs. max_instances defaults, when left as None,
+    to default_max_instances: twice the slot-count lower bound."""
 
     population: int = 80
     generations: int = 300
     crossover_rate: float = 0.9
     mutation_rate: float = 0.05
     max_instances: int | None = None
-    penalty_weight: float | None = None
     elitism: int = 2
     seed: int = 0
 
@@ -193,47 +194,44 @@ def mix_lower_bound(demand: DemandVector, vm_catalog,
     splits included, so none costs less than the cheapest such mix
     (Martello & Toth 1990 give bounds of this kind for bin packing). A
     dimension needing at most FEASIBILITY_TOL is met by the tolerance
-    alone and sets no requirement. inf when no mix covers.
+    alone and sets no requirement. inf when no mix covers. The bound is
+    _price_bound's hourly price times the period's hours.
+    """
+    return _price_bound(demand, vm_catalog) * period_hours(period_seconds)
+
+
+def _mix_price(counts, costs) -> np.ndarray:
+    """Hourly price of each row of counts, the instances rented of each VM
+    type. Each row's products are added in one order that depends only on
+    the catalog, so a mix has one float price wherever its instances sit."""
+    return (counts * costs).sum(axis=1)
+
+
+def _price_bound(demand, vm_catalog) -> float:
+    """mix_lower_bound per hour; inf when no mix covers.
 
     Exact, by enumeration, when it takes at most BOUND_BUDGET mixes:
     counts of every type but one run over the range past which more of
-    that type covers nothing new, in chunks of BOUND_CHUNK mixes, and the
-    remaining type's count is the smallest that closes the gap. The
-    mix's price sum is rounded once, then multiplied by the period's
-    hours, as a GA cost is. Past the budget (many types, or demand many
-    times a type's capacity) it returns the fractional bound instead: the
-    largest, over dimensions, of the cheapest price per unit of capacity
-    times the demand.
+    that type covers nothing new, in chunks of BOUND_CHUNK mixes, the last
+    type's count is the smallest that closes the gap, and the bound is the
+    least _mix_price. Past the budget (many types, or demand many times a
+    type's capacity) it is the fractional bound less NEAR_TIE: the largest,
+    over dimensions, of the cheapest price per unit of capacity times the
+    demand.
+
+    No mix that ga_evolve scores as feasible prices below it, so a
+    champion at the bound is final: such a mix holds an enumerated
+    covering mix count by count, and _mix_price rounds each product and
+    addition monotonically. No champion reaches the fractional bound,
+    which sits NEAR_TIE below every mix price.
     """
-    return _cost_bound(demand, vm_catalog, period_seconds)[0]
-
-
-def _cost_bound(demand, vm_catalog, period_seconds):
-    """(mix_lower_bound, certified).
-
-    certified means that no genome ga_evolve scores as feasible can cost
-    less than the bound in floating point either, so a champion at the
-    bound is final. A genome's cost sums its slots' prices in an order
-    that depends on where they sit, so two genomes renting the same mix
-    can differ in the last bit. That cannot happen when every proper
-    sub-multiset of a cheapest mix sums to a float exactly: then every
-    summation order rounds only at its last addition, to the float
-    nearest the exact sum. So the bound is certified when this holds for
-    every mix within NEAR_TIE of the cheapest, and any other mix costs
-    more by far more than rounding can take away. A bound past either
-    budget, BOUND_BUDGET mixes or SUBSUM_BUDGET partial sums checked one
-    by one, is not certified.
-    """
-    if not vm_catalog:
-        raise ValueError("vm_catalog is empty")
     caps, costs = _catalog_arrays(vm_catalog, demand.dimension_count)
     need = demand.per_dim.sum(axis=0)
     pos = need > FEASIBILITY_TOL
     if not pos.any():
-        return 0.0, True
+        return 0.0
     need = need[pos]
     eff = np.where(caps > 0, caps + FEASIBILITY_TOL, 0.0)[:, pos]
-    hours = period_hours(period_seconds)
     with np.errstate(divide="ignore"):
         alone = np.ceil(need / eff)                               # inf: no capacity
     widths = np.where(np.isinf(alone), 0.0, alone).max(axis=1) + 1
@@ -243,10 +241,10 @@ def _cost_bound(demand, vm_catalog, period_seconds):
         with np.errstate(divide="ignore"):
             per_unit = np.where(eff > 0, costs[:, None] / eff, np.inf).min(axis=0)
         # Rounded down by NEAR_TIE so float error cannot lift it past the optimum.
-        return float((per_unit * need).max()) * hours * (1 - NEAR_TIE), False
+        return float((per_unit * need).max()) * (1 - NEAR_TIE)
     cover = widths.astype(np.int64) - 1
     e_last = eff[last]
-    best, near = math.inf, []
+    best = math.inf
     total = math.prod((cover[rest] + 1).tolist())
     for start in range(0, total, BOUND_CHUNK):
         idx = np.arange(start, min(start + BOUND_CHUNK, total))
@@ -260,41 +258,9 @@ def _cost_bound(demand, vm_catalog, period_seconds):
             k -= (k - 1) * e_last >= short
             k += k * e_last < short
         k[short <= 0] = 0.0
-        k = k.max(axis=1)
-        cost = n @ costs[rest] + k * costs[last]
-        best = min(best, float(cost.min()))
-        keep = np.isfinite(cost) & (cost <= best * (1 + NEAR_TIE))
-        near.append((cost[keep], np.insert(n[keep], last, k[keep], axis=1)))
-    if best == math.inf:
-        return math.inf, False
-    mixes = np.vstack([m[c <= best * (1 + NEAR_TIE)] for c, m in near])
-
-    # Prices as integer multiples of one power of two, for exact sums, and
-    # those integers over their gcd, so that sums of them mostly fit int64.
-    ratios = [c.as_integer_ratio() for c in costs.tolist()]
-    den = max(q for _, q in ratios)
-    units = [p * (den // q) for p, q in ratios]
-    g = math.gcd(*units)
-    widest = sum(int(c) * u // g for c, u in zip(cover, units))
-    dtype = np.int64 if widest < 1 << 62 else object
-    exact = mixes.astype(dtype) @ np.array([u // g for u in units], dtype=dtype)
-    bound = int(exact.min()) * g / den * hours
-    # A mix whose whole price sum is below 2**53 units has only exact partial sums.
-    inexact = mixes[exact > ((1 << 53) - 1) // g]
-    certified = (float(costs.min()) > best * NEAR_TIE
-                 and np.prod(inexact + 1.0, axis=1).sum() <= SUBSUM_BUDGET
-                 and all(_sub_sums_exact(mix, units) for mix in inexact))
-    return bound, certified
-
-
-def _sub_sums_exact(mix, units) -> bool:
-    """Whether every proper sub-multiset of a mix's prices (integer units
-    of one power of two) sums to a float exactly."""
-    sums = {0}
-    for m, u in zip(mix.tolist(), units):
-        sums = {s + j * u for s in sums for j in range(m + 1)}
-    sums.discard(sum(m * u for m, u in zip(mix.tolist(), units)))
-    return all(s == 0 or s >> ((s & -s).bit_length() - 1) < 1 << 53 for s in sums)
+        mixes = np.insert(n.astype(float), last, k.max(axis=1), axis=1)   # inf: no cover
+        best = min(best, float(_mix_price(mixes, costs).min()))
+    return best
 
 
 def evaluate_genome(slot_types, slot_bits, demand: DemandVector, vm_catalog,
@@ -306,7 +272,7 @@ def evaluate_genome(slot_types, slot_bits, demand: DemandVector, vm_catalog,
     no service contribute nothing (they decode to no instance). violation
     sums capacity overflow across instances and dimensions plus the total
     demand of uncovered services; the GA minimizes
-    cost + penalty_weight * violation.
+    cost + 1e4 * (the priciest type's hourly cost) * violation.
     """
     hours = period_hours(period_seconds)
     S = demand.service_count
@@ -333,6 +299,8 @@ def evaluate_genome(slot_types, slot_bits, demand: DemandVector, vm_catalog,
 
 
 def _catalog_arrays(vm_catalog, d: int):
+    if not vm_catalog:
+        raise ValueError("vm_catalog is empty")
     caps = np.vstack([t.capacity for t in vm_catalog])
     if caps.shape[1] != d:
         raise ValueError(
@@ -405,20 +373,16 @@ def ga_evolve(demand: DemandVector, vm_catalog, params: GaParams,
     greedy baselines when they fit the slot budget, so the GA starts no
     worse than greedy. Deterministic given params.seed.
 
-    The run stops early once its cheapest feasible individual costs no
-    more than mix_lower_bound, the cost of the cheapest type mix that
-    covers the total demand. Every later individual that is feasible
-    rents such a mix and so costs at least that much, and the champion
-    changes only on a strict improvement, so the returned solution is
-    the one the full run would return; only the trace is shorter. The
-    rule applies only where float rounding of the cost sums cannot
-    undercut the bound (see _cost_bound); elsewhere the run goes on.
+    Each generation's feasible individual with the least slot cost
+    replaces the champion only if its mix (on, non-empty slots per type)
+    has a strictly lower _mix_price, so a rearranged mix never does. The
+    run stops once the champion prices at or below _price_bound: no later
+    feasible individual prices lower, so only the trace is shorter than
+    the full run's.
 
     With no feasible individual after the last generation, the
     least-violating one is returned flagged feasible=False.
     """
-    if not vm_catalog:
-        raise ValueError("vm_catalog is empty")
     S, d = demand.service_count, demand.dimension_count
     caps, costs = _catalog_arrays(vm_catalog, d)
     if demand.values.sum() == 0:
@@ -428,14 +392,12 @@ def ga_evolve(demand: DemandVector, vm_catalog, params: GaParams,
     M = params.max_instances if params.max_instances is not None else budget
     if M < budget // 2:
         raise ValueError(f"max_instances={M} below the slot lower bound {budget // 2}")
-    lam = params.penalty_weight if params.penalty_weight is not None \
-        else 1e4 * float(costs.max())
+    lam = 1e4 * float(costs.max())
     hours = period_hours(period_seconds)
     T = len(vm_catalog)
     P, E = params.population, params.elitism
     rng = np.random.default_rng(params.seed)
-    bound, certified = _cost_bound(demand, vm_catalog, period_seconds)
-    stop_at = bound if certified else -math.inf
+    stop_at = _price_bound(demand, vm_catalog)
 
     types = rng.integers(-1, T, size=(P, M))
     bits = rng.integers(0, 2, size=(P, M, S), dtype=np.uint8)
@@ -455,7 +417,7 @@ def ga_evolve(demand: DemandVector, vm_catalog, params: GaParams,
     uncovered = np.where(demand.values > 0, np.maximum(demand.values, 2 * FEASIBILITY_TOL), 0.0)
     half = P // 2
     cols = np.arange(M)
-    best_feasible = None   # (cost, types, bits)
+    best_feasible = None   # (mix price, types, bits)
     least_violating = None  # (viol, cost, types, bits); read only if nothing is ever feasible
     trace = []
     for gen in range(params.generations):
@@ -466,10 +428,13 @@ def ga_evolve(demand: DemandVector, vm_catalog, params: GaParams,
         feas = viol <= FEASIBILITY_TOL
         if feas.any():
             i = int(np.where(feas, cost, np.inf).argmin())
-            if best_feasible is None or cost[i] < best_feasible[0]:
-                best_feasible = (float(cost[i]), types[i].copy(), bits[i].copy())
+            slot = types[i][bits[i].any(axis=1)]
+            mix = np.bincount(slot[slot >= 0], minlength=T)   # on, non-empty slots per type
+            price = float(_mix_price(mix[None], costs)[0])
+            if best_feasible is None or price < best_feasible[0]:
+                best_feasible = (price, types[i].copy(), bits[i].copy())
             if best_feasible[0] <= stop_at:
-                break   # no feasible individual can cost less
+                break   # no feasible individual can price lower
         if best_feasible is None:
             i = int(np.lexsort((cost, viol))[0])
             if least_violating is None or (viol[i], cost[i]) < least_violating[:2]:
@@ -539,8 +504,6 @@ def _greedy_genome(demand: DemandVector, vm_catalog, best_fit: bool):
     candidates in order, and every load, slack and capacity sum is the
     same float the per-instance arithmetic gives.
     """
-    if not vm_catalog:
-        raise ValueError("vm_catalog is empty")
     caps, costs = _catalog_arrays(vm_catalog, demand.dimension_count)
     per_dim, values = demand.per_dim, demand.values
     S, d = per_dim.shape
@@ -614,8 +577,6 @@ def brute_force_pack(demand: DemandVector, vm_catalog, m_cap: int,
         raise ValueError(
             f"instance too large for exhaustive search (S={S}, m_cap={m_cap})"
         )
-    if not vm_catalog:
-        raise ValueError("vm_catalog is empty")
     caps, costs = _catalog_arrays(vm_catalog, d)
     if demand.values.sum() == 0:
         return PackingSolution((), 0.0, True)
@@ -658,7 +619,8 @@ def brute_force_pack(demand: DemandVector, vm_catalog, m_cap: int,
 
 
 def load_vm_catalog(path) -> list[VmType]:
-    """Read VM types: one `id,cap_1,...,cap_d,hourly_cost` line per type."""
+    """Read VM types: one `id,cap_1,...,cap_d,hourly_cost` line per type,
+    each id on one line only."""
     types = []
     width = None
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
@@ -677,7 +639,10 @@ def load_vm_catalog(path) -> list[VmType]:
             cost = float(fields[-1])
         except ValueError:
             raise TraceParseError(f"{path}: line {lineno}: not a numeric row") from None
-        types.append(VmType(id=fields[0].strip(), capacity=np.array(caps), hourly_cost=cost))
+        type_id = fields[0].strip()
+        if any(t.id == type_id for t in types):
+            raise TraceParseError(f"{path}: line {lineno}: repeated type id {type_id!r}")
+        types.append(VmType(id=type_id, capacity=np.array(caps), hourly_cost=cost))
     if not types:
         raise TraceParseError(f"{path}: empty VM catalog")
     return types

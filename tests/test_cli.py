@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, artifact files."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -101,6 +102,16 @@ class TestBuild:
         assert rc == 2
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "nan" / "table.json").exists()
+
+    def test_repeated_vm_type_id_exits_2(self, workspace, capsys):
+        tmp_path, services, _, trace = workspace
+        vms = tmp_path / "twin_vms.csv"
+        vms.write_text("small,200,200,300,1.0\nsmall,600,600,700,2.9\n")
+        rc = main(["build", "--trace", str(trace), "--catalog", str(services),
+                   "--vm-catalog", str(vms), "--out", str(tmp_path / "twin")])
+        assert rc == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not (tmp_path / "twin" / "table.json").exists()
 
     def test_single_service_pearson_exits_2(self, tmp_path, capsys):
         services, vms, trace = single_service_workspace(tmp_path)
@@ -254,6 +265,34 @@ class TestCompare:
                    "--vm-catalog", str(vms), "--table", str(out / "table.json"),
                    "--out", str(tmp_path / "cmp2")])
         assert rc == 2
+
+
+# sha256 of each artifact of the README quickstart (workspace's files,
+# then build, run and compare at --seed 7 with default settings), taken on
+# Python 3.11, numpy 2.4 and scipy 1.17. A change that claims unchanged
+# outputs must leave these alone; one that changes them on purpose says so.
+QUICKSTART_SHA256 = {
+    "build/table.json": "af85aae61b364c8099aee690076e349adb7bf5b08e4370e0bf0943ea11b2b790",
+    "build/offline_report.csv": "fe051f0fa7cd378a049313b4b6881aa8bb65e756c91221e36d69ecee75d384da",
+    "build/index_table.csv": "8fc65f89647056aa7201ad3480b9d9f91f44a88c8226428c26cd970f55a4df84",
+    "build/dendrogram.csv": "0230a439e53db5fb9e1ea368c5ca4b3634d72a9b992bf0983e1eeccd8ea036dd",
+    "run/simulation.csv": "9e85bfc40343c8c72d26251d2308b248c70648dd968a4649d665b2fa95ecfee8",
+    "cmp/comparison.csv": "5e2d79439776147b603c708a18232cd1060bdd4fe016474dda3633027f006488",
+}
+
+
+class TestQuickstart:
+    def test_artifacts_pinned(self, workspace):
+        tmp_path, services, vms, trace = workspace
+        inputs = ["--trace", str(trace), "--catalog", str(services), "--vm-catalog", str(vms)]
+        table = str(tmp_path / "build" / "table.json")
+        assert main(["build", *inputs, "--out", str(tmp_path / "build"), "--seed", "7"]) == 0
+        for command, out in (("run", "run"), ("compare", "cmp")):
+            assert main([command, *inputs, "--table", table,
+                         "--out", str(tmp_path / out), "--seed", "7"]) == 0
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in QUICKSTART_SHA256}
+        assert got == QUICKSTART_SHA256
 
 
 class TestInspect:

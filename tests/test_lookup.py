@@ -19,6 +19,7 @@ from packwise import (
     TableFormatError,
     VmInstance,
     VmType,
+    best_fit_pack,
     catalog_fingerprint,
     demand_for_period,
     load_table,
@@ -331,6 +332,20 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(TableFormatError, match="VM9"):
             load_table(path, five_service_catalog, vm_catalog)
+
+    def test_repeated_type_id_rejected(self, tmp_path):
+        # Resolved by id alone, the big "a" this entry rents would load as
+        # the small one, which holds 10 of its 50 units.
+        vms = [VmType("a", np.array([100.0]), 5.0), VmType("a", np.array([10.0]), 1.0)]
+        catalog = ServiceCatalog(np.ones((2, 1)))
+        solution = best_fit_pack(demand_for_period(np.array([30, 20]), catalog), vms)
+        assert solution.feasible and solution.instances[0].vm_type is vms[0]
+        table = LookupTable(entries=(LookupEntry(np.array([30.0, 20.0]), solution),),
+                            fingerprint=catalog_fingerprint(catalog, vms))
+        path = tmp_path / "table.json"
+        save_table(table, path)
+        with pytest.raises(ValueError, match="repeats a type id"):
+            load_table(path, catalog, vms)
 
     def test_infinite_ratio_round_trips_as_null(self, tmp_path, five_service_catalog, vm_catalog):
         table = LookupTable(

@@ -15,6 +15,7 @@ from packwise import (
     GaParams,
     PackingSolution,
     ServiceCatalog,
+    TraceParseError,
     VmInstance,
     VmType,
     best_fit_pack,
@@ -32,8 +33,9 @@ from packwise import packing
 from packwise.packing import (
     BOUND_BUDGET,
     FEASIBILITY_TOL,
-    _cost_bound,
     _evaluate_population,
+    _mix_price,
+    _price_bound,
     default_max_instances,
     feasibility_violations,
     ga_evolve,
@@ -102,9 +104,9 @@ def ga_fingerprint(solution, trace):
     )
 
 
-# Seven 0.1 instances in ten slots over 60-s periods: their float cost
-# depends on which slots hold them, so the bound must not certify (a run
-# stopped at the bound returns another arrangement of the seven).
+# Seven 0.1 instances in ten slots over 60-s periods: their slot-order
+# float cost depends on which slots hold them, while their mix price does
+# not, so a run stops at the bound with the arrangement it found first.
 FLOAT_ORDER = (make_demand([[0.0, 0.0, 0.0], [0.0, 278.4, 626.4]]),
                [VmType("t0", np.array([52.0, 58.0, 99.0]), 0.1)], 60.0)
 
@@ -443,20 +445,25 @@ class TestGaPack:
     @pytest.mark.parametrize("name,params", [
         ("mode0-1x", dict(seed=7)), ("mode3-1x", dict(seed=0)), ("tie-0.3", dict(seed=0)),
         ("tiny-5", dict(seed=3)), ("wide-20", dict(seed=1, generations=60)),
-        ("float-order", dict(seed=711, population=4)),
+        ("float-order", dict(seed=711, population=4)), ("tie-60", dict(seed=0)),
     ])
     def test_stop_keeps_the_full_run_result(self, name, params, monkeypatch,
                                             five_service_catalog, three_vm_catalog):
         cases = {n: (d, v, 600.0) for n, d, v
                  in pinned_instances(five_service_catalog, three_vm_catalog)}
         cases["float-order"] = FLOAT_ORDER
+        # 0.3 + 0.3 covers 60, and so does 0.1 + 0.2 + 0.3, whose float sum
+        # depends on the order its prices are added in.
+        cases["tie-60"] = (make_demand([[30.0], [30.0]]), cases["tie-0.3"][1], 600.0)
         demand, vms, period = cases[name]
         ga = GaParams(**{"generations": 100, **params})
         stopped = ga_evolve(demand, vms, ga, period)
-        monkeypatch.setattr(packing, "_cost_bound", lambda *a: (0.0, False))
+        monkeypatch.setattr(packing, "_price_bound", lambda *a: -math.inf)
         full = ga_evolve(demand, vms, ga, period)
         assert ga_fingerprint(*stopped)[:4] == ga_fingerprint(*full)[:4]
         assert stopped[1] == full[1][:len(stopped[1])]
+        if name != "wide-20":   # whose champion ends above the bound
+            assert len(stopped[1]) < ga.generations
 
     def test_seeds_from_greedy_genomes_not_the_public_packers(
             self, monkeypatch, five_service_catalog, three_vm_catalog):
@@ -480,10 +487,10 @@ class TestGaPack:
         vms = [VmType(f"c{s}", np.array([float(s)]), float(s)) for s in (1, 2, 4, 8, 16, 32)]
         demand = make_demand([[125.0]] * 4)
         params = GaParams(generations=40, seed=0)
-        runs = {packing._cost_bound: [], (lambda *a: (0.0, False)): []}
+        runs = {packing._price_bound: [], (lambda *a: -math.inf): []}
         for _ in range(5):    # alternating, so load on the host slows both alike
             for bound, times in runs.items():
-                monkeypatch.setattr(packing, "_cost_bound", bound)
+                monkeypatch.setattr(packing, "_price_bound", bound)
                 start = time.perf_counter()
                 output = ga_fingerprint(*ga_evolve(demand, vms, params))
                 times.append((time.perf_counter() - start, output))
@@ -596,7 +603,18 @@ class TestMixLowerBound:
         assert mix_lower_bound(make_demand([[0.0, 0.0]]), one_type) == 0.0
         lopsided = [VmType("lopsided", np.array([1.0, 0.0]), 1.0)]
         assert mix_lower_bound(make_demand([[0.0, 5.0]]), lopsided) == math.inf
-        assert _cost_bound(make_demand([[0.0, 5.0]]), lopsided, 600.0) == (math.inf, False)
+        assert _price_bound(make_demand([[0.0, 5.0]]), lopsided) == math.inf
+
+    def test_mix_price_is_one_per_mix_and_monotone(self):
+        # What the GA's stop rests on: a row prices the same alone as among
+        # others, and adding instances never lowers a price.
+        rng = np.random.default_rng(5)
+        costs = np.array([0.1, 0.2, 0.3, 1.6, 2.9, 0.37, 0.7, 1.1, 0.05])
+        small = rng.integers(0, 40, size=(2000, costs.size))
+        big = small + rng.integers(0, 3, size=small.shape)
+        prices = _mix_price(small, costs)
+        assert np.all(_mix_price(big, costs) >= prices)
+        assert [_mix_price(row[None], costs)[0] for row in small[:100]] == prices[:100].tolist()
 
     def test_dimension_within_tolerance_needs_no_capacity(self):
         # 5e-10 of the second dimension fits in the feasibility tolerance, so
@@ -615,22 +633,12 @@ class TestMixLowerBound:
         vms = [VmType(f"c{s}", np.array([float(s)]), float(s)) for s in (1, 2, 4, 8, 16, 32)]
         demand = make_demand([[125.0]] * 4)
         assert not within_budget(demand, vms)
-        bound, certified = _cost_bound(demand, vms, 3600.0)
-        assert not certified
+        bound = _price_bound(demand, vms)
         assert bound == pytest.approx(500.0, rel=1e-8) and bound <= 500.0
-        # Within the budget the same catalog is enumerated, exact and certified.
+        # Within the budget the same catalog is enumerated, and exact.
         demand = make_demand([[10.0]] * 4)
         assert within_budget(demand, vms)
-        assert _cost_bound(demand, vms, 3600.0) == (40.0, True)
-
-    def test_certified_only_when_sums_are_exact(self):
-        tie = [VmType("p1", np.array([10.0]), 0.1), VmType("p2", np.array([20.0]), 0.2),
-               VmType("p3", np.array([30.0]), 0.3)]
-        # 0.3 covers 30 alone; 0.1 + 0.2 and 3 x 0.1 tie with it, and every
-        # proper part of them sums exactly.
-        assert _cost_bound(make_demand([[12.0], [9.0], [9.0]]), tie, 600.0)[1]
-        # At 60, 0.1 + 0.2 + 0.3 ties 0.3 + 0.3, and 0.1 + 0.2 rounds.
-        assert not _cost_bound(make_demand([[30.0], [30.0]]), tie, 600.0)[1]
+        assert _price_bound(demand, vms) == 40.0
 
 
 class TestGreedy:
@@ -943,6 +951,12 @@ class TestVmCatalogIO:
             load_vm_catalog(path)
         path.write_text("vm1,1,1\nvm2,1,1,1\n")
         with pytest.raises(ValueError, match="inconsistent"):
+            load_vm_catalog(path)
+
+    def test_repeated_id_rejected(self, tmp_path):
+        path = tmp_path / "vms.csv"
+        path.write_text("a,100,5\n# cheap\na,10,1\n")
+        with pytest.raises(TraceParseError, match="line 3: repeated type id 'a'"):
             load_vm_catalog(path)
 
     def test_empty_rejected(self, tmp_path):
