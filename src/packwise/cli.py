@@ -158,7 +158,7 @@ def cmd_run(args) -> int:
     catalog = load_catalog(args.catalog)
     vm_catalog = load_vm_catalog(args.vm_catalog)
     trace = load_trace(args.trace, catalog)
-    table = load_table(args.table, catalog, vm_catalog)
+    table = load_table(args.table, catalog, vm_catalog, trace.period_seconds)
     policy = MissPolicy(
         **s.given(buffer_size=("miss_buffer", int)),
         mode="full" if args.full_recluster else "incremental",
@@ -182,7 +182,7 @@ def cmd_compare(args) -> int:
     catalog = load_catalog(args.catalog)
     vm_catalog = load_vm_catalog(args.vm_catalog)
     trace = load_trace(args.trace, catalog)
-    table = load_table(args.table, catalog, vm_catalog)
+    table = load_table(args.table, catalog, vm_catalog, trace.period_seconds)
     report = evaluate_methods(trace, catalog, vm_catalog, table,
                               ga_params=_ga_params(s, seed))
     out = _outdir(args)

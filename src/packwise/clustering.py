@@ -74,13 +74,6 @@ class Dendrogram:
 
     merges: tuple
 
-    @property
-    def n_merges(self) -> int:
-        return len(self.merges)
-
-    def distances(self) -> np.ndarray:
-        return np.array([m[2] for m in self.merges])
-
 
 @dataclass(frozen=True)
 class ClusterModel:
@@ -94,7 +87,6 @@ class ClusterModel:
     k: int
     centroids: np.ndarray
     assignments: np.ndarray
-    method: str
     db_index: float | None = None
     dunn_index: float | None = None
     objective_trace: tuple = field(default=(), compare=False)
@@ -444,7 +436,7 @@ def kmeans(patterns, k: int, seed: int = 0, *, canonical=None) -> ClusterModel:
     assignments = np.empty(X.shape[0], dtype=np.int64)
     assignments[order] = labels
     model = ClusterModel(k=k, centroids=centers, assignments=assignments,
-                         method="kmeans", objective_trace=tuple(trace))
+                         objective_trace=tuple(trace))
     return _with_indices(model, X)
 
 
@@ -477,7 +469,6 @@ def ahc(patterns, k: int, linkage: str = "ward") -> tuple[ClusterModel, Dendrogr
         k=k,
         centroids=np.vstack([Xs[labels == c].mean(axis=0) for c in range(k)]),
         assignments=assignments,
-        method="ahc",
     )
     dendrogram = Dendrogram(merges=tuple((int(a), int(b), float(d)) for a, b, d, _ in Z))
     return _with_indices(model, X), dendrogram

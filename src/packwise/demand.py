@@ -27,9 +27,9 @@ class DemandVector:
     finite, and every entry is nonnegative.
 
     DemandVector(per_dim) copies per_dim read-only, derives values from
-    it, read-only too, and checks the entries. demand_for_period builds its
-    vectors through _checked instead, which skips the checks its own steps
-    have already proved.
+    it, read-only too, and checks the entries. The count converters build
+    their vectors through _checked instead, which skips the checks their
+    own steps have already proved.
     """
 
     per_dim: np.ndarray
@@ -53,7 +53,8 @@ class DemandVector:
 
         Only for callers that have proved the invariants: per_dim is a
         (S, d) float array with finite, nonnegative entries and values is
-        exactly per_dim.sum(axis=1). Neither array may be used elsewhere.
+        exactly per_dim.sum(axis=1). Neither array, nor the fresh array it
+        may be a row of, may be used elsewhere.
         """
         values.flags.writeable = False
         per_dim.flags.writeable = False
@@ -71,59 +72,61 @@ class DemandVector:
         return self.per_dim.shape[1]
 
 
-def demand_for_period(counts, catalog: ServiceCatalog) -> DemandVector:
-    """Demand vector for one period of request counts.
+def _demand_arrays(counts, catalog: ServiceCatalog, ndim: int = 2):
+    """(values, per_dim) of an (n, S) count matrix: per_dim[t, s, k] =
+    counts[t, s] * unit_costs[s, k] and values[t, s] its sum over k. With
+    ndim=1, of one (S,) row of counts, as (S,) values and (S, d) per_dim.
 
-    per_dim[s][k] = counts[s] * unit_costs[s][k]; values[s] is the row sum.
-    No summation across services: each service keeps its own entry.
-
-    The counts are checked once (shape, finite, nonnegative) and the row
-    sums once (finite; else "demand entries must be finite", as
-    DemandVector raises). Nothing else needs checking: the catalog's unit
-    costs are not negative, so no product is either (it is finite, +inf or
-    NaN), and a row sum is then finite only when all its products are.
-    DemandVector._checked builds the vector, bit-equal to the validating
-    DemandVector(per_dim) of the same products.
+    The counts are checked once (shape, finite, nonnegative) and the sums
+    once (finite; else "demand entries must be finite", as DemandVector
+    raises). Nothing else needs checking: the catalog's unit costs are not
+    negative, so no product is either (it is finite, +inf or NaN), and a
+    sum is then finite only when all its products are. Each row t is
+    therefore bit-equal to the validating DemandVector(per_dim[t]).
     """
     c = np.asarray(counts, dtype=float)
-    if c.ndim != 1 or c.shape[0] != catalog.service_count:
+    S = catalog.service_count
+    if c.ndim != ndim or c.shape[-1] != S:
         raise ValueError(
-            f"counts must be a vector of length {catalog.service_count}, "
-            f"got shape {c.shape}"
-        )
+            f"counts must be a vector of length {S}, got shape {c.shape[ndim - 1:]}")
     if not np.isfinite(c).all():
         raise ValueError("counts must be finite")
     if c.size and c.min() < 0:
         raise ValueError("counts must be nonnegative")
-    per_dim = c[:, None] * catalog.unit_costs
-    values = per_dim.sum(axis=1)
+    per_dim = c[..., None] * catalog.unit_costs
+    values = per_dim.sum(axis=-1)
     if not np.isfinite(values).all():
         raise ValueError("demand entries must be finite")
-    return DemandVector._checked(values, per_dim)
+    return values, per_dim
+
+
+def _demand_vectors(counts, catalog: ServiceCatalog) -> list[DemandVector]:
+    """One DemandVector per row of an (n, S) count matrix, order preserved."""
+    return [DemandVector._checked(v, p) for v, p in zip(*_demand_arrays(counts, catalog))]
+
+
+def _periods(trace: WorkloadTrace) -> np.ndarray:
+    if trace.n_periods == 0:
+        raise ValueError("trace has no periods")
+    return trace.counts
+
+
+def demand_for_period(counts, catalog: ServiceCatalog) -> DemandVector:
+    """Demand vector for one period of request counts: the one-row case of
+    _demand_arrays. No summation across services: each service keeps its
+    own entry."""
+    return DemandVector._checked(*_demand_arrays(counts, catalog, ndim=1))
 
 
 def demand_series(trace: WorkloadTrace, catalog: ServiceCatalog) -> list[DemandVector]:
     """One DemandVector per trace period, order preserved."""
-    if trace.n_periods == 0:
-        raise ValueError("trace has no periods")
-    return [demand_for_period(row, catalog) for row in trace.counts]
+    return _demand_vectors(_periods(trace), catalog)
 
 
 def demand_patterns(trace: WorkloadTrace, catalog: ServiceCatalog) -> np.ndarray:
-    """The (n_periods, S) matrix of pattern values, one row per period.
-
-    Row t equals demand_for_period(trace.counts[t], catalog).values bit for
-    bit: the same products, summed over dimensions in the same order.
-    """
-    if trace.n_periods == 0:
-        raise ValueError("trace has no periods")
-    c = trace.counts.astype(float)
-    if c.shape[1] != catalog.service_count:
-        raise ValueError(
-            f"counts must be a vector of length {catalog.service_count}, "
-            f"got shape {c.shape[1:]}"
-        )
-    return (c[:, :, None] * catalog.unit_costs).sum(axis=2)
+    """The (n_periods, S) matrix of pattern values, one row per period;
+    row t is demand_for_period(trace.counts[t], catalog).values."""
+    return _demand_arrays(_periods(trace), catalog)[0]
 
 
 def demand_from_values(values, catalog: ServiceCatalog) -> DemandVector:

@@ -25,12 +25,17 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import ClusterModel, kmeans, select_k
-from .demand import DemandVector, demand_for_period, demand_from_values, demand_patterns
+from .demand import (
+    DemandVector,
+    _demand_vectors,
+    demand_for_period,
+    demand_from_values,
+    demand_patterns,
+)
 from .lookup import (
     FingerprintMismatchError,
     LookupEntry,
     LookupTable,
-    MissBuffer,
     catalog_fingerprint,
     match,
 )
@@ -152,11 +157,11 @@ class ComparisonReport:
 class MissPolicy:
     """How the online loop buffers misses and grows the table.
 
-    incremental mode clusters only the buffered misses into
-    ceil(buffer/10) new representatives (capped at the number of distinct
-    buffered patterns) and appends them; full mode reruns cluster-count
-    selection over existing representatives plus the buffer and rebuilds
-    the table.
+    Every buffer_size (>= 1) misses trigger a recluster. incremental mode
+    clusters only the buffered misses into ceil(buffer/10) new
+    representatives (capped at the number of distinct buffered patterns)
+    and appends them; full mode reruns cluster-count selection over
+    existing representatives plus the buffer and rebuilds the table.
     """
 
     buffer_size: int = 20
@@ -282,19 +287,23 @@ def _check_fingerprint(table: LookupTable, catalog, vm_catalog) -> None:
         raise FingerprintMismatchError("table was built for different catalogs")
 
 
-def _recluster(table, buffer, catalog, vm_catalog, policy, period_seconds, event):
-    """Grow (or rebuild) the table from the buffered miss patterns."""
-    buffered = np.vstack(buffer.patterns)
+def _recluster(table, missed, catalog, vm_catalog, policy, period_seconds, event):
+    """Grow (or rebuild) the table from the missed patterns. A full-mode
+    union too small to sweep k >= 2 is clustered at k = its number of
+    distinct patterns, the cap incremental mode applies."""
+    buffered = np.vstack(missed)
+    seed = policy.seed + 1000 * event
     if policy.mode == "incremental":
         distinct = np.unique(buffered, axis=0).shape[0]
-        k_new = min(math.ceil(len(buffer) / 10), distinct)
-        model = kmeans(buffered, k_new, seed=policy.seed + 1000 * event)
+        model = kmeans(buffered, min(math.ceil(len(missed) / 10), distinct), seed=seed)
     else:
         union = np.vstack([table.patterns, buffered])
-        hi = min(policy.k_range[1], union.shape[0] - 1,
-                 np.unique(union, axis=0).shape[0])
-        lo = min(policy.k_range[0], hi)
-        model, _ = select_k(union, (lo, hi), seed=policy.seed + 1000 * event)
+        distinct = np.unique(union, axis=0).shape[0]
+        hi = min(policy.k_range[1], union.shape[0] - 1, distinct)
+        if hi < 2:
+            model = kmeans(union, distinct, seed=seed)
+        else:
+            model, _ = select_k(union, (min(policy.k_range[0], hi), hi), seed=seed)
     gp = replace(policy.ga_params, seed=policy.ga_params.seed + 1000 * event)
     entries, skipped = _pack_representatives(
         model.centroids, catalog, vm_catalog, gp, period_seconds,
@@ -328,9 +337,9 @@ def run_online(table: LookupTable, online_trace: WorkloadTrace,
                miss_policy: MissPolicy | None = None) -> SimulationReport:
     """Replay a trace against the table, one configuration per period.
 
-    Each period is served by decide() with fallback_policy. Misses are
-    recorded in the miss buffer; a full buffer triggers reclustering per
-    the miss policy and new entries extend the table for subsequent periods.
+    Each period is served by decide() with fallback_policy. Every
+    policy.buffer_size missed patterns are reclustered per the miss policy,
+    and new entries extend the table for subsequent periods.
 
     Table-sourced configurations are feasible for their representative by
     construction; each emitted configuration is additionally checked
@@ -339,7 +348,7 @@ def run_online(table: LookupTable, online_trace: WorkloadTrace,
     """
     _check_fingerprint(table, catalog, vm_catalog)
     policy = miss_policy or MissPolicy()
-    buffer = MissBuffer(capacity=policy.buffer_size)
+    missed = []
 
     records = []
     violations = 0
@@ -358,13 +367,14 @@ def run_online(table: LookupTable, online_trace: WorkloadTrace,
         records.append(PeriodRecord(period, result.score, result.hit, source,
                                     solution.total_cost))
         if not result.hit:
-            if buffer.record(dv.values):
+            missed.append(dv.values)
+            if len(missed) >= policy.buffer_size:
                 events += 1
                 table, newly_skipped = _recluster(
-                    table, buffer, catalog, vm_catalog, policy,
+                    table, missed, catalog, vm_catalog, policy,
                     online_trace.period_seconds, events)
                 skipped += newly_skipped
-                buffer.clear()
+                missed = []
 
     n = len(records)
     if violations:
@@ -464,16 +474,17 @@ class PackingAutoscaler:
         return self
 
     def predict(self, counts):
-        """Configurations for one count row or a matrix of rows."""
+        """Configurations for one count row or a matrix of rows; a matrix
+        is converted to demand in one step, each row as a lone row would be."""
         if not hasattr(self, "table_"):
             raise ValueError("autoscaler is not fitted")
         arr = np.asarray(counts)
-
-        def serve(row):
-            return decide(self.table_, demand_for_period(row, self._catalog),
-                          self.fallback, self._vm_catalog, self._period_seconds)[0]
-
-        return serve(arr) if arr.ndim == 1 else [serve(row) for row in arr]
+        row = arr.ndim == 1
+        demands = ([demand_for_period(arr, self._catalog)] if row
+                   else _demand_vectors(arr, self._catalog))
+        solutions = [decide(self.table_, dv, self.fallback, self._vm_catalog,
+                            self._period_seconds)[0] for dv in demands]
+        return solutions[0] if row else solutions
 
     def replay(self, trace: WorkloadTrace) -> SimulationReport:
         if not hasattr(self, "table_"):

@@ -3,8 +3,8 @@
 The table maps representative demand patterns to precomputed packing
 solutions. An incoming pattern is scored against every entry; the best
 entry is a hit when its score clears the threshold (>= for correlation,
-<= for Euclidean distance). Misses accumulate in a buffer until enough
-have piled up to justify reclustering.
+<= for Euclidean distance). The online loop (engine.run_online) keeps
+the misses until enough have piled up to justify reclustering.
 
 Correlation is invariant to scale and shift, so two patterns with the
 same shape but very different magnitudes correlate near 1 even though
@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -272,29 +272,6 @@ def match(table: LookupTable, incoming: DemandVector) -> MatchResult:
     )
 
 
-@dataclass
-class MissBuffer:
-    """Patterns that failed to match, waiting for the next reclustering."""
-
-    capacity: int = 20
-    patterns: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError("buffer capacity must be >= 1")
-
-    def __len__(self) -> int:
-        return len(self.patterns)
-
-    def record(self, pattern) -> bool:
-        """Append a miss pattern; True when reclustering is due (size >= capacity)."""
-        self.patterns.append(as_float_vector(pattern, "pattern"))
-        return len(self.patterns) >= self.capacity
-
-    def clear(self) -> None:
-        self.patterns.clear()
-
-
 def save_table(table: LookupTable, path) -> None:
     Path(path).write_text(
         json.dumps(table.to_doc(), indent=2) + "\n", encoding="utf-8"
@@ -341,7 +318,8 @@ def load_table(path, catalog: ServiceCatalog, vm_catalog,
                 recomputed = solution_cost(instances, period_seconds)
                 if not math.isclose(cost, recomputed, rel_tol=1e-9, abs_tol=1e-12):
                     raise TableFormatError(
-                        f"{path}: stored cost {cost} disagrees with catalog prices"
+                        f"{path}: stored cost {cost} disagrees with catalog prices for "
+                        f"{period_seconds:g}-s periods; built for another period length?"
                     )
             entries.append(LookupEntry(
                 pattern=np.array(rec["pattern"], dtype=float),

@@ -21,6 +21,9 @@ from one; the greedy genomes also seed the GA's population as they are.
 
 The GA's champion and mix_lower_bound price a mix (instances per VM
 type) with one function, _mix_price, so a champion at the bound is final.
+The GA and brute force score genomes with one evaluator,
+_evaluate_population, so both count a packing as feasible alike: capacity
+overflow plus uncovered demand at most FEASIBILITY_TOL.
 
 verify_solution re-checks coverage and capacity with plain loops,
 independent of the solvers' vectorized arithmetic.
@@ -310,11 +313,23 @@ def _catalog_arrays(vm_catalog, d: int):
     return caps, costs
 
 
+def _evaluator_arrays(demand, caps, costs):
+    """_evaluate_population's caps and costs, plus the all-zero row an off
+    slot (-1) indexes, and what an uncovered service adds to the violation:
+    its demand, but more than FEASIBILITY_TOL when positive, as
+    verify_solution rejects any uncovered service with positive demand."""
+    caps0 = np.vstack([caps, np.zeros(demand.dimension_count)])
+    costs0 = np.append(costs, 0.0)
+    uncovered = np.where(demand.values > 0, np.maximum(demand.values, 2 * FEASIBILITY_TOL), 0.0)
+    return caps0, costs0, uncovered
+
+
 def _evaluate_population(types, bits, per_dim, values, caps, costs, hours, lam):
     """Vectorized twin of evaluate_genome over a (P, M[, S]) population:
     returns (fitness, cost, violation), one value per individual. values is
     what an uncovered service adds to the violation: its demand in
-    evaluate_genome, at least 2 * FEASIBILITY_TOL when positive in ga_evolve.
+    evaluate_genome, at least 2 * FEASIBILITY_TOL when positive in the
+    solvers (_evaluator_arrays).
 
     caps and costs carry a trailing all-zero row, which an off slot's -1
     indexes, so slots that decode to no instance add no cost and no
@@ -325,7 +340,9 @@ def _evaluate_population(types, bits, per_dim, values, caps, costs, hours, lam):
     when rewriting this function; the pinned GA outputs in
     tests/test_packing.py depend on them bit for bit. (einsum falls back
     to SIMD partial sums over services only for a single one-slot genome
-    with d == 1, which the GA, with P >= 4, never evaluates.)
+    with d == 1. Neither caller evaluates one: the GA's populations hold
+    at least 4 individuals and brute force's, one per assignment of a type
+    combination, at least 2.)
     """
     P = types.shape[0]
     on = np.multiply(bits.transpose(2, 0, 1), types >= 0, order="C")     # (S, P, M)
@@ -408,13 +425,7 @@ def ga_evolve(demand: DemandVector, vm_catalog, params: GaParams,
             types[row, :n], types[row, n:] = seed_types, -1
             bits[row, :n], bits[row, n:] = seed_bits, 0
 
-    # Off slots (-1) index the appended zero row; see _evaluate_population.
-    caps0 = np.vstack([caps, np.zeros(d)])
-    costs0 = np.append(costs, 0.0)
-    # What an uncovered service adds to the violation: its demand, but more
-    # than FEASIBILITY_TOL when positive, as verify_solution rejects any
-    # uncovered service with positive demand.
-    uncovered = np.where(demand.values > 0, np.maximum(demand.values, 2 * FEASIBILITY_TOL), 0.0)
+    caps0, costs0, uncovered = _evaluator_arrays(demand, caps, costs)
     half = P // 2
     cols = np.arange(M)
     best_feasible = None   # (mix price, types, bits)
@@ -567,7 +578,9 @@ def brute_force_pack(demand: DemandVector, vm_catalog, m_cap: int,
                      period_seconds: float = DEFAULT_PERIOD_SECONDS) -> PackingSolution:
     """Exhaustive optimum over every type/assignment combination of up to
     m_cap instance slots. Verification oracle for tiny instances only:
-    refuses when S * m_cap > 12 or m_cap > 3.
+    refuses when S * m_cap > 12 or m_cap > 3. Each type combination's
+    2 ** (S * m_cap) bit genomes are scored at once by _evaluate_population;
+    the cheapest with violation at most FEASIBILITY_TOL wins.
 
     Ties break toward fewer instances, then the lexicographically smallest
     genome encoding (slot types first, then the flattened assignment bits).
@@ -580,33 +593,25 @@ def brute_force_pack(demand: DemandVector, vm_catalog, m_cap: int,
     caps, costs = _catalog_arrays(vm_catalog, d)
     if demand.values.sum() == 0:
         return PackingSolution((), 0.0, True)
+    caps0, costs0, uncovered = _evaluator_arrays(demand, caps, costs)
     hours = period_hours(period_seconds)
 
     n_bits = S * m_cap
     combos = np.arange(2 ** n_bits)
     shifts = np.arange(n_bits - 1, -1, -1)
     bits_all = ((combos[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1, m_cap, S)
+    hosting = bits_all.any(axis=2)
 
     best = None  # (cost, count, type_rank, bit_index, types, bits)
     for rank, combo in enumerate(itertools.product(range(len(vm_catalog) + 1), repeat=m_cap)):
         types = np.array(combo) - 1
-        active = types >= 0
-        eff = bits_all * active[None, :, None]
-        n_hosts = eff.sum(axis=1)
-        covered = ~((n_hosts == 0) & (demand.values > 0)).any(axis=1)
-        share = np.divide(1.0, n_hosts, out=np.zeros_like(n_hosts, dtype=float),
-                          where=n_hosts > 0)
-        load = np.einsum("nms,ns,sk->nmk", eff, share, demand.per_dim)
-        effective = active[None, :] & (eff.sum(axis=2) > 0)
-        type_idx = np.clip(types, 0, len(vm_catalog) - 1)
-        cap_eff = caps[type_idx] * effective[:, :, None]
-        within = (load <= cap_eff + FEASIBILITY_TOL).all(axis=(1, 2))
-        ok = covered & within
-        if not ok.any():
+        _, cost, viol = _evaluate_population(
+            np.broadcast_to(types, hosting.shape), bits_all, demand.per_dim, uncovered,
+            caps0, costs0, hours, 0.0)
+        idx = np.flatnonzero(viol <= FEASIBILITY_TOL)
+        if not idx.size:
             continue
-        cost = (costs[type_idx] * effective).sum(axis=1) * hours
-        count = effective.sum(axis=1)
-        idx = np.flatnonzero(ok)
+        count = (hosting & (types >= 0)).sum(axis=1)
         idx = idx[np.lexsort((idx, count[idx], cost[idx]))]
         i = int(idx[0])
         key = (float(cost[i]), int(count[i]), rank, i)

@@ -238,6 +238,24 @@ class TestLogLevel:
         assert files["warning"] == files["error"]
 
 
+class TestPeriodLength:
+    def test_table_for_another_period_length_exits_2(self, workspace, capsys):
+        # The table is priced for 600-s periods; an hourly trace must not be
+        # served at those prices.
+        tmp_path, services, vms, _ = workspace
+        _, out = build(workspace)
+        hourly = tmp_path / "hourly.csv"
+        assert main(["gen", "--services", "5", "--periods", "20", "--modes", "10",
+                     "--seed", "2", "--period-seconds", "3600", "--out", str(hourly)]) == 0
+        capsys.readouterr()
+        for command in ("run", "compare"):
+            rc = main([command, "--trace", str(hourly), "--catalog", str(services),
+                       "--vm-catalog", str(vms), "--table", str(out / "table.json"),
+                       "--out", str(tmp_path / command)])
+            assert rc == 2, command
+            assert "period length" in capsys.readouterr().err, command
+
+
 class TestCompare:
     def test_comparison_csv_shape(self, workspace):
         tmp_path, services, vms, trace = workspace
@@ -280,6 +298,15 @@ QUICKSTART_SHA256 = {
     "cmp/comparison.csv": "5e2d79439776147b603c708a18232cd1060bdd4fe016474dda3633027f006488",
 }
 
+# sha256 of simulation.csv when a `gen --seed 2` trace (otherwise as the
+# workspace's) is run against the quickstart table at --seed 7, plainly,
+# with --full-recluster and with --fallback nearest; same versions.
+REPLAY_SHA256 = {
+    (): "4ad305dafae7b41b108fea60e5b9320228e06aa7975be3e1a6f5d1de297628d4",
+    ("--full-recluster",): "3ce4d58f144e6c60b7acead6d384c46e1eca4b1f42d95380293066da64f8ad0c",
+    ("--fallback", "nearest"): "876d4699376709f030c17ed88618679d9d27d5cb9f09bb032a411a00b039eedb",
+}
+
 
 class TestQuickstart:
     def test_artifacts_pinned(self, workspace):
@@ -293,6 +320,25 @@ class TestQuickstart:
         got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in QUICKSTART_SHA256}
         assert got == QUICKSTART_SHA256
+
+    def test_replays_pinned(self, workspace):
+        # A gen --seed 2 trace replayed against the quickstart table misses
+        # 20-23% of its periods and reclusters once under each setting.
+        tmp_path, services, vms, trace = workspace
+        inputs = ["--catalog", str(services), "--vm-catalog", str(vms)]
+        online = tmp_path / "online.csv"
+        assert main(["gen", "--services", "5", "--periods", "100", "--modes", "10",
+                     "--seed", "2", "--out", str(online)]) == 0
+        assert main(["build", "--trace", str(trace), *inputs,
+                     "--out", str(tmp_path / "build"), "--seed", "7"]) == 0
+        got = {}
+        for extra in REPLAY_SHA256:
+            out = tmp_path / "-".join(("run",) + extra)
+            assert main(["run", "--trace", str(online), *inputs,
+                         "--table", str(tmp_path / "build" / "table.json"),
+                         "--out", str(out), "--seed", "7", *extra]) == 0
+            got[extra] = hashlib.sha256((out / "simulation.csv").read_bytes()).hexdigest()
+        assert got == REPLAY_SHA256
 
 
 class TestInspect:

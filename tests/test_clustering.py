@@ -418,7 +418,7 @@ class TestPruning:
                 [np.arange(k), rng.integers(0, k, size=len(X) - k)]))
             model = ClusterModel(k=k, centroids=np.vstack([X[labels == c].mean(axis=0)
                                                            for c in range(k)]),
-                                 assignments=labels, method="kmeans")
+                                 assignments=labels)
         assert repr(dunn(model, X)) == repr(all_pairs_dunn(model, X))
 
     def test_sweeps_skip_most_distances(self, monkeypatch):
@@ -471,7 +471,7 @@ class TestPruning:
         labels = np.array([0, 0, 0, 1, 1])
         model = ClusterModel(k=2, centroids=np.vstack([X[labels == c].mean(axis=0)
                                                        for c in range(2)]),
-                             assignments=labels, method="kmeans")
+                             assignments=labels)
         assert radius(wide) > radius(pair)
         assert 2.0 * radius(pair) < pdist(wide).max() < diameter
         assert repr(dunn(model, X)) == repr(all_pairs_dunn(model, X))
@@ -537,7 +537,7 @@ class TestAgglomerative:
         X, _, _ = planted_patterns(6, n=40)
         for linkage in ("ward", "complete", "average"):
             model, dendro = ahc(X, 3, linkage=linkage)
-            assert dendro.n_merges == 39, linkage
+            assert len(dendro.merges) == 39, linkage
             assert model.centroids.shape == (3, 5), linkage
 
     def test_k_equals_n_gives_singletons(self):
@@ -564,7 +564,7 @@ class TestAgglomerative:
         for linkage in ("ward", "complete", "average"):
             X, _, _ = planted_patterns(9, n=50)
             _, dendro = ahc(X, 5, linkage=linkage)
-            d = dendro.distances()
+            d = [m[2] for m in dendro.merges]
             assert np.all(np.diff(d) >= -1e-12), linkage
 
     def test_unknown_linkage_rejected(self):
@@ -580,21 +580,20 @@ class TestAgglomerative:
 class TestDaviesBouldin:
     def test_zero_scatter_singletons(self):
         X = np.array([[0.0, 0.0], [10.0, 0.0]])
-        model = ClusterModel(k=2, centroids=X.copy(), assignments=np.array([0, 1]),
-                             method="kmeans")
+        model = ClusterModel(k=2, centroids=X.copy(), assignments=np.array([0, 1]))
         assert davies_bouldin(model, X) == 0.0
 
     def test_needs_k_at_least_two(self):
         X = np.array([[0.0], [1.0]])
         model = ClusterModel(k=1, centroids=np.array([[0.5]]),
-                             assignments=np.array([0, 0]), method="kmeans")
+                             assignments=np.array([0, 0]))
         with pytest.raises(ValueError):
             davies_bouldin(model, X)
 
     def test_coincident_centroids_degenerate(self):
         X = np.array([[0.0], [0.0], [1.0], [1.0]])
         model = ClusterModel(k=2, centroids=np.array([[0.5], [0.5]]),
-                             assignments=np.array([0, 0, 1, 1]), method="kmeans")
+                             assignments=np.array([0, 0, 1, 1]))
         with pytest.raises(DegenerateModelError):
             davies_bouldin(model, X)
 
@@ -608,14 +607,13 @@ class TestDaviesBouldin:
 class TestDunn:
     def test_tight_singletons_infinite(self):
         X = np.array([[0.0, 0.0], [5.0, 5.0]])
-        model = ClusterModel(k=2, centroids=X.copy(), assignments=np.array([0, 1]),
-                             method="ahc")
+        model = ClusterModel(k=2, centroids=X.copy(), assignments=np.array([0, 1]))
         assert dunn(model, X) == float("inf")
 
     def test_needs_k_at_least_two(self):
         X = np.array([[0.0], [1.0]])
         model = ClusterModel(k=1, centroids=np.array([[0.5]]),
-                             assignments=np.array([0, 0]), method="kmeans")
+                             assignments=np.array([0, 0]))
         with pytest.raises(ValueError):
             dunn(model, X)
 
@@ -623,7 +621,7 @@ class TestDunn:
         # One cluster holds two far points; its diameter sets the denominator.
         X = np.array([[0.0], [8.0], [100.0], [101.0]])
         model = ClusterModel(k=2, centroids=np.array([[4.0], [100.5]]),
-                             assignments=np.array([0, 0, 1, 1]), method="kmeans")
+                             assignments=np.array([0, 0, 1, 1]))
         value = dunn(model, X)
         assert value == pytest.approx((100.0 - 8.0) / 8.0)
 
@@ -639,7 +637,7 @@ class TestDunn:
         X, labels, k = case
         model = ClusterModel(k=k, centroids=np.vstack([X[labels == c].mean(axis=0)
                                                        for c in range(k)]),
-                             assignments=labels, method="kmeans")
+                             assignments=labels)
         diameter, separation = 0.0, math.inf
         for i in range(len(X)):
             for j in range(i + 1, len(X)):
@@ -666,7 +664,7 @@ class TestDunn:
             labels = rng.integers(0, 2, size=n)
             model = ClusterModel(k=2, centroids=np.vstack([X[labels == c].mean(axis=0)
                                                            for c in range(2)]),
-                                 assignments=labels, method="kmeans")
+                                 assignments=labels)
             tracemalloc.start()
             try:
                 dunn(model, X)
@@ -687,7 +685,7 @@ class TestDunn:
             assert len(np.unique(X, axis=0)) < n
             model = ClusterModel(k=3, centroids=np.vstack([X[labels == c].mean(axis=0)
                                                            for c in range(3)]),
-                                 assignments=labels, method="kmeans")
+                                 assignments=labels)
             assert min(np.bincount(labels)) ** 2 > block
             assert repr(dunn(model, X)) == repr(all_pairs_dunn(model, X)), (n, block)
 

@@ -234,6 +234,13 @@ class TestDemandPatterns:
             demand_patterns(trace, five_service_catalog)
         assert str(batch.value) == str(per_period.value)
 
+    def test_overflowing_products_rejected(self):
+        catalog = ServiceCatalog(np.array([[1e300, 1.0], [1.0, 1.0]]))
+        trace = WorkloadTrace(np.array([[10**10, 1]]))
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="demand entries must be finite"):
+            demand_patterns(trace, catalog)
+
     def test_empty_trace_rejected(self, five_service_catalog):
         with pytest.raises(ValueError):
             demand_patterns(WorkloadTrace(np.zeros((0, 5), dtype=np.int64)),

@@ -1,6 +1,7 @@
 """Offline build, online replay, method comparison, estimator front door."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -203,6 +204,26 @@ class TestRunOnline:
         assert sim.recluster_events == 1
         assert 2 <= len(sim.final_table.entries) <= 11
 
+    def test_full_recluster_of_a_two_pattern_union(self, built, catalog, vms):
+        # One table pattern plus one miss leave no k >= 2 below the union's
+        # size to sweep, so the union is clustered at k = 2 distinct patterns.
+        _, _, _, table, _ = built
+        novel = np.array([10, 190, 10, 190, 10])
+        online = WorkloadTrace(np.tile(novel, (3, 1)))
+        sim = run_online(replace(table, entries=table.entries[:1]), online, catalog, vms,
+                         miss_policy=MissPolicy(buffer_size=1, mode="full",
+                                                ga_params=GaParams(generations=20, seed=5),
+                                                seed=5))
+        assert sim.recluster_events == 1
+        assert [r.hit for r in sim.records] == [False, True, True]
+        patterns = [e.pattern.tolist() for e in sim.final_table.entries]
+        assert sorted(patterns) == sorted([table.entries[0].pattern.tolist(),
+                                           demand_for_period(novel, catalog).values.tolist()])
+
+    def test_buffer_size_validated(self):
+        with pytest.raises(ValueError, match="buffer_size"):
+            MissPolicy(buffer_size=0)
+
     def test_nearest_fallback_serves_best_entry(self, built, catalog, vms):
         _, _, _, table, _ = built
         novel = np.array([138, 109, 19, 270, 15])
@@ -371,9 +392,20 @@ class TestPackingAutoscaler:
         assert solution.feasible
 
     def test_predict_matrix(self, fitted, catalog):
+        # Hits and (at twice the magnitude) greedy misses, row for row as
+        # predict(row) serves them.
         model, centers = fitted
-        solutions = model.predict(centers.astype(int))
-        assert len(solutions) == len(centers)
+        rows = np.vstack([centers, 2 * centers]).astype(int)
+        solutions = model.predict(rows)
+        assert len(solutions) == len(rows)
+        for row, got in zip(rows, solutions):
+            want = model.predict(row)
+            assert repr(got.total_cost) == repr(want.total_cost)
+            assert got.feasible == want.feasible
+            assert [i.vm_type.id for i in got.instances] == \
+                [i.vm_type.id for i in want.instances]
+            assert [i.assignment.tobytes() for i in got.instances] == \
+                [i.assignment.tobytes() for i in want.instances]
 
     def test_replay(self, fitted, catalog):
         model, centers = fitted

@@ -1,4 +1,4 @@
-"""Similarity scoring, table matching, miss buffering, persistence."""
+"""Similarity scoring, table matching, persistence."""
 
 import json
 import math
@@ -13,7 +13,6 @@ from packwise import (
     FingerprintMismatchError,
     LookupEntry,
     LookupTable,
-    MissBuffer,
     PackingSolution,
     ServiceCatalog,
     TableFormatError,
@@ -209,30 +208,6 @@ class TestPrecomputedArrays:
         for arr in (table.flat, table.magnitudes):
             with pytest.raises(ValueError):
                 arr[0] = 0
-
-
-class TestMissBuffer:
-    def test_single_miss_not_due(self):
-        buf = MissBuffer(capacity=20)
-        assert buf.record(np.arange(5.0)) is False
-        assert len(buf) == 1
-
-    def test_boundary_at_capacity(self):
-        buf = MissBuffer(capacity=20)
-        for _ in range(19):
-            assert buf.record(np.arange(5.0)) is False
-        assert buf.record(np.arange(5.0)) is True
-
-    def test_clear_empties(self):
-        buf = MissBuffer(capacity=2)
-        buf.record(np.arange(3.0))
-        buf.record(np.arange(3.0))
-        buf.clear()
-        assert len(buf) == 0
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            MissBuffer(capacity=0)
 
 
 class TestTableValidation:

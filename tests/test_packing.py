@@ -1,6 +1,7 @@
 """Packing solvers: GA, greedy baselines, brute-force oracle, verifier."""
 
 import hashlib
+import itertools
 import math
 import time
 
@@ -871,6 +872,49 @@ class TestBruteForce:
         sol = brute_force_pack(make_demand([[10.0]]), vms, 2)
         assert sol.feasible
         assert sol.instance_count == 2
+
+
+class TestBruteForceAgainstScalarEnumeration:
+    """brute_force_pack's cost is the least evaluate_genome cost over every
+    genome of up to m_cap slots that violates by at most FEASIBILITY_TOL."""
+
+    @staticmethod
+    def instance(seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 4))
+        S = int(rng.integers(1, 6 // m + 1))
+        T, d = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        if seed % 2:
+            # Integer-valued, with service 0 filling type 0 exactly.
+            caps = rng.integers(2, 9, size=(T, d)).astype(float)
+            per_dim = rng.integers(0, 5, size=(S, d)).astype(float)
+            per_dim[0] = caps[0]
+        else:
+            caps = rng.uniform(5.0, 30.0, size=(T, d)).round(1)
+            per_dim = rng.uniform(0.0, 0.8, size=(S, d)) * caps.max(axis=0)
+        costs = rng.integers(1, 6, size=T) / 10
+        vms = [VmType(f"t{j}", caps[j], float(costs[j])) for j in range(T)]
+        return make_demand(per_dim), vms, m
+
+    def test_cost_is_least_feasible_genome_cost(self):
+        feasible = 0
+        for seed in range(36):
+            demand, vms, m = self.instance(seed)
+            S = demand.service_count
+            least = math.inf
+            for types in itertools.product(range(-1, len(vms)), repeat=m):
+                for flat in itertools.product((0, 1), repeat=S * m):
+                    rows = [flat[i * S:(i + 1) * S] for i in range(m)]
+                    cost, violation = evaluate_genome(types, rows, demand, vms)
+                    if violation <= FEASIBILITY_TOL:
+                        least = min(least, cost)
+            sol = brute_force_pack(demand, vms, m)
+            assert sol.feasible == (least < math.inf), seed
+            if sol.feasible:
+                feasible += 1
+                assert math.isclose(sol.total_cost, least, rel_tol=1e-12, abs_tol=0.0), seed
+                assert verify_solution(sol, demand), seed
+        assert feasible >= 20
 
 
 class TestCostScaling:
