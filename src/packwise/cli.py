@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import ahc, save_dendrogram, save_index_table
+from .clustering import (LINKAGES, DegenerateModelError, ahc, davies_bouldin, dunn,
+                         save_dendrogram, save_index_table)
 from .demand import demand_patterns
 from .engine import (
     DEFAULT_K_RANGE,
@@ -32,7 +33,7 @@ from .engine import (
     evaluate_methods,
     run_online,
 )
-from .lookup import FingerprintMismatchError, load_table, save_table
+from .lookup import SIMILARITIES, FingerprintMismatchError, load_table, save_table
 from .packing import GaParams, load_vm_catalog
 from .workload import (
     DEFAULT_PERIOD_SECONDS,
@@ -141,11 +142,16 @@ def cmd_build(args) -> int:
     # The dendrogram needs O(n^2) memory for n periods, so the library build
     # leaves it out; it runs before any file is written, so a degenerate
     # tree still leaves no artifact behind.
-    ahc_model, dendrogram = ahc(demand_patterns(trace, catalog), report.best_k,
-                                **s.given(linkage=("linkage", str)))
+    patterns = demand_patterns(trace, catalog)
+    ahc_model, dendrogram = ahc(patterns, report.best_k, **s.given(linkage=("linkage", str)))
+    try:
+        ahc_db = davies_bouldin(ahc_model, patterns)
+    except DegenerateModelError:
+        ahc_db = None
+    ahc_scores = (ahc_db, dunn(ahc_model, patterns))
     out = _outdir(args)
     save_table(table, out / "table.json")
-    report.to_csv(out / "offline_report.csv", ahc_model)
+    report.to_csv(out / "offline_report.csv", ahc_scores)
     save_index_table(report.index_rows, out / "index_table.csv")
     save_dendrogram(dendrogram, out / "dendrogram.csv")
     print(f"built table with {len(table.entries)} entries (k={report.best_k}) in {out}")
@@ -223,12 +229,8 @@ def _add_common(p: argparse.ArgumentParser, table: bool = False) -> None:
 
 
 def _add_ga_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--population", type=int, default=None)
-    p.add_argument("--generations", type=int, default=None)
-    p.add_argument("--crossover-rate", type=float, default=None)
-    p.add_argument("--mutation-rate", type=float, default=None)
-    p.add_argument("--max-instances", type=int, default=None)
-    p.add_argument("--elitism", type=int, default=None)
+    for name, cast in _GA_SETTINGS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=cast, default=None)
 
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
@@ -264,10 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--k-min", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--similarity", choices=("pearson", "euclidean"), default=None)
+    p.add_argument("--similarity", choices=SIMILARITIES, default=None)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--magnitude-ratio", type=float, default=None)
-    p.add_argument("--linkage", choices=("ward", "complete", "average"), default=None)
+    p.add_argument("--linkage", choices=LINKAGES, default=None)
     _add_ga_flags(p)
     p.set_defaults(func=cmd_build)
 

@@ -37,7 +37,7 @@ are those of the full computation bit for bit (see _lloyd and dunn).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -80,15 +80,13 @@ class ClusterModel:
     """A fitted clustering: centroids are the representative patterns.
 
     Labels are arbitrary; anything consuming a model must not depend on
-    their order. db_index / dunn_index are filled when computable (k >= 2
-    and non-degenerate geometry), else None.
+    their order. A model carries no validity scores: select_k computes
+    them with davies_bouldin and dunn.
     """
 
     k: int
     centroids: np.ndarray
     assignments: np.ndarray
-    db_index: float | None = None
-    dunn_index: float | None = None
     objective_trace: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
@@ -321,7 +319,7 @@ def davies_bouldin(model: ClusterModel, patterns) -> float:
     sep = np.linalg.norm(centroids[:, None, :] - centroids[None, :, :], axis=2)
     off_diag = sep[~np.eye(model.k, dtype=bool)]
     if np.min(off_diag) < 1e-12:
-        raise DegenerateModelError("coincident centroids: model is degenerate")
+        raise DegenerateModelError(f"k={model.k}: coincident centroids")
     ratio = (scatter[:, None] + scatter[None, :]) / np.where(sep > 0, sep, np.inf)
     np.fill_diagonal(ratio, -np.inf)
     return float(ratio.max(axis=1).mean())
@@ -397,18 +395,8 @@ def dunn(model: ClusterModel, patterns) -> float:
     return float(min_separation / max_diameter)
 
 
-def _with_indices(model: ClusterModel, X: np.ndarray) -> ClusterModel:
-    if model.k < 2:
-        return model
-    try:
-        db = davies_bouldin(model, X)
-    except DegenerateModelError:
-        db = None
-    return replace(model, db_index=db, dunn_index=dunn(model, X))
-
-
 def kmeans(patterns, k: int, seed: int = 0, *, canonical=None) -> ClusterModel:
-    """Seeded Lloyd's k-means with validity indices attached.
+    """Seeded Lloyd's k-means; the model is unscored (see select_k).
 
     Each of KMEANS_RESTARTS restarts runs to convergence (no reassignments)
     or KMEANS_MAX_ITER sweeps from a fresh k-means++ initialization; the
@@ -435,9 +423,8 @@ def kmeans(patterns, k: int, seed: int = 0, *, canonical=None) -> ClusterModel:
     centers, labels, trace = best
     assignments = np.empty(X.shape[0], dtype=np.int64)
     assignments[order] = labels
-    model = ClusterModel(k=k, centroids=centers, assignments=assignments,
-                         objective_trace=tuple(trace))
-    return _with_indices(model, X)
+    return ClusterModel(k=k, centroids=centers, assignments=assignments,
+                        objective_trace=tuple(trace))
 
 
 def ahc(patterns, k: int, linkage: str = "ward") -> tuple[ClusterModel, Dendrogram]:
@@ -471,7 +458,7 @@ def ahc(patterns, k: int, linkage: str = "ward") -> tuple[ClusterModel, Dendrogr
         assignments=assignments,
     )
     dendrogram = Dendrogram(merges=tuple((int(a), int(b), float(d)) for a, b, d, _ in Z))
-    return _with_indices(model, X), dendrogram
+    return model, dendrogram
 
 
 def save_index_table(rows, path) -> None:
@@ -491,13 +478,14 @@ def save_dendrogram(dendrogram: Dendrogram, path) -> None:
 
 
 def select_k(patterns, k_range, seed: int = 0):
-    """Sweep cluster counts and score each with both validity indices.
+    """Sweep cluster counts; the only code that scores a clustering.
 
     k_range is an inclusive (lo, hi) pair. Each k runs k-means with seed
-    seed+k. Best k minimizes the Davies-Bouldin index; ties go to the
-    larger Dunn index, then the smaller k. Returns (best_model, rows):
-    the fitted k-means model of the best k, and (k, db_index, dunn_index)
-    rows for reporting.
+    seed+k and scores it with davies_bouldin and dunn; coincident centroids
+    at any k raise DegenerateModelError. Best k minimizes the Davies-Bouldin
+    index; ties go to the larger Dunn index, then the smaller k. Returns
+    (best_model, rows): the fitted k-means model of the best k, and
+    (k, davies_bouldin, dunn) rows for reporting.
     """
     X = as_float_matrix(patterns, "patterns")
     lo, hi = int(k_range[0]), int(k_range[1])
@@ -508,11 +496,9 @@ def select_k(patterns, k_range, seed: int = 0):
         raise ValueError(f"k range [{lo}, {hi}] must lie within [2, {n - 1}]")
 
     canonical = _canonical_order(X)
-    models = []
+    models, rows = {}, []
     for k in range(lo, hi + 1):
-        model = kmeans(X, k, seed=seed + k, canonical=canonical)
-        if model.db_index is None:
-            raise DegenerateModelError(f"k={k}: coincident centroids")
-        models.append(model)
-    best = min(models, key=lambda m: (m.db_index, -m.dunn_index, m.k))
-    return best, [(m.k, m.db_index, m.dunn_index) for m in models]
+        models[k] = kmeans(X, k, seed=seed + k, canonical=canonical)
+        rows.append((k, davies_bouldin(models[k], X), dunn(models[k], X)))
+    best = min(rows, key=lambda row: (row[1], -row[2], row[0]))
+    return models[best[0]], rows

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import ClusterModel, kmeans, select_k
+from .clustering import kmeans, select_k
 from .demand import (
     DemandVector,
     _demand_vectors,
@@ -40,6 +40,7 @@ from .lookup import (
     match,
 )
 from .packing import (
+    BRUTE_FORCE_MAX_BITS,
     GaParams,
     best_fit_pack,
     brute_force_pack,
@@ -79,13 +80,11 @@ class OfflineReport:
     lower_bounds: tuple        # mix_lower_bound of each centroid row's pattern
     timings: dict = field(compare=False, default_factory=dict)
 
-    def to_csv(self, path, ahc_model: ClusterModel | None = None) -> None:
-        """Write the report; ahc_model, the hierarchical clustering of the
-        same patterns cut at best_k, fills the ahc_* comment fields, which
-        stay empty without it."""
-        db = dn = None
-        if ahc_model is not None:
-            db, dn = ahc_model.db_index, ahc_model.dunn_index
+    def to_csv(self, path, ahc_scores=(None, None)) -> None:
+        """Write the report; ahc_scores, the (davies_bouldin, dunn) of the
+        hierarchical clustering of the same patterns cut at best_k, fill
+        the ahc_* comment fields, each left empty where it is None."""
+        db, dn = ahc_scores
         lines = [
             f"# best_k={self.best_k}",
             f"# ahc_davies_bouldin={_fmt(db) if db is not None else ''}"
@@ -162,6 +161,8 @@ class MissPolicy:
     representatives (capped at the number of distinct buffered patterns)
     and appends them; full mode reruns cluster-count selection over
     existing representatives plus the buffer and rebuilds the table.
+    k_range is full mode's sweep, held to select_k's 2 <= low <= high in
+    either mode.
     """
 
     buffer_size: int = 20
@@ -175,6 +176,9 @@ class MissPolicy:
             raise ValueError("mode must be 'incremental' or 'full'")
         if self.buffer_size < 1:
             raise ValueError("buffer_size must be >= 1")
+        low, high = self.k_range
+        if not 2 <= low <= high:
+            raise ValueError(f"k range [{low}, {high}] must satisfy 2 <= low <= high")
 
 
 def _pack_representatives(centroids, catalog, vm_catalog, ga_params, period_seconds,
@@ -206,7 +210,7 @@ def _report_row(i, entry, catalog, vm_catalog, period_seconds):
     ff = first_fit_pack(dv, vm_catalog, period_seconds)
     bf = best_fit_pack(dv, vm_catalog, period_seconds)
     brute_cost = None
-    if dv.service_count * BRUTE_FORCE_SLOTS <= 12:
+    if dv.service_count * BRUTE_FORCE_SLOTS <= BRUTE_FORCE_MAX_BITS:
         brute = brute_force_pack(dv, vm_catalog, BRUTE_FORCE_SLOTS, period_seconds)
         if brute.feasible:
             brute_cost = brute.total_cost
@@ -219,10 +223,7 @@ def euclidean_default_threshold(centroids) -> float:
     """Distance-mode default: a quarter of the mean inter-centroid distance."""
     c = np.asarray(centroids, dtype=float)
     dists = np.linalg.norm(c[:, None, :] - c[None, :, :], axis=2)
-    off = dists[~np.eye(len(c), dtype=bool)]
-    if off.size == 0 or off.mean() == 0:
-        raise BuildError("cannot derive a distance threshold from coincident centroids")
-    return 0.25 * float(off.mean())
+    return 0.25 * float(dists[~np.eye(len(c), dtype=bool)].mean())
 
 
 def build_offline(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,

@@ -284,9 +284,10 @@ def load_table(path, catalog: ServiceCatalog, vm_catalog,
 
     The file stores VM types by id only, so the catalogs are required to
     resolve instances and to verify the fingerprint, and a vm_catalog that
-    repeats an id is refused. Entry costs are taken
-    from the file; when period_seconds is given they are cross-checked
-    against the catalog prices.
+    repeats an id is refused. Every pattern and assignment must hold one
+    entry per catalog service. Entry costs are taken from the file; when
+    period_seconds is given they are cross-checked against the catalog
+    prices.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -304,6 +305,14 @@ def load_table(path, catalog: ServiceCatalog, vm_catalog,
     by_id = {t.id: t for t in vm_catalog}
     if len(by_id) < len(vm_catalog):
         raise ValueError("vm_catalog repeats a type id, so stored ids are ambiguous")
+
+    def per_service(values, what, dtype=None):
+        arr = np.array(values, dtype=dtype)
+        if arr.shape != (catalog.service_count,):
+            raise TableFormatError(f"{path}: {what} of width {arr.size}, the catalog has "
+                                   f"{catalog.service_count} services")
+        return arr
+
     entries = []
     try:
         for rec in doc["entries"]:
@@ -312,7 +321,8 @@ def load_table(path, catalog: ServiceCatalog, vm_catalog,
                 type_id = inst["type_id"]
                 if type_id not in by_id:
                     raise TableFormatError(f"{path}: unknown VM type {type_id!r}")
-                instances.append(VmInstance(by_id[type_id], np.array(inst["assignment"])))
+                assignment = per_service(inst["assignment"], "an assignment")
+                instances.append(VmInstance(by_id[type_id], assignment))
             cost = float(rec["cost"])
             if period_seconds is not None:
                 recomputed = solution_cost(instances, period_seconds)
@@ -322,7 +332,7 @@ def load_table(path, catalog: ServiceCatalog, vm_catalog,
                         f"{period_seconds:g}-s periods; built for another period length?"
                     )
             entries.append(LookupEntry(
-                pattern=np.array(rec["pattern"], dtype=float),
+                pattern=per_service(rec["pattern"], "a pattern", float),
                 solution=PackingSolution(tuple(instances), cost, feasible=True),
             ))
         ratio = doc["magnitude_ratio"]

@@ -43,8 +43,8 @@ from .validation import as_float_vector
 from .workload import DEFAULT_PERIOD_SECONDS, TraceParseError
 
 FEASIBILITY_TOL = 1e-9
-BOUND_CHUNK = 1 << 15   # type-count mixes per step of mix_lower_bound's enumeration
-BOUND_BUDGET = 1 << 16  # most mixes it enumerates before falling back to a fractional bound
+BOUND_BUDGET = 1 << 16  # most mixes mix_lower_bound enumerates before a fractional bound
+BRUTE_FORCE_MAX_BITS = 12   # most assignment bits (services x slots) brute_force_pack takes
 NEAR_TIE = 1e-9         # relative margin that keeps the fractional bound below every mix price
 
 
@@ -135,8 +135,7 @@ def solution_cost(instances, period_seconds: float) -> float:
     return sum(inst.vm_type.hourly_cost for inst in instances) * period_hours(period_seconds)
 
 
-def feasibility_violations(solution: PackingSolution, demand: DemandVector,
-                           tol: float = FEASIBILITY_TOL) -> list[str]:
+def feasibility_violations(solution: PackingSolution, demand: DemandVector) -> list[str]:
     """Re-check Coverage and Capacity with plain loops, independent of any
     solver arithmetic. Returns human-readable violation messages."""
     msgs = []
@@ -159,7 +158,7 @@ def feasibility_violations(solution: PackingSolution, demand: DemandVector,
             for s in range(S):
                 if inst.assignment[s]:
                     load += demand.per_dim[s][k] / hosts[s]
-            if load > inst.vm_type.capacity[k] + tol:
+            if load > inst.vm_type.capacity[k] + FEASIBILITY_TOL:
                 msgs.append(
                     f"instance {i} ({inst.vm_type.id}) dimension {k}: "
                     f"load {load:.6g} exceeds capacity {inst.vm_type.capacity[k]:.6g}"
@@ -167,9 +166,8 @@ def feasibility_violations(solution: PackingSolution, demand: DemandVector,
     return msgs
 
 
-def verify_solution(solution: PackingSolution, demand: DemandVector,
-                    tol: float = FEASIBILITY_TOL) -> bool:
-    return not feasibility_violations(solution, demand, tol=tol)
+def verify_solution(solution: PackingSolution, demand: DemandVector) -> bool:
+    return not feasibility_violations(solution, demand)
 
 
 def default_max_instances(demand: DemandVector, vm_catalog) -> int:
@@ -215,9 +213,9 @@ def _price_bound(demand, vm_catalog) -> float:
 
     Exact, by enumeration, when it takes at most BOUND_BUDGET mixes:
     counts of every type but one run over the range past which more of
-    that type covers nothing new, in chunks of BOUND_CHUNK mixes, the last
-    type's count is the smallest that closes the gap, and the bound is the
-    least _mix_price. Past the budget (many types, or demand many times a
+    that type covers nothing new, all in one pass, the last type's count
+    is the smallest that closes the gap, and the bound is the least
+    _mix_price. Past the budget (many types, or demand many times a
     type's capacity) it is the fractional bound less NEAR_TIE: the largest,
     over dimensions, of the cheapest price per unit of capacity times the
     demand.
@@ -247,23 +245,19 @@ def _price_bound(demand, vm_catalog) -> float:
         return float((per_unit * need).max()) * (1 - NEAR_TIE)
     cover = widths.astype(np.int64) - 1
     e_last = eff[last]
-    best = math.inf
-    total = math.prod((cover[rest] + 1).tolist())
-    for start in range(0, total, BOUND_CHUNK):
-        idx = np.arange(start, min(start + BOUND_CHUNK, total))
-        n = np.empty((idx.size, rest.size), dtype=np.int64)
-        for j, t in enumerate(rest):
-            idx, n[:, j] = np.divmod(idx, cover[t] + 1)
-        short = need - n @ eff[rest]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k = np.ceil(short / e_last)
-            # Undo a quotient that rounded across an integer either way.
-            k -= (k - 1) * e_last >= short
-            k += k * e_last < short
-        k[short <= 0] = 0.0
-        mixes = np.insert(n.astype(float), last, k.max(axis=1), axis=1)   # inf: no cover
-        best = min(best, float(_mix_price(mixes, costs).min()))
-    return best
+    idx = np.arange(math.prod((cover[rest] + 1).tolist()))
+    n = np.empty((idx.size, rest.size), dtype=np.int64)
+    for j, t in enumerate(rest):
+        idx, n[:, j] = np.divmod(idx, cover[t] + 1)
+    short = need - n @ eff[rest]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.ceil(short / e_last)
+        # Undo a quotient that rounded across an integer either way.
+        k -= (k - 1) * e_last >= short
+        k += k * e_last < short
+    k[short <= 0] = 0.0
+    mixes = np.insert(n.astype(float), last, k.max(axis=1), axis=1)   # inf: no cover
+    return float(_mix_price(mixes, costs).min())
 
 
 def evaluate_genome(slot_types, slot_bits, demand: DemandVector, vm_catalog,
@@ -578,15 +572,16 @@ def brute_force_pack(demand: DemandVector, vm_catalog, m_cap: int,
                      period_seconds: float = DEFAULT_PERIOD_SECONDS) -> PackingSolution:
     """Exhaustive optimum over every type/assignment combination of up to
     m_cap instance slots. Verification oracle for tiny instances only:
-    refuses when S * m_cap > 12 or m_cap > 3. Each type combination's
-    2 ** (S * m_cap) bit genomes are scored at once by _evaluate_population;
-    the cheapest with violation at most FEASIBILITY_TOL wins.
+    refuses when S * m_cap > BRUTE_FORCE_MAX_BITS or m_cap > 3. Each type
+    combination's 2 ** (S * m_cap) bit genomes are scored at once by
+    _evaluate_population; the cheapest with violation at most
+    FEASIBILITY_TOL wins.
 
     Ties break toward fewer instances, then the lexicographically smallest
     genome encoding (slot types first, then the flattened assignment bits).
     """
     S, d = demand.service_count, demand.dimension_count
-    if m_cap > 3 or S * m_cap > 12:
+    if m_cap > 3 or S * m_cap > BRUTE_FORCE_MAX_BITS:
         raise ValueError(
             f"instance too large for exhaustive search (S={S}, m_cap={m_cap})"
         )

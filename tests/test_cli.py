@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, artifact files."""
 
 import hashlib
+import json
 import re
 
 import numpy as np
@@ -212,6 +213,50 @@ class TestRun:
             assert len(sources[policy]) == 5
         assert set(sources["greedy"]) == {"fallback-greedy"}
         assert set(sources["nearest"]) == {"fallback-nearest"}
+
+    def test_bad_k_range_exits_2_before_the_first_period(self, workspace, capsys):
+        tmp_path, services, vms, trace = workspace
+        _, out = build(workspace)
+        capsys.readouterr()
+        for k_range in (("--k-min", "1"), ("--k-min", "9", "--k-max", "3")):
+            for mode in ((), ("--full-recluster",)):
+                run_dir = tmp_path / "-".join(("run",) + k_range + mode)
+                rc = main(["run", "--trace", str(trace), "--catalog", str(services),
+                           "--vm-catalog", str(vms), "--table", str(out / "table.json"),
+                           "--out", str(run_dir), *k_range, *mode])
+                assert rc == 2, (k_range, mode)
+                assert "k range" in capsys.readouterr().err
+                assert not run_dir.exists()
+
+
+class TestTableWidth:
+    """A table whose rows do not hold one entry per catalog service is
+    refused when loaded, even though its fingerprint matches."""
+
+    def replay_edited(self, workspace, edit):
+        """Build the quickstart table, edit it and replay the trace on it."""
+        tmp_path, services, vms, trace = workspace
+        inputs = ["--trace", str(trace), "--catalog", str(services), "--vm-catalog", str(vms)]
+        assert main(["build", *inputs, "--out", str(tmp_path / "build"), "--seed", "7"]) == 0
+        path = tmp_path / "build" / "table.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return main(["run", *inputs, "--table", str(path), "--out", str(tmp_path / "run")])
+
+    def test_short_assignment_exits_2(self, workspace, capsys):
+        def truncate(doc):
+            assignment = doc["entries"][0]["instances"][0]["assignment"]
+            del assignment[3:]
+        assert self.replay_edited(workspace, truncate) == 2
+        assert "an assignment of width 3" in capsys.readouterr().err
+
+    def test_short_patterns_exit_2(self, workspace, capsys):
+        def truncate(doc):
+            for entry in doc["entries"]:
+                del entry["pattern"][4:]
+        assert self.replay_edited(workspace, truncate) == 2
+        assert "a pattern of width 4" in capsys.readouterr().err
 
 
 class TestLogLevel:

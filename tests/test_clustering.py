@@ -68,7 +68,6 @@ class TestKMeans:
         model = kmeans(X, 1, seed=0)
         assert model.k == 1
         assert np.allclose(model.centroids[0], X.mean(axis=0))
-        assert model.db_index is None and model.dunn_index is None
 
     def test_canonical_order_of_other_patterns_refused(self):
         rng = np.random.default_rng(2)
@@ -126,8 +125,8 @@ class TestKMeans:
         sa = a.centroids[np.lexsort(a.centroids.T[::-1])]
         sb = b.centroids[np.lexsort(b.centroids.T[::-1])]
         assert np.allclose(sa, sb, atol=1e-9)
-        assert a.db_index == pytest.approx(b.db_index, rel=1e-9)
-        assert a.dunn_index == pytest.approx(b.dunn_index, rel=1e-9)
+        assert davies_bouldin(a, X) == pytest.approx(davies_bouldin(b, X[perm]), rel=1e-9)
+        assert dunn(a, X) == pytest.approx(dunn(b, X[perm]), rel=1e-9)
         # Assignments agree up to the permutation and label renaming.
         assert len(set(zip(a.assignments[perm].tolist(), b.assignments.tolist()))) == 10
 
@@ -599,7 +598,7 @@ class TestDaviesBouldin:
 
     def test_lower_at_true_k(self):
         X, _, _ = planted_patterns(11)
-        scores = {k: kmeans(X, k, seed=11).db_index for k in (7, 10, 13)}
+        scores = {k: davies_bouldin(kmeans(X, k, seed=11), X) for k in (7, 10, 13)}
         assert scores[10] < scores[7]
         assert scores[10] < scores[13]
 
@@ -627,7 +626,7 @@ class TestDunn:
 
     def test_higher_at_true_k(self):
         X, _, _ = planted_patterns(12)
-        scores = {k: kmeans(X, k, seed=12).dunn_index for k in (7, 10, 13)}
+        scores = {k: dunn(kmeans(X, k, seed=12), X) for k in (7, 10, 13)}
         assert scores[10] > scores[7]
         assert scores[10] > scores[13]
 

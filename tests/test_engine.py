@@ -224,6 +224,14 @@ class TestRunOnline:
         with pytest.raises(ValueError, match="buffer_size"):
             MissPolicy(buffer_size=0)
 
+    def test_k_range_validated_as_select_k_does(self):
+        # select_k's rule, 2 <= low <= high, checked before any period runs.
+        for mode in ("incremental", "full"):
+            for k_range in ((1, 14), (9, 3), (0, 0)):
+                with pytest.raises(ValueError, match="k range"):
+                    MissPolicy(mode=mode, k_range=k_range)
+            assert MissPolicy(mode=mode, k_range=(2, 2)).k_range == (2, 2)
+
     def test_nearest_fallback_serves_best_entry(self, built, catalog, vms):
         _, _, _, table, _ = built
         novel = np.array([138, 109, 19, 270, 15])

@@ -641,6 +641,18 @@ class TestMixLowerBound:
         assert within_budget(demand, vms)
         assert _price_bound(demand, vms) == 40.0
 
+    def test_enumeration_past_half_the_budget(self):
+        # The two types beside the widest range span 251 x 168 = 42,168
+        # mixes, more than half of BOUND_BUDGET, all priced in one pass.
+        vms = [VmType("a", np.array([1.0]), 1.0), VmType("b", np.array([1.5]), 1.45),
+               VmType("c", np.array([0.9]), 0.88)]
+        demand = make_demand([[250.0]])
+        assert within_budget(demand, vms)
+        bound = _price_bound(demand, vms)
+        assert repr(bound) == "241.7"
+        assert mix_lower_bound(demand, vms, 600.0) == pytest.approx(milp_bound(demand, vms),
+                                                                    rel=1e-9, abs=0)
+
 
 class TestGreedy:
     def test_zero_demand_empty(self, one_type, five_service_catalog):

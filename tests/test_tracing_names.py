@@ -4,6 +4,8 @@ perfbench/tracing.py names the library functions it times as
 "<module>.<function>" strings and looks each one up in its packwise module
 when a traced run starts; a name that no longer resolves crashes that run.
 The file is loaded here as it is, without importing the perfbench package.
+It also checks who calls the clustering functions it times, so that each
+span counts what its name says.
 """
 
 import importlib
@@ -11,7 +13,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from packwise import clustering
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -36,3 +41,29 @@ def test_traced_name_resolves(name):
     module_name, attr = name.rsplit(".", 1)
     module = importlib.import_module("packwise." + module_name)
     assert callable(getattr(module, attr, None)), f"packwise.{name} is gone"
+
+
+def test_select_k_alone_scores_clusterings(monkeypatch):
+    # perfbench splits the select_k sweep into kmeans, davies_bouldin and
+    # dunn spans by wrapping these module-level names; each scorer runs
+    # once per k there, and never inside a clusterer.
+    calls = {}
+
+    def counted(name):
+        original = getattr(clustering, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(clustering, name, wrapper)
+
+    for name in ("kmeans", "davies_bouldin", "dunn"):
+        counted(name)
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(40, 3)) + rng.integers(0, 4, size=(40, 1)) * 10.0
+    clustering.select_k(X, (2, 6), seed=1)
+    assert calls == {"kmeans": 5, "davies_bouldin": 5, "dunn": 5}
+    calls.clear()
+    clustering.kmeans(X, 3, seed=1)
+    clustering.ahc(X, 3)
+    assert calls == {"kmeans": 1}
