@@ -2,8 +2,10 @@
 
 Subcommands: gen (synthetic traces), build (offline table construction),
 run (online replay), compare (method cost comparison), inspect-table.
-Every subcommand is deterministic given --seed. Settings resolve as
-command-line flags > --config file (key=value lines) > built-in defaults.
+Every subcommand is deterministic given --seed. A --config file line
+key=value (key spelled with _ or -) is the flag --key=value: it may set
+any flag of its subcommand that takes a value, flags on the command line
+override it, and an unknown key or bad value exits 2 before any work.
 --log-level (debug, info, warning or error; default warning) sets which
 log records reach stderr; it changes no output file.
 
@@ -47,53 +49,39 @@ from .workload import (
 )
 
 
-def _load_config(path) -> dict:
-    cfg = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
+def _config_flags(path) -> list:
+    """A --config file's key=value lines as the flags --key=value."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    flags = []
+    for lineno, line in enumerate(text.split("\n"), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ValueError(f"{path}: line {lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
-    return cfg
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise argparse.ArgumentTypeError(f"{path}: line {lineno}: expected key=value")
+        flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return flags
 
 
-class Settings:
-    """Flag > config-file > default resolution."""
-
-    def __init__(self, args):
-        self.args = args
-        self.cfg = _load_config(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, name, default, cast=str):
-        flag = getattr(self.args, name.replace("-", "_"), None)
-        if flag is not None:
-            return flag
-        if name in self.cfg:
-            return cast(self.cfg[name])
-        return default
-
-    def given(self, **params) -> dict:
-        """Keyword arguments for the settings that a flag or config line
-        sets; params maps each keyword to its (setting name, cast). The rest
-        are left out, so the callee's own defaults apply."""
-        return {key: value for key, (name, cast) in params.items()
-                if (value := self.get(name, None, cast)) is not None}
-
-    def k_range(self) -> tuple:
-        return (self.get("k_min", DEFAULT_K_RANGE[0], int),
-                self.get("k_max", DEFAULT_K_RANGE[1], int))
+def _given(args, *names, **renamed) -> dict:
+    """Keyword arguments for the settings that a flag or config line sets,
+    each of names as itself and each renamed key from the args attribute it
+    names; unset ones are left out, so the callee's own defaults apply."""
+    renamed.update(zip(names, names))
+    return {key: getattr(args, name) for key, name in renamed.items()
+            if getattr(args, name) is not None}
 
 
 _GA_SETTINGS = {"population": int, "generations": int, "crossover_rate": float,
                 "mutation_rate": float, "max_instances": int, "elitism": int}
 
 
-def _ga_params(s: Settings, seed: int) -> GaParams:
-    return GaParams(**s.given(**{name: (name, cast) for name, cast in _GA_SETTINGS.items()}),
-                    seed=s.get("ga_seed", seed, int))
+def _ga_params(args) -> GaParams:
+    return GaParams(**_given(args, *_GA_SETTINGS), seed=args.seed)
 
 
 def _outdir(args) -> Path:
@@ -125,25 +113,22 @@ def cmd_gen(args) -> int:
 
 
 def cmd_build(args) -> int:
-    s = Settings(args)
-    seed = s.get("seed", 0, int)
     catalog = load_catalog(args.catalog)
     vm_catalog = load_vm_catalog(args.vm_catalog)
     trace = load_trace(args.trace, catalog)
     table, report = build_offline(
         trace, catalog, vm_catalog,
-        k_range=s.k_range(),
-        ga_params=_ga_params(s, seed),
+        k_range=(args.k_min, args.k_max),
+        ga_params=_ga_params(args),
         # float("inf") disables the magnitude guard; "--magnitude-ratio inf" parses fine.
-        **s.given(similarity=("similarity", str), threshold=("threshold", float),
-                  magnitude_ratio=("magnitude_ratio", float)),
-        seed=seed,
+        **_given(args, "similarity", "threshold", "magnitude_ratio"),
+        seed=args.seed,
     )
     # The dendrogram needs O(n^2) memory for n periods, so the library build
     # leaves it out; it runs before any file is written, so a degenerate
     # tree still leaves no artifact behind.
     patterns = demand_patterns(trace, catalog)
-    ahc_model, dendrogram = ahc(patterns, report.best_k, **s.given(linkage=("linkage", str)))
+    ahc_model, dendrogram = ahc(patterns, report.best_k, **_given(args, "linkage"))
     try:
         ahc_db = davies_bouldin(ahc_model, patterns)
     except DegenerateModelError:
@@ -159,21 +144,19 @@ def cmd_build(args) -> int:
 
 
 def cmd_run(args) -> int:
-    s = Settings(args)
-    seed = s.get("seed", 0, int)
     catalog = load_catalog(args.catalog)
     vm_catalog = load_vm_catalog(args.vm_catalog)
     trace = load_trace(args.trace, catalog)
     table = load_table(args.table, catalog, vm_catalog, trace.period_seconds)
     policy = MissPolicy(
-        **s.given(buffer_size=("miss_buffer", int)),
+        **_given(args, buffer_size="miss_buffer"),
         mode="full" if args.full_recluster else "incremental",
-        ga_params=_ga_params(s, seed),
-        k_range=s.k_range(),
-        seed=seed,
+        ga_params=_ga_params(args),
+        k_range=(args.k_min, args.k_max),
+        seed=args.seed,
     )
     report = run_online(table, trace, catalog, vm_catalog,
-                        **s.given(fallback_policy=("fallback", str)),
+                        **_given(args, fallback_policy="fallback"),
                         miss_policy=policy)
     out = _outdir(args)
     report.to_csv(out / "simulation.csv")
@@ -183,14 +166,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    s = Settings(args)
-    seed = s.get("seed", 0, int)
     catalog = load_catalog(args.catalog)
     vm_catalog = load_vm_catalog(args.vm_catalog)
     trace = load_trace(args.trace, catalog)
     table = load_table(args.table, catalog, vm_catalog, trace.period_seconds)
     report = evaluate_methods(trace, catalog, vm_catalog, table,
-                              ga_params=_ga_params(s, seed))
+                              ga_params=_ga_params(args))
     out = _outdir(args)
     report.to_csv(out / "comparison.csv")
     totals = ", ".join(f"{m}={t:.6g}" for m, t in zip(report.methods, report.totals))
@@ -224,8 +205,8 @@ def _add_common(p: argparse.ArgumentParser, table: bool = False) -> None:
     if table:
         p.add_argument("--table", required=True, help="lookup table JSON file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None, help="key=value settings file")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--config", type=_config_flags, help="key=value settings file")
 
 
 def _add_ga_flags(p: argparse.ArgumentParser) -> None:
@@ -264,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("build", help="build the lookup table from a trace")
     _add_common(p)
-    p.add_argument("--k-min", type=int, default=None)
-    p.add_argument("--k-max", type=int, default=None)
+    p.add_argument("--k-min", type=int, default=DEFAULT_K_RANGE[0])
+    p.add_argument("--k-max", type=int, default=DEFAULT_K_RANGE[1])
     p.add_argument("--similarity", choices=SIMILARITIES, default=None)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--magnitude-ratio", type=float, default=None)
@@ -278,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fallback", choices=FALLBACKS, default=None)
     p.add_argument("--miss-buffer", type=int, default=None)
     p.add_argument("--full-recluster", action="store_true")
-    p.add_argument("--k-min", type=int, default=None)
-    p.add_argument("--k-max", type=int, default=None)
+    p.add_argument("--k-min", type=int, default=DEFAULT_K_RANGE[0])
+    p.add_argument("--k-max", type=int, default=DEFAULT_K_RANGE[1])
     _add_ga_flags(p)
     p.set_defaults(func=cmd_run)
 
@@ -300,7 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        # Config lines become flags right after the subcommand name, so the
+        # command line's own flags, parsed after them, win.
+        args = parser.parse_args(argv[:1] + args.config + argv[1:])
     # The level is the package logger's for this command only, so callers
     # that run main() in process get their own level back.
     logger = logging.getLogger("packwise")

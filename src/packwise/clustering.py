@@ -480,10 +480,12 @@ def save_dendrogram(dendrogram: Dendrogram, path) -> None:
 def select_k(patterns, k_range, seed: int = 0):
     """Sweep cluster counts; the only code that scores a clustering.
 
-    k_range is an inclusive (lo, hi) pair. Each k runs k-means with seed
-    seed+k and scores it with davies_bouldin and dunn; coincident centroids
-    at any k raise DegenerateModelError. Best k minimizes the Davies-Bouldin
-    index; ties go to the larger Dunn index, then the smaller k. Returns
+    k_range is an inclusive (lo, hi) pair; the sweep stops at the number
+    of distinct patterns, and fewer distinct patterns than lo raise
+    DegenerateModelError. Each k runs k-means with seed seed+k and scores
+    it with davies_bouldin and dunn; coincident centroids at any k raise
+    DegenerateModelError. Best k minimizes the Davies-Bouldin index; ties
+    go to the larger Dunn index, then the smaller k. Returns
     (best_model, rows): the fitted k-means model of the best k, and
     (k, davies_bouldin, dunn) rows for reporting.
     """
@@ -496,6 +498,9 @@ def select_k(patterns, k_range, seed: int = 0):
         raise ValueError(f"k range [{lo}, {hi}] must lie within [2, {n - 1}]")
 
     canonical = _canonical_order(X)
+    distinct = canonical[2]
+    _check_k(lo, distinct)
+    hi = min(hi, distinct)
     models, rows = {}, []
     for k in range(lo, hi + 1):
         models[k] = kmeans(X, k, seed=seed + k, canonical=canonical)

@@ -300,11 +300,12 @@ def _recluster(table, missed, catalog, vm_catalog, policy, period_seconds, event
     else:
         union = np.vstack([table.patterns, buffered])
         distinct = np.unique(union, axis=0).shape[0]
-        hi = min(policy.k_range[1], union.shape[0] - 1, distinct)
-        if hi < 2:
+        hi = min(policy.k_range[1], union.shape[0] - 1)
+        lo = min(policy.k_range[0], hi, distinct)
+        if lo < 2:
             model = kmeans(union, distinct, seed=seed)
         else:
-            model, _ = select_k(union, (min(policy.k_range[0], hi), hi), seed=seed)
+            model, _ = select_k(union, (lo, hi), seed=seed)
     gp = replace(policy.ga_params, seed=policy.ga_params.seed + 1000 * event)
     entries, skipped = _pack_representatives(
         model.centroids, catalog, vm_catalog, gp, period_seconds,

@@ -65,7 +65,7 @@ def catalog_fingerprint(catalog: ServiceCatalog, vm_catalog) -> str:
         h.update((",".join(repr(float(v)) for v in row) + "\n").encode())
     for t in vm_catalog:
         caps = ",".join(repr(float(c)) for c in t.capacity)
-        h.update(f"{t.id}|{caps}|{t.hourly_cost!r}\n".encode())
+        h.update(f"{t.id}|{caps}|{float(t.hourly_cost)!r}\n".encode())
     return h.hexdigest()
 
 

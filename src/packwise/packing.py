@@ -649,8 +649,10 @@ def load_vm_catalog(path) -> list[VmType]:
 
 
 def save_vm_catalog(vm_catalog, path) -> None:
+    """Write the file load_vm_catalog reads; each number in its shortest
+    exact form, so the reloaded catalog has the same fingerprint."""
     lines = [
-        ",".join([t.id] + [f"{c:.6g}" for c in t.capacity] + [f"{t.hourly_cost:.6g}"])
+        ",".join([t.id] + [repr(float(c)) for c in t.capacity] + [repr(float(t.hourly_cost))])
         for t in vm_catalog
     ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -208,5 +208,7 @@ def load_catalog(path) -> ServiceCatalog:
 
 
 def save_catalog(catalog: ServiceCatalog, path) -> None:
-    lines = [",".join(f"{v:.6g}" for v in row) for row in catalog.unit_costs]
+    """Write the catalog file load_catalog reads; each cost in its shortest
+    exact form, so the reloaded catalog has the same fingerprint."""
+    lines = [",".join(repr(float(v)) for v in row) for row in catalog.unit_costs]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -140,6 +140,21 @@ class TestBuild:
                    "--k-min", "2", "--k-max", "150"])
         assert rc == 2
 
+    def test_few_distinct_patterns_cap_the_sweep(self, workspace):
+        tmp_path, services, vms, _ = workspace
+        trace = tmp_path / "five_patterns.csv"
+        patterns = ["40,60,20,80,30", "90,20,70,10,50", "20,90,40,60,10",
+                    "70,40,90,30,80", "10,30,50,90,60"]
+        trace.write_text("# services=5 period_seconds=600\n"
+                         + "".join(f"{row}\n" for row in patterns * 20))
+        rc = main(["build", "--trace", str(trace), "--catalog", str(services),
+                   "--vm-catalog", str(vms), "--out", str(tmp_path / "five")])
+        assert rc == 0
+        index = (tmp_path / "five" / "index_table.csv").read_text().strip().split("\n")
+        assert [int(line.split(",")[0]) for line in index[1:]] == [2, 3, 4, 5]
+        table = json.loads((tmp_path / "five" / "table.json").read_text())
+        assert len(table["entries"]) <= 5
+
     def test_rebuild_byte_identical(self, workspace):
         _, out_a = build(workspace, "build_a")
         _, out_b = build(workspace, "build_b")
@@ -166,6 +181,39 @@ class TestBuild:
         report = (tmp_path / "cfg_build2" / "index_table.csv").read_text()
         ks = [int(line.split(",")[0]) for line in report.strip().split("\n")[1:]]
         assert ks == [2, 3, 4]
+
+    def test_config_key_spelled_with_dashes(self, workspace):
+        tmp_path, services, vms, trace = workspace
+        cfg = tmp_path / "dashes.cfg"
+        cfg.write_text("k-max=4\ngenerations=120\nseed=3\n")
+        rc = main(["build", "--trace", str(trace), "--catalog", str(services),
+                   "--vm-catalog", str(vms), "--out", str(tmp_path / "dashes"),
+                   "--config", str(cfg)])
+        assert rc == 0
+        report = (tmp_path / "dashes" / "index_table.csv").read_text()
+        ks = [int(line.split(",")[0]) for line in report.strip().split("\n")[1:]]
+        assert ks == [2, 3, 4]
+
+    @pytest.mark.parametrize("command,line", [
+        ("build", "penalty_weight=9"),
+        ("build", "ga_seed=5"),
+        ("build", "population=abc"),
+        ("build", "k_max 4"),
+        ("run", "full_recluster=1"),
+    ])
+    def test_bad_config_line_exits_2_before_any_work(self, workspace, command, line):
+        # The table need not exist: the config is refused while parsing.
+        tmp_path, services, vms, trace = workspace
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"k_max=4\n{line}\n")
+        out = tmp_path / "bad"
+        table = ("--table", str(tmp_path / "no_table.json")) if command == "run" else ()
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--trace", str(trace), "--catalog", str(services),
+                  "--vm-catalog", str(vms), *table, "--out", str(out),
+                  "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
 
 class TestRun:
@@ -353,6 +401,17 @@ REPLAY_SHA256 = {
 }
 
 
+# sha256 of each subcommand's --help text at 80 columns, on Python 3.11. A
+# change that claims no flag changed must leave these alone.
+HELP_SHA256 = {
+    "gen": "ef593fc445d4dae9084e1aa75934801e095baa63768430e883c688b63bbc4e03",
+    "build": "dd978338588b715c070f94c65763631031b3ce8a1ae97af0353d92b8387d763d",
+    "run": "b68566dacc9e1b58ca663af88e9cb7c314394ca86a61d6820a62e9c7cf0ac7f7",
+    "compare": "d16e186dc2e88db87e5a8ae6362534c41063ccf95f0b1e5f2f304ebe1566f23b",
+    "inspect-table": "e67a257c15a8dd6e236f36f1b521c0dbe40341bf76a46ac56033f40113c8e76f",
+}
+
+
 class TestQuickstart:
     def test_artifacts_pinned(self, workspace):
         tmp_path, services, vms, trace = workspace
@@ -409,3 +468,12 @@ class TestUsage:
             with pytest.raises(SystemExit) as exc:
                 main([cmd, "--help"])
             assert exc.value.code == 0
+
+    def test_help_pinned(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = {}
+        for cmd in HELP_SHA256:
+            with pytest.raises(SystemExit):
+                main([cmd, "--help"])
+            got[cmd] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert got == HELP_SHA256

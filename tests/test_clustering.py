@@ -717,6 +717,15 @@ class TestSelectK:
         with pytest.raises(ValueError):
             select_k(X, (2, 10), seed=0)
 
+    def test_sweep_stops_at_distinct_pattern_count(self):
+        X, _, _ = planted_patterns(17, n=5)
+        X = np.tile(X, (20, 1))
+        model, rows = select_k(X, (2, 15), seed=0)
+        assert [r[0] for r in rows] == [2, 3, 4, 5]
+        assert model.k <= 5
+        with pytest.raises(DegenerateModelError):
+            select_k(X, (6, 15), seed=0)
+
 
 class TestCsvWriters:
     def test_index_table_format(self, tmp_path):

@@ -21,6 +21,7 @@ from packwise import (
     VmType,
     best_fit_pack,
     brute_force_pack,
+    catalog_fingerprint,
     demand_for_period,
     evaluate_genome,
     first_fit_pack,
@@ -984,14 +985,20 @@ class TestVerifier:
 
 
 class TestVmCatalogIO:
-    def test_round_trip(self, tmp_path, three_vm_catalog):
+    def test_round_trip(self, tmp_path, three_vm_catalog, five_service_catalog):
+        # Values that six significant digits would round, and a whole-number
+        # price given as an int: the reloaded catalog must fingerprint alike.
+        vms = three_vm_catalog + [VmType("odd", np.array([1234567.0, 1 / 3, 0.1]), 2 / 3),
+                                  VmType("whole", np.array([500.0, 500.0, 500.0]), 3)]
         path = tmp_path / "vms.csv"
-        save_vm_catalog(three_vm_catalog, path)
+        save_vm_catalog(vms, path)
         loaded = load_vm_catalog(path)
-        assert [t.id for t in loaded] == ["small", "medium", "large"]
-        for a, b in zip(loaded, three_vm_catalog):
+        assert [t.id for t in loaded] == ["small", "medium", "large", "odd", "whole"]
+        for a, b in zip(loaded, vms):
             assert np.array_equal(a.capacity, b.capacity)
             assert a.hourly_cost == b.hourly_cost
+        assert (catalog_fingerprint(five_service_catalog, loaded)
+                == catalog_fingerprint(five_service_catalog, vms))
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "vms.csv"

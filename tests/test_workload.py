@@ -8,6 +8,7 @@ from packwise import (
     SyntheticSpec,
     TraceParseError,
     WorkloadTrace,
+    catalog_fingerprint,
     generate_trace,
     load_catalog,
     load_trace,
@@ -45,11 +46,17 @@ class TestCatalog:
         with pytest.raises(ValueError):
             ServiceCatalog(np.zeros((0, 1)))
 
-    def test_file_round_trip(self, tmp_path, five_service_catalog):
+    def test_file_round_trip(self, tmp_path, five_service_catalog, three_vm_catalog):
+        # A row that six significant digits would round: the reloaded
+        # catalog must fingerprint alike.
+        catalog = ServiceCatalog(np.vstack([five_service_catalog.unit_costs,
+                                            [1234567.0, 1 / 3, 0.1]]))
         path = tmp_path / "services.csv"
-        save_catalog(five_service_catalog, path)
+        save_catalog(catalog, path)
         loaded = load_catalog(path)
-        assert np.array_equal(loaded.unit_costs, five_service_catalog.unit_costs)
+        assert np.array_equal(loaded.unit_costs, catalog.unit_costs)
+        assert (catalog_fingerprint(loaded, three_vm_catalog)
+                == catalog_fingerprint(catalog, three_vm_catalog))
 
     def test_inconsistent_widths_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
