@@ -5,7 +5,8 @@ run (online replay), compare (method cost comparison), inspect-table.
 Every subcommand is deterministic given --seed. A --config file line
 key=value (key spelled with _ or -) is the flag --key=value: it may set
 any flag of its subcommand that takes a value, flags on the command line
-override it, and an unknown key or bad value exits 2 before any work.
+override it, and an unknown key or bad value exits 2 before any work. Keys
+and flags are spelled in full: an abbreviation of a flag is unknown.
 --log-level (debug, info, warning or error; default warning) sets which
 log records reach stderr; it changes no output file.
 
@@ -28,7 +29,6 @@ from .clustering import (LINKAGES, DegenerateModelError, ahc, davies_bouldin, du
 from .demand import demand_patterns
 from .engine import (
     DEFAULT_K_RANGE,
-    FALLBACKS,
     BuildError,
     MissPolicy,
     build_offline,
@@ -155,9 +155,7 @@ def cmd_run(args) -> int:
         k_range=(args.k_min, args.k_max),
         seed=args.seed,
     )
-    report = run_online(table, trace, catalog, vm_catalog,
-                        **_given(args, fallback_policy="fallback"),
-                        miss_policy=policy)
+    report = run_online(table, trace, catalog, vm_catalog, miss_policy=policy)
     out = _outdir(args)
     report.to_csv(out / "simulation.csv")
     print(f"replayed {len(report.records)} periods: hit_rate={report.hit_rate:.3f} "
@@ -228,7 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     logging_flags.add_argument("--log-level", choices=LOG_LEVELS, default="warning",
                                help="least severe log records shown (default: warning)")
     sub = parser.add_subparsers(dest="command", required=True)
-    add_parser = functools.partial(sub.add_parser, parents=[logging_flags])
+    # A flag or config key must be spelled in full: no unique-prefix matches.
+    add_parser = functools.partial(sub.add_parser, parents=[logging_flags],
+                                   allow_abbrev=False)
 
     p = add_parser("gen", help="generate a synthetic multi-mode trace")
     p.add_argument("--services", type=int, required=True)
@@ -256,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("run", help="replay a trace against a table")
     _add_common(p, table=True)
-    p.add_argument("--fallback", choices=FALLBACKS, default=None)
     p.add_argument("--miss-buffer", type=int, default=None)
     p.add_argument("--full-recluster", action="store_true")
     p.add_argument("--k-min", type=int, default=DEFAULT_K_RANGE[0])

@@ -3,8 +3,9 @@
 Offline: turn a historical trace into demand patterns, pick a cluster
 count, cluster, pack every representative pattern with the GA, and
 assemble the lookup table. Online: replay a trace period by period,
-serving each from the table on a hit and from a fallback on a miss,
-recycling missed patterns into new table entries once enough accumulate.
+serving each from the table on a hit and, on a miss, from a best-fit
+packing of the live demand, recycling missed patterns into new table
+entries once enough accumulate.
 A comparison mode prices the same trace under the table pipeline,
 per-period GA, both greedy baselines, and a static peak-sized
 configuration.
@@ -54,7 +55,6 @@ from .workload import ServiceCatalog, WorkloadTrace
 log = logging.getLogger(__name__)
 
 BRUTE_FORCE_SLOTS = 3
-FALLBACKS = ("greedy", "nearest")
 DEFAULT_K_RANGE = (2, 15)   # inclusive range of cluster counts the builds try
 
 
@@ -107,7 +107,7 @@ class PeriodRecord:
     period: int
     score: float
     hit: bool
-    source: str            # table | fallback-greedy | fallback-nearest
+    source: str            # table | fallback-greedy
     cost: float
 
 
@@ -318,30 +318,24 @@ def _recluster(table, missed, catalog, vm_catalog, policy, period_seconds, event
     return replace(table, entries=entries), skipped
 
 
-def decide(table: LookupTable, dv: DemandVector, fallback: str, vm_catalog,
-           period_seconds: float):
-    """Serve one period: the matched entry's own packing on a hit; on a miss, a
-    best-fit packing of the live demand ("greedy") or the best-scoring entry
-    regardless of threshold ("nearest"). Returns (solution, source, MatchResult)."""
-    if fallback not in FALLBACKS:
-        raise ValueError(f"fallback must be one of {FALLBACKS}, got {fallback!r}")
+def decide(table: LookupTable, dv: DemandVector, vm_catalog, period_seconds: float):
+    """Serve one period: the matched entry's own packing on a hit, a best-fit
+    packing of the live demand on a miss. Returns (solution, source, MatchResult)."""
     result = match(table, dv)
     if result.hit:
         return result.chosen, "table", result
-    if fallback == "greedy":
-        return best_fit_pack(dv, vm_catalog, period_seconds), "fallback-greedy", result
-    return table.entries[result.best_index].solution, "fallback-nearest", result
+    return best_fit_pack(dv, vm_catalog, period_seconds), "fallback-greedy", result
 
 
 def run_online(table: LookupTable, online_trace: WorkloadTrace,
                catalog: ServiceCatalog, vm_catalog,
-               fallback_policy: str = "greedy",
                miss_policy: MissPolicy | None = None) -> SimulationReport:
     """Replay a trace against the table, one configuration per period.
 
-    Each period is served by decide() with fallback_policy. Every
-    policy.buffer_size missed patterns are reclustered per the miss policy,
-    and new entries extend the table for subsequent periods.
+    Each period is served by decide(): a hit by its entry's packing, a miss
+    by a best-fit packing of the live demand. Every policy.buffer_size
+    missed patterns are reclustered per the miss policy, and new entries
+    extend the table for subsequent periods.
 
     Table-sourced configurations are feasible for their representative by
     construction; each emitted configuration is additionally checked
@@ -359,7 +353,7 @@ def run_online(table: LookupTable, online_trace: WorkloadTrace,
     total = 0.0
     for period, counts in enumerate(online_trace.counts):
         dv = demand_for_period(counts, catalog)
-        solution, source, result = decide(table, dv, fallback_policy, vm_catalog,
+        solution, source, result = decide(table, dv, vm_catalog,
                                           online_trace.period_seconds)
         if not verify_solution(solution, dv):
             violations += 1
@@ -418,7 +412,7 @@ def evaluate_methods(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
     rows = []
     for i, counts in enumerate(trace.counts):
         dv = demand_for_period(counts, catalog)
-        pipeline, source, _ = decide(table, dv, "greedy", vm_catalog, secs)
+        pipeline, source, _ = decide(table, dv, vm_catalog, secs)
         # A greedy miss already is the best-fit packing of this demand.
         best_fit = (pipeline if source == "fallback-greedy"
                     else best_fit_pack(dv, vm_catalog, secs))
@@ -443,19 +437,18 @@ class PackingAutoscaler:
     configurations for new demand.
 
     fit() runs the offline pipeline and stores the lookup table; predict()
-    maps request-count rows to PackingSolutions by decide() with the
-    configured fallback (stateless). replay() runs the full online loop
-    including miss recycling and returns the simulation report.
+    maps request-count rows to PackingSolutions by decide() (stateless): a
+    hit gets its entry's packing, a miss a best-fit packing of the live
+    demand. replay() runs the full online loop including miss recycling
+    and returns the simulation report.
     """
 
     def __init__(self, k_range=DEFAULT_K_RANGE, similarity="pearson", threshold=None,
-                 magnitude_ratio=1.5, fallback="greedy", miss_buffer_size=20,
-                 ga_params=None, seed=0):
+                 magnitude_ratio=1.5, miss_buffer_size=20, ga_params=None, seed=0):
         self.k_range = k_range
         self.similarity = similarity
         self.threshold = threshold
         self.magnitude_ratio = magnitude_ratio
-        self.fallback = fallback
         self.miss_buffer_size = miss_buffer_size
         self.ga_params = ga_params
         self.seed = seed
@@ -484,7 +477,7 @@ class PackingAutoscaler:
         row = arr.ndim == 1
         demands = ([demand_for_period(arr, self._catalog)] if row
                    else _demand_vectors(arr, self._catalog))
-        solutions = [decide(self.table_, dv, self.fallback, self._vm_catalog,
+        solutions = [decide(self.table_, dv, self._vm_catalog,
                             self._period_seconds)[0] for dv in demands]
         return solutions[0] if row else solutions
 
@@ -495,4 +488,4 @@ class PackingAutoscaler:
                             ga_params=self.ga_params or GaParams(),
                             seed=self.seed)
         return run_online(self.table_, trace, self._catalog, self._vm_catalog,
-                          fallback_policy=self.fallback, miss_policy=policy)
+                          miss_policy=policy)

@@ -215,6 +215,19 @@ class TestBuild:
         assert exc.value.code == 2
         assert not out.exists()
 
+    def test_abbreviated_flag_exits_2_before_any_work(self, workspace):
+        # gen is a unique prefix of --generations, and a prefix is not a flag.
+        tmp_path, services, vms, trace = workspace
+        cfg = tmp_path / "abbrev.cfg"
+        cfg.write_text("gen=30\n")
+        inputs = ["--trace", str(trace), "--catalog", str(services), "--vm-catalog", str(vms)]
+        for name, extra in (("config", ["--config", str(cfg)]), ("flag", ["--gen", "30"])):
+            out = tmp_path / name
+            with pytest.raises(SystemExit) as exc:
+                main(["build", *inputs, "--out", str(out), *extra])
+            assert exc.value.code == 2, name
+            assert not out.exists(), name
+
 
 class TestRun:
     def test_replay_writes_simulation(self, workspace):
@@ -242,26 +255,6 @@ class TestRun:
                    "--out", str(tmp_path / "run3")])
         assert rc == 3
 
-    def test_fallback_flag_changes_source_column(self, workspace):
-        tmp_path, services, vms, trace = workspace
-        _, out = build(workspace)
-        # A trace far from any representative: every period misses.
-        novel = tmp_path / "novel.csv"
-        rows = "\n".join(["138,109,19,270,15"] * 5)
-        novel.write_text(f"# services=5 period_seconds=600\n{rows}\n")
-        sources = {}
-        for policy in ("greedy", "nearest"):
-            rc = main(["run", "--trace", str(novel), "--catalog", str(services),
-                       "--vm-catalog", str(vms), "--table", str(out / "table.json"),
-                       "--out", str(tmp_path / f"run_{policy}"),
-                       "--fallback", policy, "--miss-buffer", "50"])
-            assert rc == 0
-            lines = (tmp_path / f"run_{policy}" / "simulation.csv").read_text().strip().split("\n")
-            sources[policy] = [line.split(",")[3] for line in lines[2:]]
-            assert len(sources[policy]) == 5
-        assert set(sources["greedy"]) == {"fallback-greedy"}
-        assert set(sources["nearest"]) == {"fallback-nearest"}
-
     def test_bad_k_range_exits_2_before_the_first_period(self, workspace, capsys):
         tmp_path, services, vms, trace = workspace
         _, out = build(workspace)
@@ -275,6 +268,24 @@ class TestRun:
                 assert rc == 2, (k_range, mode)
                 assert "k range" in capsys.readouterr().err
                 assert not run_dir.exists()
+
+    def test_fallback_is_an_unknown_flag(self, workspace):
+        # A miss is always served a best-fit packing; no flag or config key
+        # chooses another policy.
+        tmp_path, services, vms, trace = workspace
+        _, out = build(workspace)
+        key = "fallback"
+        cfg = tmp_path / "fallback.cfg"
+        cfg.write_text(f"{key}=nearest\n")
+        inputs = ["--trace", str(trace), "--catalog", str(services), "--vm-catalog", str(vms),
+                  "--table", str(out / "table.json")]
+        for name, extra in (("flag", [f"--{key}", "greedy"]),
+                            ("config", ["--config", str(cfg)])):
+            run_dir = tmp_path / name
+            with pytest.raises(SystemExit) as exc:
+                main(["run", *inputs, "--out", str(run_dir), *extra])
+            assert exc.value.code == 2, name
+            assert not run_dir.exists(), name
 
 
 class TestTableWidth:
@@ -392,12 +403,12 @@ QUICKSTART_SHA256 = {
 }
 
 # sha256 of simulation.csv when a `gen --seed 2` trace (otherwise as the
-# workspace's) is run against the quickstart table at --seed 7, plainly,
-# with --full-recluster and with --fallback nearest; same versions.
+# workspace's) is run against the quickstart table at --seed 7, plainly and
+# with --full-recluster; same versions. Each miss is served a best-fit
+# packing of its live demand.
 REPLAY_SHA256 = {
     (): "4ad305dafae7b41b108fea60e5b9320228e06aa7975be3e1a6f5d1de297628d4",
     ("--full-recluster",): "3ce4d58f144e6c60b7acead6d384c46e1eca4b1f42d95380293066da64f8ad0c",
-    ("--fallback", "nearest"): "876d4699376709f030c17ed88618679d9d27d5cb9f09bb032a411a00b039eedb",
 }
 
 
@@ -406,7 +417,7 @@ REPLAY_SHA256 = {
 HELP_SHA256 = {
     "gen": "ef593fc445d4dae9084e1aa75934801e095baa63768430e883c688b63bbc4e03",
     "build": "dd978338588b715c070f94c65763631031b3ce8a1ae97af0353d92b8387d763d",
-    "run": "b68566dacc9e1b58ca663af88e9cb7c314394ca86a61d6820a62e9c7cf0ac7f7",
+    "run": "143a75c3de5d180f379ec44e82b91e38549bf4535fc687f8ec368028372abdf4",
     "compare": "d16e186dc2e88db87e5a8ae6362534c41063ccf95f0b1e5f2f304ebe1566f23b",
     "inspect-table": "e67a257c15a8dd6e236f36f1b521c0dbe40341bf76a46ac56033f40113c8e76f",
 }

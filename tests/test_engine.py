@@ -175,16 +175,25 @@ class TestRunOnline:
 
     def test_recluster_runs_no_report_packers(self, built, catalog, vms, monkeypatch):
         # The greedy and brute-force costs only feed offline_report.csv, so
-        # recycling misses into the table must not compute them.
+        # recycling misses into the table must not compute them. Only calls
+        # made while _recluster runs count: each miss is itself served by
+        # best_fit_pack.
         import packwise.engine as engine
         _, _, _, table, _ = built
         calls = []
-        for name in ("first_fit_pack", "best_fit_pack", "brute_force_pack"):
-            real = getattr(engine, name)
-            monkeypatch.setattr(engine, name,
-                                lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+        real_recluster = engine._recluster
+
+        def recluster(*args):
+            with pytest.MonkeyPatch.context() as mp:
+                for name in ("first_fit_pack", "best_fit_pack", "brute_force_pack"):
+                    real = getattr(engine, name)
+                    mp.setattr(engine, name,
+                               lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+                return real_recluster(*args)
+
+        monkeypatch.setattr(engine, "_recluster", recluster)
         online = WorkloadTrace(np.tile(np.array([138, 109, 19, 270, 15]), (20, 1)))
-        sim = run_online(table, online, catalog, vms, fallback_policy="nearest",
+        sim = run_online(table, online, catalog, vms,
                          miss_policy=MissPolicy(buffer_size=20,
                                                 ga_params=GaParams(generations=20, seed=5),
                                                 seed=5))
@@ -232,19 +241,6 @@ class TestRunOnline:
                     MissPolicy(mode=mode, k_range=k_range)
             assert MissPolicy(mode=mode, k_range=(2, 2)).k_range == (2, 2)
 
-    def test_nearest_fallback_serves_best_entry(self, built, catalog, vms):
-        _, _, _, table, _ = built
-        novel = np.array([138, 109, 19, 270, 15])
-        online = WorkloadTrace(np.tile(novel, (3, 1)))
-        sim = run_online(table, online, catalog, vms, fallback_policy="nearest",
-                         miss_policy=MissPolicy(buffer_size=20, ga_params=GA))
-        assert all(r.source == "fallback-nearest" for r in sim.records)
-        best = sim.records[0]
-        expected = table.entries[
-            int(np.argmax([pearson(demand_for_period(novel, catalog).values, e.pattern)
-                           for e in table.entries]))].solution
-        assert best.cost == expected.total_cost
-
     def test_empty_trace_empty_report(self, built, catalog, vms):
         _, _, _, table, _ = built
         sim = run_online(table, WorkloadTrace(np.zeros((0, 5), dtype=np.int64)),
@@ -275,12 +271,6 @@ class TestRunOnline:
         warnings = [r for r in caplog.records
                     if r.name == "packwise.engine" and r.levelname == "WARNING"]
         assert len(warnings) <= 1
-
-    def test_invalid_fallback_rejected(self, built, catalog, vms):
-        _, _, _, table, _ = built
-        with pytest.raises(ValueError):
-            run_online(table, WorkloadTrace(np.zeros((1, 5), dtype=np.int64)),
-                       catalog, vms, fallback_policy="improvise")
 
 
 @pytest.fixture(scope="module")
@@ -346,7 +336,7 @@ class TestEvaluateMethods:
         demands = [demand_for_period(c, catalog) for c in online.counts]
         assert [row[3] for row in report.rows] == [
             real(dv, vms, secs).total_cost for dv in demands]
-        sources = {engine.decide(table, dv, "greedy", vms, secs)[1] for dv in demands}
+        sources = {engine.decide(table, dv, vms, secs)[1] for dv in demands}
         assert sources == {"table", "fallback-greedy"}
 
     def test_empty_trace_rejected(self, built, catalog, vms):
@@ -460,12 +450,3 @@ class TestPackingAutoscaler:
     def test_unfitted_predict_rejected(self):
         with pytest.raises(ValueError, match="not fitted"):
             PackingAutoscaler().predict(np.array([1, 2, 3, 4, 5]))
-
-    def test_invalid_fallback_rejected_by_predict(self, fitted):
-        model, centers = fitted
-        model.fallback = "bogus"
-        try:
-            with pytest.raises(ValueError, match="fallback"):
-                model.predict(centers[0].astype(int))
-        finally:
-            model.fallback = "greedy"
