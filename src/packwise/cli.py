@@ -150,7 +150,6 @@ def cmd_run(args) -> int:
     table = load_table(args.table, catalog, vm_catalog, trace.period_seconds)
     policy = MissPolicy(
         **_given(args, buffer_size="miss_buffer"),
-        mode="full" if args.full_recluster else "incremental",
         ga_params=_ga_params(args),
         k_range=(args.k_min, args.k_max),
         seed=args.seed,
@@ -257,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("run", help="replay a trace against a table")
     _add_common(p, table=True)
     p.add_argument("--miss-buffer", type=int, default=None)
-    p.add_argument("--full-recluster", action="store_true")
     p.add_argument("--k-min", type=int, default=DEFAULT_K_RANGE[0])
     p.add_argument("--k-max", type=int, default=DEFAULT_K_RANGE[1])
     _add_ga_flags(p)

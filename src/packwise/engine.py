@@ -4,8 +4,8 @@ Offline: turn a historical trace into demand patterns, pick a cluster
 count, cluster, pack every representative pattern with the GA, and
 assemble the lookup table. Online: replay a trace period by period,
 serving each from the table on a hit and, on a miss, from a best-fit
-packing of the live demand, recycling missed patterns into new table
-entries once enough accumulate.
+packing of the live demand; once enough misses accumulate, the table is
+rebuilt by clustering its patterns together with the missed ones.
 A comparison mode prices the same trace under the table pipeline,
 per-period GA, both greedy baselines, and a static peak-sized
 configuration.
@@ -18,7 +18,6 @@ logged, not serialized.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -78,7 +77,6 @@ class OfflineReport:
     index_rows: tuple          # (k, davies_bouldin, dunn) from the k-means sweep
     centroid_rows: tuple       # (index, pattern, ga, first_fit, best_fit, brute|None)
     lower_bounds: tuple        # mix_lower_bound of each centroid row's pattern
-    timings: dict = field(compare=False, default_factory=dict)
 
     def to_csv(self, path, ahc_scores=(None, None)) -> None:
         """Write the report; ahc_scores, the (davies_bouldin, dunn) of the
@@ -154,26 +152,21 @@ class ComparisonReport:
 
 @dataclass
 class MissPolicy:
-    """How the online loop buffers misses and grows the table.
+    """How the online loop buffers misses and rebuilds the table.
 
-    Every buffer_size (>= 1) misses trigger a recluster. incremental mode
-    clusters only the buffered misses into ceil(buffer/10) new
-    representatives (capped at the number of distinct buffered patterns)
-    and appends them; full mode reruns cluster-count selection over
-    existing representatives plus the buffer and rebuilds the table.
-    k_range is full mode's sweep, held to select_k's 2 <= low <= high in
-    either mode.
+    Every buffer_size (>= 1) misses trigger a recluster: cluster-count
+    selection over the table's patterns plus the buffer, whose model
+    replaces the table. k_range is that sweep, held to select_k's
+    2 <= low <= high, so a table never holds more than k_range[1] entries
+    after a recluster.
     """
 
     buffer_size: int = 20
-    mode: str = "incremental"
     ga_params: GaParams = field(default_factory=GaParams)
     k_range: tuple = DEFAULT_K_RANGE
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("incremental", "full"):
-            raise ValueError("mode must be 'incremental' or 'full'")
         if self.buffer_size < 1:
             raise ValueError("buffer_size must be >= 1")
         low, high = self.k_range
@@ -182,10 +175,17 @@ class MissPolicy:
 
 
 def _pack_representatives(centroids, catalog, vm_catalog, ga_params, period_seconds,
-                          on_infeasible="raise"):
-    """GA-pack each centroid; returns (entries, skipped count)."""
+                          on_infeasible="raise", known=()):
+    """GA-pack each centroid; returns (entries, skipped count). A centroid
+    bit-equal to the pattern of one of the known entries keeps that entry
+    and its packing instead of running the GA again."""
+    by_pattern = {entry.pattern.tobytes(): entry for entry in known}
     entries, skipped = [], 0
     for i, centroid in enumerate(centroids):
+        entry = by_pattern.get(centroid.tobytes())
+        if entry is not None:
+            entries.append(entry)
+            continue
         dv = demand_from_values(centroid, catalog)
         params = replace(ga_params, seed=ga_params.seed + i)
         sol = ga_pack(dv, vm_catalog, params, period_seconds)
@@ -277,7 +277,6 @@ def build_offline(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
         index_rows=tuple(index_rows),
         centroid_rows=tuple(row for row, _ in report_rows),
         lower_bounds=tuple(bound for _, bound in report_rows),
-        timings=timings,
     )
     log.info("offline build: %s", " ".join(f"{k}={v:.2f}s" for k, v in timings.items()))
     return table, report
@@ -289,31 +288,26 @@ def _check_fingerprint(table: LookupTable, catalog, vm_catalog) -> None:
 
 
 def _recluster(table, missed, catalog, vm_catalog, policy, period_seconds, event):
-    """Grow (or rebuild) the table from the missed patterns. A full-mode
-    union too small to sweep k >= 2 is clustered at k = its number of
-    distinct patterns, the cap incremental mode applies."""
-    buffered = np.vstack(missed)
+    """Rebuild the table from its patterns plus the missed ones: select_k
+    over the union, capped by policy.k_range, gives the new entries, in
+    centroid order. A union too small to sweep k >= 2 is clustered at
+    k = its number of distinct patterns. A centroid bit-equal to an old
+    entry's pattern keeps that entry's packing."""
+    union = np.vstack([table.patterns, *missed])
     seed = policy.seed + 1000 * event
-    if policy.mode == "incremental":
-        distinct = np.unique(buffered, axis=0).shape[0]
-        model = kmeans(buffered, min(math.ceil(len(missed) / 10), distinct), seed=seed)
+    distinct = np.unique(union, axis=0).shape[0]
+    hi = min(policy.k_range[1], union.shape[0] - 1)
+    lo = min(policy.k_range[0], hi, distinct)
+    if lo < 2:
+        model = kmeans(union, distinct, seed=seed)
     else:
-        union = np.vstack([table.patterns, buffered])
-        distinct = np.unique(union, axis=0).shape[0]
-        hi = min(policy.k_range[1], union.shape[0] - 1)
-        lo = min(policy.k_range[0], hi, distinct)
-        if lo < 2:
-            model = kmeans(union, distinct, seed=seed)
-        else:
-            model, _ = select_k(union, (lo, hi), seed=seed)
+        model, _ = select_k(union, (lo, hi), seed=seed)
     gp = replace(policy.ga_params, seed=policy.ga_params.seed + 1000 * event)
     entries, skipped = _pack_representatives(
         model.centroids, catalog, vm_catalog, gp, period_seconds,
-        on_infeasible="skip")
-    if policy.mode == "incremental":
-        return replace(table, entries=table.entries + tuple(entries)), skipped
+        on_infeasible="skip", known=table.entries)
     if not entries:
-        log.warning("full recluster produced no feasible entries; keeping old table")
+        log.warning("recluster produced no feasible entries; keeping old table")
         return table, skipped
     return replace(table, entries=entries), skipped
 
@@ -334,8 +328,8 @@ def run_online(table: LookupTable, online_trace: WorkloadTrace,
 
     Each period is served by decide(): a hit by its entry's packing, a miss
     by a best-fit packing of the live demand. Every policy.buffer_size
-    missed patterns are reclustered per the miss policy, and new entries
-    extend the table for subsequent periods.
+    missed patterns are reclustered with the table's patterns (see
+    MissPolicy), and the rebuilt table serves subsequent periods.
 
     Table-sourced configurations are feasible for their representative by
     construction; each emitted configuration is additionally checked
@@ -439,8 +433,8 @@ class PackingAutoscaler:
     fit() runs the offline pipeline and stores the lookup table; predict()
     maps request-count rows to PackingSolutions by decide() (stateless): a
     hit gets its entry's packing, a miss a best-fit packing of the live
-    demand. replay() runs the full online loop including miss recycling
-    and returns the simulation report.
+    demand. replay() runs the full online loop, reclustering misses over
+    the same k_range as fit(), and returns the simulation report.
     """
 
     def __init__(self, k_range=DEFAULT_K_RANGE, similarity="pearson", threshold=None,
@@ -486,6 +480,7 @@ class PackingAutoscaler:
             raise ValueError("autoscaler is not fitted")
         policy = MissPolicy(buffer_size=self.miss_buffer_size,
                             ga_params=self.ga_params or GaParams(),
+                            k_range=self.k_range,
                             seed=self.seed)
         return run_online(self.table_, trace, self._catalog, self._vm_catalog,
                           miss_policy=policy)

@@ -260,18 +260,17 @@ class TestRun:
         _, out = build(workspace)
         capsys.readouterr()
         for k_range in (("--k-min", "1"), ("--k-min", "9", "--k-max", "3")):
-            for mode in ((), ("--full-recluster",)):
-                run_dir = tmp_path / "-".join(("run",) + k_range + mode)
-                rc = main(["run", "--trace", str(trace), "--catalog", str(services),
-                           "--vm-catalog", str(vms), "--table", str(out / "table.json"),
-                           "--out", str(run_dir), *k_range, *mode])
-                assert rc == 2, (k_range, mode)
-                assert "k range" in capsys.readouterr().err
-                assert not run_dir.exists()
+            run_dir = tmp_path / "-".join(("run",) + k_range)
+            rc = main(["run", "--trace", str(trace), "--catalog", str(services),
+                       "--vm-catalog", str(vms), "--table", str(out / "table.json"),
+                       "--out", str(run_dir), *k_range])
+            assert rc == 2, k_range
+            assert "k range" in capsys.readouterr().err
+            assert not run_dir.exists()
 
     def test_fallback_is_an_unknown_flag(self, workspace):
-        # A miss is always served a best-fit packing; no flag or config key
-        # chooses another policy.
+        # A miss is always served a best-fit packing, and every recluster
+        # rebuilds the table; no flag or config key chooses another policy.
         tmp_path, services, vms, trace = workspace
         _, out = build(workspace)
         key = "fallback"
@@ -280,7 +279,8 @@ class TestRun:
         inputs = ["--trace", str(trace), "--catalog", str(services), "--vm-catalog", str(vms),
                   "--table", str(out / "table.json")]
         for name, extra in (("flag", [f"--{key}", "greedy"]),
-                            ("config", ["--config", str(cfg)])):
+                            ("config", ["--config", str(cfg)]),
+                            ("full-recluster", ["--full-recluster"])):
             run_dir = tmp_path / name
             with pytest.raises(SystemExit) as exc:
                 main(["run", *inputs, "--out", str(run_dir), *extra])
@@ -403,12 +403,12 @@ QUICKSTART_SHA256 = {
 }
 
 # sha256 of simulation.csv when a `gen --seed 2` trace (otherwise as the
-# workspace's) is run against the quickstart table at --seed 7, plainly and
-# with --full-recluster; same versions. Each miss is served a best-fit
-# packing of its live demand.
+# workspace's) is run against the quickstart table at --seed 7; same
+# versions. Each miss is served a best-fit packing of its live demand, and
+# the recluster rebuilds the table by select_k over its patterns plus the
+# misses.
 REPLAY_SHA256 = {
-    (): "4ad305dafae7b41b108fea60e5b9320228e06aa7975be3e1a6f5d1de297628d4",
-    ("--full-recluster",): "3ce4d58f144e6c60b7acead6d384c46e1eca4b1f42d95380293066da64f8ad0c",
+    (): "3ce4d58f144e6c60b7acead6d384c46e1eca4b1f42d95380293066da64f8ad0c",
 }
 
 
@@ -417,7 +417,7 @@ REPLAY_SHA256 = {
 HELP_SHA256 = {
     "gen": "ef593fc445d4dae9084e1aa75934801e095baa63768430e883c688b63bbc4e03",
     "build": "dd978338588b715c070f94c65763631031b3ce8a1ae97af0353d92b8387d763d",
-    "run": "143a75c3de5d180f379ec44e82b91e38549bf4535fc687f8ec368028372abdf4",
+    "run": "1cd676322da52ac3dc08c6f2522d1cb4c3ffc17444300aad434fbe6ba0749dee",
     "compare": "d16e186dc2e88db87e5a8ae6362534c41063ccf95f0b1e5f2f304ebe1566f23b",
     "inspect-table": "e67a257c15a8dd6e236f36f1b521c0dbe40341bf76a46ac56033f40113c8e76f",
 }
@@ -438,7 +438,8 @@ class TestQuickstart:
 
     def test_replays_pinned(self, workspace):
         # A gen --seed 2 trace replayed against the quickstart table misses
-        # 20-23% of its periods and reclusters once under each setting.
+        # 20-23% of its periods and reclusters once, over the table's
+        # patterns and the 20 misses.
         tmp_path, services, vms, trace = workspace
         inputs = ["--catalog", str(services), "--vm-catalog", str(vms)]
         online = tmp_path / "online.csv"

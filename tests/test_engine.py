@@ -207,7 +207,7 @@ class TestRunOnline:
         _, _, _, table, _ = built
         online = WorkloadTrace(np.tile(np.array([138, 109, 19, 270, 15]), (25, 1)))
         sim = run_online(table, online, catalog, vms,
-                         miss_policy=MissPolicy(buffer_size=20, mode="full",
+                         miss_policy=MissPolicy(buffer_size=20,
                                                 ga_params=GaParams(generations=20, seed=5),
                                                 seed=5))
         assert sim.recluster_events == 1
@@ -220,7 +220,7 @@ class TestRunOnline:
         novel = np.array([10, 190, 10, 190, 10])
         online = WorkloadTrace(np.tile(novel, (3, 1)))
         sim = run_online(replace(table, entries=table.entries[:1]), online, catalog, vms,
-                         miss_policy=MissPolicy(buffer_size=1, mode="full",
+                         miss_policy=MissPolicy(buffer_size=1,
                                                 ga_params=GaParams(generations=20, seed=5),
                                                 seed=5))
         assert sim.recluster_events == 1
@@ -229,17 +229,62 @@ class TestRunOnline:
         assert sorted(patterns) == sorted([table.entries[0].pattern.tolist(),
                                            demand_for_period(novel, catalog).values.tolist()])
 
+    def test_recluster_keeps_the_packings_of_surviving_patterns(self, built, catalog, vms,
+                                                                 monkeypatch):
+        # 10 table patterns plus 20 copies of one novel row: each old
+        # pattern survives as a centroid and keeps its packing, so only the
+        # novel centroid runs the GA.
+        import packwise.engine as engine
+        _, _, _, table, _ = built
+        packed = []
+        real = engine.ga_pack
+        monkeypatch.setattr(engine, "ga_pack", lambda *a: packed.append(1) or real(*a))
+        online = WorkloadTrace(np.tile(np.array([138, 109, 19, 270, 15]), (20, 1)))
+        sim = run_online(table, online, catalog, vms,
+                         miss_policy=MissPolicy(buffer_size=20,
+                                                ga_params=GaParams(generations=20, seed=5),
+                                                seed=5))
+        assert sim.recluster_events == 1
+        assert len(packed) == 1
+        kept = {id(e.solution) for e in sim.final_table.entries}
+        assert all(id(e.solution) in kept for e in table.entries)
+        assert len(sim.final_table.entries) == len(table.entries) + 1
+
+    def test_reclustered_table_stays_within_k_max(self, built, catalog, vms, monkeypatch):
+        # Demand stepped to 2x misses the 10-entry table; every recluster
+        # rebuilds it from select_k over at most k_range[1] clusters.
+        import packwise.engine as engine
+        _, centers, sigma, table, _ = built
+        sizes = []
+        real = engine._recluster
+
+        def recluster(*args):
+            rebuilt, skipped = real(*args)
+            sizes.append(len(rebuilt.entries))
+            return rebuilt, skipped
+
+        monkeypatch.setattr(engine, "_recluster", recluster)
+        online = generate_trace(
+            SyntheticSpec(mode_centers=2 * centers, noise_sigma=sigma,
+                          periods=100, seed=5), catalog)
+        sim = run_online(table, online, catalog, vms,
+                         miss_policy=MissPolicy(k_range=(2, 10),
+                                                ga_params=GaParams(generations=20, seed=5),
+                                                seed=5))
+        assert sim.recluster_events >= 2
+        assert len(sizes) == sim.recluster_events
+        assert max(sizes) <= 10
+
     def test_buffer_size_validated(self):
         with pytest.raises(ValueError, match="buffer_size"):
             MissPolicy(buffer_size=0)
 
     def test_k_range_validated_as_select_k_does(self):
         # select_k's rule, 2 <= low <= high, checked before any period runs.
-        for mode in ("incremental", "full"):
-            for k_range in ((1, 14), (9, 3), (0, 0)):
-                with pytest.raises(ValueError, match="k range"):
-                    MissPolicy(mode=mode, k_range=k_range)
-            assert MissPolicy(mode=mode, k_range=(2, 2)).k_range == (2, 2)
+        for k_range in ((1, 14), (9, 3), (0, 0)):
+            with pytest.raises(ValueError, match="k range"):
+                MissPolicy(k_range=k_range)
+        assert MissPolicy(k_range=(2, 2)).k_range == (2, 2)
 
     def test_empty_trace_empty_report(self, built, catalog, vms):
         _, _, _, table, _ = built
@@ -412,6 +457,16 @@ class TestPackingAutoscaler:
                           periods=10, seed=3), catalog)
         sim = model.replay(online)
         assert len(sim.records) == 10
+
+    def test_replay_reclusters_within_the_fitted_k_range(self, fitted, catalog):
+        # replay() sweeps the k_range fit() used, (2, 5), at every recluster.
+        model, centers = fitted
+        online = generate_trace(
+            SyntheticSpec(mode_centers=2 * centers, noise_sigma=1.0,
+                          periods=80, seed=3), catalog)
+        sim = model.replay(online)
+        assert sim.recluster_events >= 1
+        assert len(sim.final_table.entries) <= 5
 
     def test_hit_runs_no_tolerance_check_and_no_greedy(self, fitted, catalog, monkeypatch):
         import packwise.engine as engine

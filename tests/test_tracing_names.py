@@ -16,7 +16,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from packwise import clustering
+from packwise import (
+    GaParams,
+    MissPolicy,
+    ServiceCatalog,
+    VmType,
+    WorkloadTrace,
+    build_offline,
+    clustering,
+    engine,
+    run_online,
+)
+
+from conftest import planted_trace
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -67,3 +79,24 @@ def test_select_k_alone_scores_clusterings(monkeypatch):
     clustering.kmeans(X, 3, seed=1)
     clustering.ahc(X, 3)
     assert calls == {"kmeans": 1}
+
+
+def test_recluster_sweeps_through_select_k(monkeypatch):
+    # perfbench's select_k, davies_bouldin and dunn spans on a replay count
+    # the recluster sweeps only if each recluster calls engine.select_k.
+    catalog = ServiceCatalog(np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 1.0]]))
+    vms = [VmType("small", np.array([300.0, 300.0]), 1.0),
+           VmType("large", np.array([900.0, 900.0]), 2.5)]
+    trace, centers, _ = planted_trace(catalog, 5, modes=3, periods=30)
+    gp = GaParams(generations=20, seed=1)
+    table, _ = build_offline(trace, catalog, vms, k_range=(2, 4), ga_params=gp, seed=1)
+    sweeps = []
+    real = engine.select_k
+    monkeypatch.setattr(engine, "select_k",
+                        lambda *a, **kw: sweeps.append(1) or real(*a, **kw))
+    online = WorkloadTrace(np.tile(2 * centers.astype(np.int64), (10, 1)))
+    sim = run_online(table, online, catalog, vms,
+                     miss_policy=MissPolicy(buffer_size=5, k_range=(2, 4), ga_params=gp,
+                                            seed=1))
+    assert sim.recluster_events >= 1
+    assert len(sweeps) == sim.recluster_events
