@@ -175,18 +175,19 @@ class MissPolicy:
 
 
 def _pack_representatives(centroids, catalog, vm_catalog, ga_params, period_seconds,
-                          on_infeasible="raise", known=()):
-    """GA-pack each centroid; returns (entries, skipped count). A centroid
-    bit-equal to the pattern of one of the known entries keeps that entry
-    and its packing instead of running the GA again."""
-    by_pattern = {entry.pattern.tobytes(): entry for entry in known}
+                          on_infeasible="raise", kept=None):
+    """GA-pack each centroid; returns (entries, skipped count). kept[i],
+    when given, lists packings already made for centroid i's cluster; the
+    cheapest of them that fits the centroid (the first on ties) serves it
+    instead of running the GA again."""
     entries, skipped = [], 0
     for i, centroid in enumerate(centroids):
-        entry = by_pattern.get(centroid.tobytes())
-        if entry is not None:
-            entries.append(entry)
-            continue
         dv = demand_from_values(centroid, catalog)
+        fits = [sol for sol in (kept[i] if kept else ()) if verify_solution(sol, dv)]
+        if fits:
+            cheapest = min(fits, key=lambda sol: sol.total_cost)
+            entries.append(LookupEntry(pattern=centroid, solution=cheapest))
+            continue
         params = replace(ga_params, seed=ga_params.seed + i)
         sol = ga_pack(dv, vm_catalog, params, period_seconds)
         if not sol.feasible:
@@ -291,8 +292,9 @@ def _recluster(table, missed, catalog, vm_catalog, policy, period_seconds, event
     """Rebuild the table from its patterns plus the missed ones: select_k
     over the union, capped by policy.k_range, gives the new entries, in
     centroid order. A union too small to sweep k >= 2 is clustered at
-    k = its number of distinct patterns. A centroid bit-equal to an old
-    entry's pattern keeps that entry's packing."""
+    k = its number of distinct patterns. A centroid keeps the cheapest
+    packing of the old entries in its cluster that fits it; only a centroid
+    none of them fits runs the GA."""
     union = np.vstack([table.patterns, *missed])
     seed = policy.seed + 1000 * event
     distinct = np.unique(union, axis=0).shape[0]
@@ -303,9 +305,12 @@ def _recluster(table, missed, catalog, vm_catalog, policy, period_seconds, event
     else:
         model, _ = select_k(union, (lo, hi), seed=seed)
     gp = replace(policy.ga_params, seed=policy.ga_params.seed + 1000 * event)
+    old = model.assignments[:len(table.entries)]      # the table's rows lead the union
+    kept = [[e.solution for e, c in zip(table.entries, old) if c == i]
+            for i in range(len(model.centroids))]
     entries, skipped = _pack_representatives(
         model.centroids, catalog, vm_catalog, gp, period_seconds,
-        on_infeasible="skip", known=table.entries)
+        on_infeasible="skip", kept=kept)
     if not entries:
         log.warning("recluster produced no feasible entries; keeping old table")
         return table, skipped

@@ -18,11 +18,13 @@ from packwise import (
     WorkloadTrace,
     build_offline,
     demand_for_period,
+    demand_from_values,
     evaluate_methods,
     generate_trace,
     match,
     pearson,
     run_online,
+    verify_solution,
 )
 
 from conftest import planted_trace
@@ -249,6 +251,29 @@ class TestRunOnline:
         kept = {id(e.solution) for e in sim.final_table.entries}
         assert all(id(e.solution) in kept for e in table.entries)
         assert len(sim.final_table.entries) == len(table.entries) + 1
+
+    def test_recluster_keeps_a_packing_that_fits_the_moved_centroid(self, built, catalog,
+                                                                   vms, monkeypatch):
+        # 20 misses at 0.9x of entry 0's pattern and k_max 10: they join
+        # entry 0's cluster, whose centroid moves but still fits entry 0's
+        # packing, so no centroid runs the GA.
+        import packwise.engine as engine
+        _, _, _, table, _ = built
+        packed = []
+        real = engine.ga_pack
+        monkeypatch.setattr(engine, "ga_pack", lambda *a: packed.append(1) or real(*a))
+        policy = MissPolicy(k_range=(2, 10), ga_params=GaParams(generations=20, seed=5),
+                            seed=5)
+        rebuilt, skipped = engine._recluster(table, [0.9 * table.entries[0].pattern] * 20,
+                                             catalog, vms, policy, 300.0, 1)
+        assert packed == [] and skipped == 0
+        assert ({id(e.solution) for e in rebuilt.entries}
+                == {id(e.solution) for e in table.entries})
+        moved = [e for e in rebuilt.entries if e.solution is table.entries[0].solution]
+        assert len(moved) == 1
+        assert not any(np.array_equal(moved[0].pattern, e.pattern) for e in table.entries)
+        assert verify_solution(moved[0].solution,
+                               demand_from_values(moved[0].pattern, catalog))
 
     def test_reclustered_table_stays_within_k_max(self, built, catalog, vms, monkeypatch):
         # Demand stepped to 2x misses the 10-entry table; every recluster
