@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import (LINKAGES, DegenerateModelError, ahc, davies_bouldin, dunn,
-                         save_dendrogram, save_index_table)
+from .clustering import (DegenerateModelError, ahc, davies_bouldin, dunn, save_dendrogram,
+                         save_index_table)
 from .demand import demand_patterns
 from .engine import (
     DEFAULT_K_RANGE,
@@ -76,8 +76,9 @@ def _given(args, *names, **renamed) -> dict:
             if getattr(args, name) is not None}
 
 
-_GA_SETTINGS = {"population": int, "generations": int, "crossover_rate": float,
-                "mutation_rate": float, "max_instances": int, "elitism": int}
+_GA_SETTINGS = ("population", "generations")
+CENTER_RANGE = (20, 200)   # inclusive range of gen's integer mode centers
+SIGMA_FRACTION = 0.05
 
 
 def _ga_params(args) -> GaParams:
@@ -91,16 +92,17 @@ def _outdir(args) -> Path:
 
 
 def cmd_gen(args) -> int:
+    """Write a synthetic trace: args.modes planted modes of integer centers
+    drawn from CENTER_RANGE, each period one mode plus Gaussian noise of
+    sigma SIGMA_FRACTION times the mean center; --seed draws both."""
     if args.periods < 1:
         raise ValueError("--periods must be >= 1")
     if args.services < 1 or args.modes < 1:
         raise ValueError("--services and --modes must be >= 1")
-    if args.center_low > args.center_high:
-        raise ValueError("--center-low must not exceed --center-high")
     rng = np.random.default_rng(args.seed)
-    centers = rng.integers(args.center_low, args.center_high + 1,
-                           size=(args.modes, args.services)).astype(float)
-    sigma = args.sigma if args.sigma is not None else 0.05 * float(centers.mean())
+    low, high = CENTER_RANGE
+    centers = rng.integers(low, high + 1, size=(args.modes, args.services)).astype(float)
+    sigma = SIGMA_FRACTION * float(centers.mean())
     # The generator only needs the service count; unit costs are irrelevant here.
     catalog = ServiceCatalog(np.ones((args.services, 1)))
     spec = SyntheticSpec(mode_centers=centers, noise_sigma=sigma,
@@ -128,7 +130,7 @@ def cmd_build(args) -> int:
     # leaves it out; it runs before any file is written, so a degenerate
     # tree still leaves no artifact behind.
     patterns = demand_patterns(trace, catalog)
-    ahc_model, dendrogram = ahc(patterns, report.best_k, **_given(args, "linkage"))
+    ahc_model, dendrogram = ahc(patterns, report.best_k)
     try:
         ahc_db = davies_bouldin(ahc_model, patterns)
     except DegenerateModelError:
@@ -207,8 +209,8 @@ def _add_common(p: argparse.ArgumentParser, table: bool = False) -> None:
 
 
 def _add_ga_flags(p: argparse.ArgumentParser) -> None:
-    for name, cast in _GA_SETTINGS.items():
-        p.add_argument("--" + name.replace("_", "-"), type=cast, default=None)
+    for name in _GA_SETTINGS:
+        p.add_argument("--" + name, type=int, default=None)
 
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
@@ -234,10 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--periods", type=int, required=True)
     p.add_argument("--modes", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma", type=float, default=None,
-                   help="noise sigma (default: 5%% of the mean mode value)")
-    p.add_argument("--center-low", type=int, default=20)
-    p.add_argument("--center-high", type=int, default=200)
     p.add_argument("--period-seconds", type=int, default=DEFAULT_PERIOD_SECONDS)
     p.add_argument("--out", required=True, help="trace file to write")
     p.set_defaults(func=cmd_gen)
@@ -249,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--similarity", choices=SIMILARITIES, default=None)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--magnitude-ratio", type=float, default=None)
-    p.add_argument("--linkage", choices=LINKAGES, default=None)
     _add_ga_flags(p)
     p.set_defaults(func=cmd_build)
 

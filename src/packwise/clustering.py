@@ -49,7 +49,6 @@ from .validation import as_float_matrix
 
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
-LINKAGES = ("ward", "complete", "average")
 # Relative widening of the triangle-inequality bounds of _lloyd and dunn;
 # the absolute one is this times (sqrt(S) * largest |value| + 1) for S
 # services.
@@ -427,19 +426,18 @@ def kmeans(patterns, k: int, seed: int = 0, *, canonical=None) -> ClusterModel:
                         objective_trace=tuple(trace))
 
 
-def ahc(patterns, k: int, linkage: str = "ward") -> tuple[ClusterModel, Dendrogram]:
+def ahc(patterns, k: int) -> tuple[ClusterModel, Dendrogram]:
     """Bottom-up hierarchical clustering cut at k; returns (model, dendrogram).
 
-    The agglomeration itself comes from scipy (ward, complete or average
-    linkage); centroids are member means of the cut clusters. The full
-    merge list is kept as a Dendrogram for plotting.
+    The agglomeration itself comes from scipy, always with Ward linkage,
+    which merges the pair that least raises the within-cluster sum of
+    squares k-means minimizes; centroids are member means of the cut
+    clusters. The full merge list is kept as a Dendrogram for plotting.
     """
     X = as_float_matrix(patterns, "patterns")
-    if linkage not in LINKAGES:
-        raise ValueError(f"linkage must be one of {LINKAGES}")
     order, Xs, distinct = _canonical_order(X)
     _check_k(k, distinct)
-    Z = scipy_linkage(Xs, method=linkage)
+    Z = scipy_linkage(Xs, method="ward")
     labels = fcluster(Z, t=k, criterion="maxclust") - 1
     if np.unique(labels).shape[0] != k:
         raise DegenerateModelError(f"cutting the tree produced fewer than {k} clusters")

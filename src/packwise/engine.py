@@ -37,6 +37,7 @@ from .lookup import (
     LookupEntry,
     LookupTable,
     catalog_fingerprint,
+    check_period_prices,
     match,
 )
 from .packing import (
@@ -283,9 +284,11 @@ def build_offline(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
     return table, report
 
 
-def _check_fingerprint(table: LookupTable, catalog, vm_catalog) -> None:
+def _check_table(table: LookupTable, catalog, vm_catalog, period_seconds) -> None:
+    """Refuse a table built for other catalogs or priced for another period length."""
     if table.fingerprint != catalog_fingerprint(catalog, vm_catalog):
         raise FingerprintMismatchError("table was built for different catalogs")
+    check_period_prices(table, period_seconds)
 
 
 def _recluster(table, missed, catalog, vm_catalog, policy, period_seconds, event):
@@ -339,9 +342,10 @@ def run_online(table: LookupTable, online_trace: WorkloadTrace,
     Table-sourced configurations are feasible for their representative by
     construction; each emitted configuration is additionally checked
     against the live period demand and mismatches are counted in
-    live_violation_rate (one summary warning, not fatal).
+    live_violation_rate (one summary warning, not fatal). A table priced
+    for another period length than the trace's is refused.
     """
-    _check_fingerprint(table, catalog, vm_catalog)
+    _check_table(table, catalog, vm_catalog, online_trace.period_seconds)
     policy = miss_policy or MissPolicy()
     missed = []
 
@@ -398,7 +402,7 @@ def evaluate_methods(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
     static_peak: one GA packing of the entrywise-maximum demand, reused
     every period.
     """
-    _check_fingerprint(table, catalog, vm_catalog)
+    _check_table(table, catalog, vm_catalog, trace.period_seconds)
     if trace.n_periods == 0:
         raise ValueError("trace has no periods")
     gp = ga_params or GaParams()

@@ -50,7 +50,8 @@ SENTINEL_EDGE = 1e-9
 
 
 class TableFormatError(ValueError):
-    """Table file is corrupt, truncated, or has the wrong version."""
+    """Table file is corrupt, truncated, or has the wrong version, or a
+    table is priced for another period length."""
 
 
 class FingerprintMismatchError(ValueError):
@@ -106,6 +107,8 @@ class LookupEntry:
 
     def __post_init__(self):
         object.__setattr__(self, "pattern", as_float_vector(self.pattern, "pattern"))
+        if not np.isfinite(self.pattern).all():
+            raise ValueError("lookup entry patterns must be finite")
         if not self.solution.feasible:
             raise ValueError("lookup entries require feasible solutions")
 
@@ -141,11 +144,12 @@ class LookupTable:
             raise ValueError("lookup table needs at least one entry")
         if self.similarity not in SIMILARITIES:
             raise ValueError(f"similarity must be one of {SIMILARITIES}")
+        # Each range check is written so that NaN fails it.
         if self.similarity == "pearson" and not -1.0 < self.threshold <= 1.0:
             raise ValueError("correlation threshold must lie in (-1, 1]")
-        if self.similarity == "euclidean" and self.threshold <= 0:
+        if self.similarity == "euclidean" and not self.threshold > 0:
             raise ValueError("distance threshold must be positive")
-        if self.magnitude_ratio < 1.0:
+        if not self.magnitude_ratio >= 1.0:
             raise ValueError("magnitude_ratio must be >= 1 (inf disables the guard)")
         widths = {len(e.pattern) for e in self.entries}
         if len(widths) != 1:
@@ -278,6 +282,21 @@ def save_table(table: LookupTable, path) -> None:
     )
 
 
+def check_period_prices(table: LookupTable, period_seconds: float, source="table") -> None:
+    """Raise TableFormatError unless every entry's stored cost is its
+    packing's catalog price for period_seconds-s periods, so a table priced
+    for another period length serves no hit at the wrong price. source
+    names the table in the message."""
+    for entry in table.entries:
+        cost = entry.solution.total_cost
+        recomputed = solution_cost(entry.solution.instances, period_seconds)
+        if not math.isclose(cost, recomputed, rel_tol=1e-9, abs_tol=1e-12):
+            raise TableFormatError(
+                f"{source}: stored cost {cost} disagrees with catalog prices for "
+                f"{period_seconds:g}-s periods; built for another period length?"
+            )
+
+
 def load_table(path, catalog: ServiceCatalog, vm_catalog,
                period_seconds: float | None = None) -> LookupTable:
     """Load and validate a table file.
@@ -286,14 +305,16 @@ def load_table(path, catalog: ServiceCatalog, vm_catalog,
     resolve instances and to verify the fingerprint, and a vm_catalog that
     repeats an id is refused. Every pattern and assignment must hold one
     entry per catalog service. Entry costs are taken from the file; when
-    period_seconds is given they are cross-checked against the catalog
-    prices.
+    period_seconds is given, check_period_prices checks them against the
+    catalog prices.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise TableFormatError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict) or doc.get("version") != TABLE_VERSION:
+    if not isinstance(doc, dict):
+        raise TableFormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    if doc.get("version") != TABLE_VERSION:
         raise TableFormatError(
             f"{path}: expected version {TABLE_VERSION!r}, got {doc.get('version')!r}"
         )
@@ -323,17 +344,9 @@ def load_table(path, catalog: ServiceCatalog, vm_catalog,
                     raise TableFormatError(f"{path}: unknown VM type {type_id!r}")
                 assignment = per_service(inst["assignment"], "an assignment")
                 instances.append(VmInstance(by_id[type_id], assignment))
-            cost = float(rec["cost"])
-            if period_seconds is not None:
-                recomputed = solution_cost(instances, period_seconds)
-                if not math.isclose(cost, recomputed, rel_tol=1e-9, abs_tol=1e-12):
-                    raise TableFormatError(
-                        f"{path}: stored cost {cost} disagrees with catalog prices for "
-                        f"{period_seconds:g}-s periods; built for another period length?"
-                    )
             entries.append(LookupEntry(
                 pattern=per_service(rec["pattern"], "a pattern", float),
-                solution=PackingSolution(tuple(instances), cost, feasible=True),
+                solution=PackingSolution(tuple(instances), float(rec["cost"]), feasible=True),
             ))
         ratio = doc["magnitude_ratio"]
         table = LookupTable(
@@ -345,4 +358,6 @@ def load_table(path, catalog: ServiceCatalog, vm_catalog,
         )
     except (KeyError, TypeError) as exc:
         raise TableFormatError(f"{path}: malformed table document ({exc})") from None
+    if period_seconds is not None:
+        check_period_prices(table, period_seconds, path)
     return table

@@ -46,6 +46,9 @@ FEASIBILITY_TOL = 1e-9
 BOUND_BUDGET = 1 << 16  # most mixes mix_lower_bound enumerates before a fractional bound
 BRUTE_FORCE_MAX_BITS = 12   # most assignment bits (services x slots) brute_force_pack takes
 NEAR_TIE = 1e-9         # relative margin that keeps the fractional bound below every mix price
+CROSSOVER_RATE = 0.9    # chance that a pair of ga_evolve's tournament winners crosses over
+MUTATION_RATE = 0.05    # ga_evolve's per-gene mutation chance
+ELITISM = 2             # fittest individuals ga_evolve keeps unchanged each generation
 
 
 @dataclass(frozen=True)
@@ -103,15 +106,12 @@ class PackingSolution:
 
 @dataclass
 class GaParams:
-    """Genetic-algorithm knobs. max_instances defaults, when left as None,
+    """Genetic-algorithm budget and seed. max_instances defaults, when None,
     to default_max_instances: twice the slot-count lower bound."""
 
     population: int = 80
     generations: int = 300
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.05
     max_instances: int | None = None
-    elitism: int = 2
     seed: int = 0
 
     def __post_init__(self):
@@ -119,12 +119,6 @@ class GaParams:
             raise ValueError("population must be >= 4")
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
-        for name in ("crossover_rate", "mutation_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if not 0 <= self.elitism < self.population:
-            raise ValueError("elitism must be in [0, population)")
 
 
 def period_hours(period_seconds: float) -> float:
@@ -379,8 +373,10 @@ def ga_evolve(demand: DemandVector, vm_catalog, params: GaParams,
 
     Genome: params.max_instances slots, each a type index (or off) plus an
     assignment row. Tournament selection (size 3), uniform slot-wise
-    crossover, per-gene mutation that flips assignment bits and resamples
-    slot types, elitism. The initial population is seeded with the two
+    crossover of a winner pair at rate CROSSOVER_RATE, per-gene mutation
+    at rate MUTATION_RATE that flips assignment bits and resamples slot
+    types, and the ELITISM fittest kept unchanged (population >= 4 leaves
+    room for them). The initial population is seeded with the two
     greedy baselines when they fit the slot budget, so the GA starts no
     worse than greedy. Deterministic given params.seed.
 
@@ -406,7 +402,7 @@ def ga_evolve(demand: DemandVector, vm_catalog, params: GaParams,
     lam = 1e4 * float(costs.max())
     hours = period_hours(period_seconds)
     T = len(vm_catalog)
-    P, E = params.population, params.elitism
+    P = params.population
     rng = np.random.default_rng(params.seed)
     stop_at = _price_bound(demand, vm_catalog)
 
@@ -448,7 +444,7 @@ def ga_evolve(demand: DemandVector, vm_catalog, params: GaParams,
         if gen == params.generations - 1:
             break
 
-        elite = np.argsort(fitness, kind="stable")[:E]
+        elite = np.argsort(fitness, kind="stable")[:ELITISM]
         elite_t, elite_b = types[elite], bits[elite]
 
         contenders = rng.integers(0, P, size=(P, 3))
@@ -456,19 +452,19 @@ def ga_evolve(demand: DemandVector, vm_catalog, params: GaParams,
 
         # Uniform crossover of consecutive winner pairs as one gather: slot m
         # of child r is flat[r, m], an index into the (individual, slot) rows.
-        do_cx = rng.random(half) < params.crossover_rate
+        do_cx = rng.random(half) < CROSSOVER_RATE
         swap = (rng.random((half, M)) < 0.5) & do_cx[:, None]
         flat = winners[:, None] * M + cols
         pairs = flat[:2 * half].reshape(half, 2, M)
         pairs[...] = np.where(swap[:, None, :], pairs[:, ::-1], pairs)
         types, bits = types.take(flat), bits.reshape(P * M, S).take(flat, axis=0)
 
-        tmask = rng.random((P, M)) < params.mutation_rate
+        tmask = rng.random((P, M)) < MUTATION_RATE
         fresh = rng.integers(-1, T, size=(P, M))
         np.copyto(types, fresh, where=tmask)
-        bits ^= rng.random((P, M, S)) < params.mutation_rate
+        bits ^= rng.random((P, M, S)) < MUTATION_RATE
 
-        types[:E], bits[:E] = elite_t, elite_b
+        types[:ELITISM], bits[:ELITISM] = elite_t, elite_b
 
     if best_feasible is not None:
         _, bt, bb = best_feasible

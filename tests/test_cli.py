@@ -1,13 +1,15 @@
 """Command-line interface: subcommands, exit codes, artifact files."""
 
+import argparse
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from packwise.cli import main
+from packwise.cli import build_parser, main
 
 
 @pytest.fixture
@@ -132,6 +134,15 @@ class TestBuild:
                      "--out", str(tmp_path / "r")]) == 0
         lines = (tmp_path / "r" / "simulation.csv").read_text().strip().split("\n")
         assert len(lines) == 2 + 60
+
+    def test_nan_setting_exits_2_without_artifact(self, workspace, capsys):
+        # NaN compares false both ways, so it must fail each range check.
+        for extra in (("--magnitude-ratio", "nan"),
+                      ("--similarity", "euclidean", "--threshold", "nan")):
+            rc, out = build(workspace, "nan", extra)
+            assert rc == 2, extra
+            assert "error:" in capsys.readouterr().err, extra
+            assert not out.exists(), extra
 
     def test_k_range_too_large_exits_2(self, workspace):
         tmp_path, services, vms, trace = workspace
@@ -288,6 +299,45 @@ class TestRun:
             assert not run_dir.exists(), name
 
 
+# Settings that are constants now, by the subcommands that took them:
+# the GA's operator rates and slot budget, AHC's linkage, and gen's mode
+# range and noise; each with the value it always had.
+REMOVED_SETTINGS = {
+    "gen": (("center-low", "20"), ("center-high", "200"), ("sigma", "5")),
+    "build": (("crossover-rate", "0.9"), ("mutation-rate", "0.05"), ("elitism", "2"),
+              ("max-instances", "8"), ("linkage", "ward")),
+    "run": (("crossover-rate", "0.9"), ("mutation-rate", "0.05"), ("elitism", "2"),
+            ("max-instances", "8")),
+    "compare": (("crossover-rate", "0.9"), ("mutation-rate", "0.05"), ("elitism", "2"),
+                ("max-instances", "8")),
+}
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    (command, flag, value) for command, settings in REMOVED_SETTINGS.items()
+    for flag, value in settings])
+def test_removed_setting_exits_2_before_any_output(workspace, capsys, command, flag, value):
+    tmp_path, services, vms, trace = workspace
+    out = tmp_path / "out"
+    variants = [[f"--{flag}", value]]
+    if command == "gen":
+        inputs = ["--services", "5", "--periods", "10"]
+    else:
+        inputs = ["--trace", str(trace), "--catalog", str(services), "--vm-catalog", str(vms)]
+        if command != "build":
+            inputs += ["--table", str(tmp_path / "no_table.json")]
+        cfg = tmp_path / "removed.cfg"
+        cfg.write_text(f"{flag.replace('-', '_')}={value}\n")
+        variants.append(["--config", str(cfg)])
+    capsys.readouterr()
+    for extra in variants:
+        with pytest.raises(SystemExit) as exc:
+            main([command, *inputs, "--out", str(out), *extra])
+        assert exc.value.code == 2, extra
+        assert capsys.readouterr().out == "", extra
+        assert not out.exists(), extra
+
+
 class TestTableWidth:
     """A table whose rows do not hold one entry per catalog service is
     refused when loaded, even though its fingerprint matches."""
@@ -415,10 +465,10 @@ REPLAY_SHA256 = {
 # sha256 of each subcommand's --help text at 80 columns, on Python 3.11. A
 # change that claims no flag changed must leave these alone.
 HELP_SHA256 = {
-    "gen": "ef593fc445d4dae9084e1aa75934801e095baa63768430e883c688b63bbc4e03",
-    "build": "dd978338588b715c070f94c65763631031b3ce8a1ae97af0353d92b8387d763d",
-    "run": "1cd676322da52ac3dc08c6f2522d1cb4c3ffc17444300aad434fbe6ba0749dee",
-    "compare": "d16e186dc2e88db87e5a8ae6362534c41063ccf95f0b1e5f2f304ebe1566f23b",
+    "gen": "2893f120137bbc651f699376b1125374f22315f4f43cac2b70d9db681b2ba4af",
+    "build": "c99b773409a6c2b19a3c3bf989c70cc594ab21e405a9c7ff312ed2e6f45b34f5",
+    "run": "96e232f53095f78905206a61642bc3577a8126e5af31522bd788431e35aaab6b",
+    "compare": "92dd548886ed40a9b5327f95d3f7ac6a86aa1979a369893bc0df1db2a2641488",
     "inspect-table": "e67a257c15a8dd6e236f36f1b521c0dbe40341bf76a46ac56033f40113c8e76f",
 }
 
@@ -480,6 +530,19 @@ class TestUsage:
             with pytest.raises(SystemExit) as exc:
                 main([cmd, "--help"])
             assert exc.value.code == 0
+
+    def test_readme_flags_exist(self):
+        # Every --flag of a `packwise <cmd>` command in README's fenced
+        # blocks, continuation lines included, is a flag of <cmd>.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        fenced = "\n".join(re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S))
+        commands = re.findall(r"^packwise ([\w-]+)((?:.*\\\n)*.*)", fenced, flags=re.M)
+        parsers = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+        assert {cmd for cmd, _ in commands} == set(parsers)
+        for cmd, rest in commands:
+            flags = set(re.findall(r"--[\w-]+", rest))
+            assert flags <= set(parsers[cmd]._option_string_actions), (cmd, flags)
 
     def test_help_pinned(self, monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", "80")

@@ -534,10 +534,9 @@ class TestWeightedDraw:
 class TestAgglomerative:
     def test_merge_count(self):
         X, _, _ = planted_patterns(6, n=40)
-        for linkage in ("ward", "complete", "average"):
-            model, dendro = ahc(X, 3, linkage=linkage)
-            assert len(dendro.merges) == 39, linkage
-            assert model.centroids.shape == (3, 5), linkage
+        model, dendro = ahc(X, 3)
+        assert len(dendro.merges) == 39
+        assert model.centroids.shape == (3, 5)
 
     def test_k_equals_n_gives_singletons(self):
         rng = np.random.default_rng(7)
@@ -560,15 +559,10 @@ class TestAgglomerative:
         assert agree / len(X) >= 0.95
 
     def test_merge_distances_nondecreasing(self):
-        for linkage in ("ward", "complete", "average"):
-            X, _, _ = planted_patterns(9, n=50)
-            _, dendro = ahc(X, 5, linkage=linkage)
-            d = [m[2] for m in dendro.merges]
-            assert np.all(np.diff(d) >= -1e-12), linkage
-
-    def test_unknown_linkage_rejected(self):
-        with pytest.raises(ValueError):
-            ahc(np.eye(4), 2, linkage="single-file")
+        X, _, _ = planted_patterns(9, n=50)
+        _, dendro = ahc(X, 5)
+        d = [m[2] for m in dendro.merges]
+        assert np.all(np.diff(d) >= -1e-12)
 
     def test_k_above_distinct_rejected(self):
         X = np.tile([3.0, 1.0], (5, 1))

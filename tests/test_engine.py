@@ -15,6 +15,7 @@ from packwise import (
     PackingSolution,
     ServiceCatalog,
     SyntheticSpec,
+    TableFormatError,
     WorkloadTrace,
     build_offline,
     demand_for_period,
@@ -324,6 +325,19 @@ class TestRunOnline:
         with pytest.raises(FingerprintMismatchError):
             run_online(table, WorkloadTrace(np.zeros((1, 5), dtype=np.int64)),
                        other, vms)
+
+    def test_table_for_another_period_length_rejected(self, built, fitted, catalog, vms):
+        # Both tables are priced for 600-s periods; an hourly replay would
+        # charge its hits a sixth of the hour and its misses the full hour.
+        trace, _, _, table, _ = built
+        hourly = WorkloadTrace(trace.counts[:5], period_seconds=3600)
+        model, _ = fitted
+        with pytest.raises(TableFormatError, match="period length"):
+            run_online(table, hourly, catalog, vms)
+        with pytest.raises(TableFormatError, match="period length"):
+            evaluate_methods(hourly, catalog, vms, table)
+        with pytest.raises(TableFormatError, match="period length"):
+            model.replay(hourly)
 
     def test_live_violations_counted_not_fatal(self, built, catalog, vms, caplog):
         # Inflate the training modes: correlation still matches, but the

@@ -221,6 +221,21 @@ class TestTableValidation:
         with pytest.raises(ValueError):
             table_with([[1.0, 2.0]], vm_catalog[0], similarity="euclidean", threshold=0.0)
 
+    def test_nan_settings_rejected(self, vm_catalog):
+        for kwargs in ({"threshold": math.nan},
+                       {"similarity": "euclidean", "threshold": math.nan},
+                       {"magnitude_ratio": math.nan}):
+            with pytest.raises(ValueError):
+                table_with([[1.0, 2.0]], vm_catalog[0], **kwargs)
+        # An infinite ratio still disables the guard.
+        table = table_with([[1.0, 2.0]], vm_catalog[0], magnitude_ratio=math.inf)
+        assert match(table, incoming([100, 200])).hit
+
+    def test_non_finite_patterns_rejected(self, vm_catalog):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                entry([1.0, value], vm_catalog[0], [1, 1])
+
     def test_infeasible_solution_rejected(self, vm_catalog):
         bad = PackingSolution((VmInstance(vm_catalog[0], np.array([1, 1])),), 1.0, False)
         with pytest.raises(ValueError):
@@ -287,6 +302,26 @@ class TestPersistence:
         doc["version"] = "packwise-table-v0"
         path.write_text(json.dumps(doc))
         with pytest.raises(TableFormatError, match="version"):
+            load_table(path, five_service_catalog, vm_catalog)
+
+    def test_non_finite_pattern_in_file_rejected(self, tmp_path, five_service_catalog,
+                                                 vm_catalog):
+        # json reads the NaN and Infinity that json.dumps writes for them.
+        path = tmp_path / "table.json"
+        save_table(self.build_table(five_service_catalog, vm_catalog), path)
+        doc = json.loads(path.read_text())
+        for value in (math.nan, math.inf):
+            doc["entries"][1]["pattern"][2] = value
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match="finite"):
+                load_table(path, five_service_catalog, vm_catalog)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"str"', "3", "null"])
+    def test_non_object_document_rejected(self, tmp_path, five_service_catalog, vm_catalog,
+                                          text):
+        path = tmp_path / "table.json"
+        path.write_text(text)
+        with pytest.raises(TableFormatError, match="JSON object"):
             load_table(path, five_service_catalog, vm_catalog)
 
     def test_fingerprint_mismatch_rejected(self, tmp_path, five_service_catalog, vm_catalog):
