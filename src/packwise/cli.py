@@ -35,7 +35,7 @@ from .engine import (
     evaluate_methods,
     run_online,
 )
-from .lookup import SIMILARITIES, FingerprintMismatchError, load_table, save_table
+from .lookup import FingerprintMismatchError, load_table, save_table
 from .packing import GaParams, load_vm_catalog
 from .workload import (
     DEFAULT_PERIOD_SECONDS,
@@ -123,7 +123,7 @@ def cmd_build(args) -> int:
         k_range=(args.k_min, args.k_max),
         ga_params=_ga_params(args),
         # float("inf") disables the magnitude guard; "--magnitude-ratio inf" parses fine.
-        **_given(args, "similarity", "threshold", "magnitude_ratio"),
+        **_given(args, "threshold", "magnitude_ratio"),
         seed=args.seed,
     )
     # The dendrogram needs O(n^2) memory for n periods, so the library build
@@ -244,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--k-min", type=int, default=DEFAULT_K_RANGE[0])
     p.add_argument("--k-max", type=int, default=DEFAULT_K_RANGE[1])
-    p.add_argument("--similarity", choices=SIMILARITIES, default=None)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--magnitude-ratio", type=float, default=None)
     _add_ga_flags(p)

@@ -221,16 +221,9 @@ def _report_row(i, entry, catalog, vm_catalog, period_seconds):
     return row, mix_lower_bound(dv, vm_catalog, period_seconds)
 
 
-def euclidean_default_threshold(centroids) -> float:
-    """Distance-mode default: a quarter of the mean inter-centroid distance."""
-    c = np.asarray(centroids, dtype=float)
-    dists = np.linalg.norm(c[:, None, :] - c[None, :, :], axis=2)
-    return 0.25 * float(dists[~np.eye(len(c), dtype=bool)].mean())
-
-
 def build_offline(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
                   k_range=DEFAULT_K_RANGE, ga_params: GaParams | None = None, *,
-                  similarity: str = "pearson", threshold: float | None = None,
+                  threshold: float | None = None,
                   magnitude_ratio: float = 1.5, seed: int = 0):
     """Construct the lookup table from a historical trace.
 
@@ -239,13 +232,11 @@ def build_offline(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
     without a feasible packing aborts the build: the table must only ever
     serve feasible configurations. Nothing here holds O(n^2) memory for n
     periods; hierarchical clustering, which does, is left to callers that
-    want a dendrogram (the CLI's build).
+    want a dendrogram (the CLI's build). The table's width picks its
+    metric, and threshold=None its default (see LookupTable).
 
     Returns (LookupTable, OfflineReport).
     """
-    if similarity == "pearson" and catalog.service_count < 2:
-        raise BuildError("pearson similarity needs at least 2 services, the catalog "
-                         "has 1; use --similarity euclidean")
     timings = {}
     t0 = time.perf_counter()
     patterns = demand_patterns(trace, catalog)
@@ -264,12 +255,8 @@ def build_offline(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
                    for i, entry in enumerate(entries)]
     timings["packing"] = time.perf_counter() - t0
 
-    if threshold is None:
-        threshold = 0.7 if similarity == "pearson" \
-            else euclidean_default_threshold(model.centroids)
     table = LookupTable(
         entries=tuple(entries),
-        similarity=similarity,
         threshold=threshold,
         magnitude_ratio=magnitude_ratio,
         fingerprint=catalog_fingerprint(catalog, vm_catalog),
@@ -446,10 +433,9 @@ class PackingAutoscaler:
     the same k_range as fit(), and returns the simulation report.
     """
 
-    def __init__(self, k_range=DEFAULT_K_RANGE, similarity="pearson", threshold=None,
+    def __init__(self, k_range=DEFAULT_K_RANGE, threshold=None,
                  magnitude_ratio=1.5, miss_buffer_size=20, ga_params=None, seed=0):
         self.k_range = k_range
-        self.similarity = similarity
         self.threshold = threshold
         self.magnitude_ratio = magnitude_ratio
         self.miss_buffer_size = miss_buffer_size
@@ -461,7 +447,6 @@ class PackingAutoscaler:
             trace, catalog, vm_catalog,
             k_range=self.k_range,
             ga_params=self.ga_params,
-            similarity=self.similarity,
             threshold=self.threshold,
             magnitude_ratio=self.magnitude_ratio,
             seed=self.seed,

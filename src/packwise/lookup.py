@@ -3,7 +3,8 @@
 The table maps representative demand patterns to precomputed packing
 solutions. An incoming pattern is scored against every entry; the best
 entry is a hit when its score clears the threshold (>= for correlation,
-<= for Euclidean distance). The online loop (engine.run_online) keeps
+<= for Euclidean distance, the metric of one-service tables, for which
+correlation is undefined). The online loop (engine.run_online) keeps
 the misses until enough have piled up to justify reclustering.
 
 Correlation is invariant to scale and shift, so two patterns with the
@@ -27,13 +28,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .demand import DemandVector
-from .packing import PackingSolution, VmInstance, solution_cost
+from .demand import DemandVector, demand_from_values
+from .packing import PackingSolution, VmInstance, feasibility_violations, solution_cost
 from .validation import as_float_vector
 from .workload import ServiceCatalog
 
 TABLE_VERSION = "packwise-table-v1"
-SIMILARITIES = ("pearson", "euclidean")
 # How far from +-1 a clipped Pearson quotient may lie and still need the
 # exact +-1 sentinel test of entry_scores. A row equal to +-c, for the
 # probe's centred vector c, scores +-p / (sqrt(q) * sqrt(q')), where p, q
@@ -123,7 +123,10 @@ class MatchResult:
 
 @dataclass(eq=False)
 class LookupTable:
-    """Ordered entries plus the matching policy they were built with.
+    """Ordered entries plus the matching policy they were built with. The
+    patterns' width sets the metric ``similarity``, and a threshold of None
+    is its default: 0.7 for "pearson", a quarter of the mean distance
+    between the patterns for "euclidean".
 
     Tables are never mutated (derive new ones with dataclasses.replace), so
     match() scores against read-only arrays built once here: the (E, S)
@@ -133,8 +136,7 @@ class LookupTable:
     """
 
     entries: tuple
-    similarity: str = "pearson"
-    threshold: float = 0.7
+    threshold: float | None = None
     magnitude_ratio: float = 1.5
     fingerprint: str = ""
 
@@ -142,8 +144,19 @@ class LookupTable:
         self.entries = tuple(self.entries)
         if not self.entries:
             raise ValueError("lookup table needs at least one entry")
-        if self.similarity not in SIMILARITIES:
-            raise ValueError(f"similarity must be one of {SIMILARITIES}")
+        widths = {len(e.pattern) for e in self.entries}
+        if len(widths) != 1:
+            raise ValueError("entry patterns have inconsistent lengths")
+        self.similarity = "pearson" if self.service_count >= 2 else "euclidean"
+        self.patterns = np.vstack([e.pattern for e in self.entries])
+        if self.threshold is None and self.similarity == "pearson":
+            self.threshold = 0.7
+        elif self.threshold is None:
+            if len(self.entries) < 2:
+                raise ValueError("a one-entry distance table needs a threshold")
+            c = self.patterns
+            dists = np.linalg.norm(c[:, None, :] - c[None, :, :], axis=2)
+            self.threshold = 0.25 * float(dists[~np.eye(len(c), dtype=bool)].mean())
         # Each range check is written so that NaN fails it.
         if self.similarity == "pearson" and not -1.0 < self.threshold <= 1.0:
             raise ValueError("correlation threshold must lie in (-1, 1]")
@@ -151,12 +164,6 @@ class LookupTable:
             raise ValueError("distance threshold must be positive")
         if not self.magnitude_ratio >= 1.0:
             raise ValueError("magnitude_ratio must be >= 1 (inf disables the guard)")
-        widths = {len(e.pattern) for e in self.entries}
-        if len(widths) != 1:
-            raise ValueError("entry patterns have inconsistent lengths")
-        if self.similarity == "pearson" and self.service_count < 2:
-            raise ValueError("pearson similarity needs >= 2 services; use euclidean")
-        self.patterns = np.vstack([e.pattern for e in self.entries])
         self.centred = self.patterns - self.patterns.mean(axis=1, keepdims=True)
         self.centred_norms = np.sqrt((self.centred ** 2).sum(axis=1))
         self.flat = self.centred_norms == 0.0
@@ -303,10 +310,14 @@ def load_table(path, catalog: ServiceCatalog, vm_catalog,
 
     The file stores VM types by id only, so the catalogs are required to
     resolve instances and to verify the fingerprint, and a vm_catalog that
-    repeats an id is refused. Every pattern and assignment must hold one
-    entry per catalog service. Entry costs are taken from the file; when
-    period_seconds is given, check_period_prices checks them against the
-    catalog prices.
+    repeats an id is refused. The stored similarity must be the metric the
+    catalog's width implies. Every pattern and assignment must hold one
+    entry per catalog service, every stored cost must be finite and
+    nonnegative, and every packing must fit its own pattern. Entry costs
+    are taken from the file; when period_seconds is given,
+    check_period_prices checks them against the catalog prices. A file
+    built for other catalogs raises FingerprintMismatchError, and any other
+    refusal of its content a TableFormatError; both name path.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -336,7 +347,7 @@ def load_table(path, catalog: ServiceCatalog, vm_catalog,
 
     entries = []
     try:
-        for rec in doc["entries"]:
+        for i, rec in enumerate(doc["entries"]):
             instances = []
             for inst in rec["instances"]:
                 type_id = inst["type_id"]
@@ -344,20 +355,38 @@ def load_table(path, catalog: ServiceCatalog, vm_catalog,
                     raise TableFormatError(f"{path}: unknown VM type {type_id!r}")
                 assignment = per_service(inst["assignment"], "an assignment")
                 instances.append(VmInstance(by_id[type_id], assignment))
-            entries.append(LookupEntry(
+            cost = float(rec["cost"])
+            if not 0.0 <= cost < math.inf:     # written so that NaN fails it
+                raise TableFormatError(f"{path}: entry {i} has stored cost {cost}, "
+                                       f"not a finite nonnegative number")
+            entry = LookupEntry(
                 pattern=per_service(rec["pattern"], "a pattern", float),
-                solution=PackingSolution(tuple(instances), float(rec["cost"]), feasible=True),
-            ))
+                solution=PackingSolution(tuple(instances), cost, feasible=True),
+            )
+            misfits = feasibility_violations(
+                entry.solution, demand_from_values(entry.pattern, catalog))
+            if misfits:
+                raise TableFormatError(f"{path}: entry {i}'s packing does not fit its "
+                                       f"pattern: {misfits[0]}")
+            entries.append(entry)
         ratio = doc["magnitude_ratio"]
         table = LookupTable(
             entries=tuple(entries),
-            similarity=doc["similarity"],
             threshold=float(doc["threshold"]),
             magnitude_ratio=math.inf if ratio is None else float(ratio),
             fingerprint=doc["fingerprint"],
         )
+        if doc["similarity"] != table.similarity:
+            raise TableFormatError(f"{path}: similarity {doc['similarity']!r}, but a "
+                                   f"{table.service_count}-service catalog matches by "
+                                   f"{table.similarity!r}")
+    except TableFormatError:
+        raise
     except (KeyError, TypeError) as exc:
         raise TableFormatError(f"{path}: malformed table document ({exc})") from None
+    except ValueError as exc:
+        # What the entries and the table refuse, from a bit of 2 to a NaN pattern.
+        raise TableFormatError(f"{path}: {exc}") from None
     if period_seconds is not None:
         check_period_prices(table, period_seconds, path)
     return table

@@ -1,5 +1,6 @@
-"""Shared fixtures: a five-service catalog, a three-type VM catalog, and
-helpers for planting separated workload modes."""
+"""Shared fixtures: a five-service catalog, a three-type VM catalog,
+helpers for planting separated workload modes, and one for editing a
+JSON document in place."""
 
 import numpy as np
 import pytest
@@ -65,3 +66,12 @@ def tiny_instance(seed):
     per_dim = rng.uniform(0.1, 0.5, size=(S, d)) * caps.min(axis=0)
     demand = DemandVector(per_dim)
     return demand, vm_catalog
+
+
+def set_in(doc, keys, value):
+    """doc with the value that keys lead to replaced by value."""
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return doc

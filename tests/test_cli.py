@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 from packwise.cli import build_parser, main
+
+from conftest import set_in
 
 
 @pytest.fixture
@@ -116,30 +119,34 @@ class TestBuild:
         assert "line 2" in capsys.readouterr().err
         assert not (tmp_path / "twin" / "table.json").exists()
 
-    def test_single_service_pearson_exits_2(self, tmp_path, capsys):
-        services, vms, trace = single_service_workspace(tmp_path)
-        rc = main(["build", "--trace", str(trace), "--catalog", str(services),
-                   "--vm-catalog", str(vms), "--out", str(tmp_path / "b")])
-        assert rc == 2
-        assert "--similarity euclidean" in capsys.readouterr().err
-        assert not (tmp_path / "b" / "table.json").exists()
-
     def test_single_service_euclidean_builds_and_replays(self, tmp_path):
+        # One service matches by distance, with no flag to ask for it; the
+        # artifacts are those that `--similarity euclidean` wrote when the
+        # metric was a flag.
         services, vms, trace = single_service_workspace(tmp_path)
         common = ["--trace", str(trace), "--catalog", str(services),
                   "--vm-catalog", str(vms), "--seed", "3", "--generations", "60"]
-        assert main(["build", *common, "--out", str(tmp_path / "b"),
-                     "--similarity", "euclidean", "--k-max", "4"]) == 0
+        assert main(["build", *common, "--out", str(tmp_path / "b"), "--k-max", "4"]) == 0
         assert main(["run", *common, "--table", str(tmp_path / "b" / "table.json"),
                      "--out", str(tmp_path / "r")]) == 0
         lines = (tmp_path / "r" / "simulation.csv").read_text().strip().split("\n")
         assert len(lines) == 2 + 60
+        assert json.loads((tmp_path / "b" / "table.json").read_text())["similarity"] \
+            == "euclidean"
+        got = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("b/table.json", "r/simulation.csv")]
+        assert got == ["b4abb18ffb5da5cfa8fac5666af3fa84c558bbef8305d10ce7e6fdc5851daa3b",
+                       "826814c6c898e0458246b67090e8ffa8d7b3321bd9d3c7b6e3211394b385285b"]
 
     def test_nan_setting_exits_2_without_artifact(self, workspace, capsys):
-        # NaN compares false both ways, so it must fail each range check.
-        for extra in (("--magnitude-ratio", "nan"),
-                      ("--similarity", "euclidean", "--threshold", "nan")):
-            rc, out = build(workspace, "nan", extra)
+        # NaN compares false both ways, so it must fail each range check:
+        # the magnitude ratio's, and the distance threshold's of a
+        # one-service catalog.
+        one = workspace[0] / "one"
+        one.mkdir()
+        for ws, extra in ((workspace, ("--magnitude-ratio", "nan")),
+                          ((one, *single_service_workspace(one)), ("--threshold", "nan"))):
+            rc, out = build(ws, "nan", extra)
             assert rc == 2, extra
             assert "error:" in capsys.readouterr().err, extra
             assert not out.exists(), extra
@@ -301,11 +308,12 @@ class TestRun:
 
 # Settings that are constants now, by the subcommands that took them:
 # the GA's operator rates and slot budget, AHC's linkage, and gen's mode
-# range and noise; each with the value it always had.
+# range and noise; each with the value it always had. The matching metric,
+# which the catalog's width picks, is no setting either.
 REMOVED_SETTINGS = {
     "gen": (("center-low", "20"), ("center-high", "200"), ("sigma", "5")),
     "build": (("crossover-rate", "0.9"), ("mutation-rate", "0.05"), ("elitism", "2"),
-              ("max-instances", "8"), ("linkage", "ward")),
+              ("max-instances", "8"), ("linkage", "ward"), ("similarity", "euclidean")),
     "run": (("crossover-rate", "0.9"), ("mutation-rate", "0.05"), ("elitism", "2"),
             ("max-instances", "8")),
     "compare": (("crossover-rate", "0.9"), ("mutation-rate", "0.05"), ("elitism", "2"),
@@ -466,7 +474,7 @@ REPLAY_SHA256 = {
 # change that claims no flag changed must leave these alone.
 HELP_SHA256 = {
     "gen": "2893f120137bbc651f699376b1125374f22315f4f43cac2b70d9db681b2ba4af",
-    "build": "c99b773409a6c2b19a3c3bf989c70cc594ab21e405a9c7ff312ed2e6f45b34f5",
+    "build": "9fda4688a7fa1bdbad345b6fcf2f8d8a5e86335a41de375161c01eb98d5dc647",
     "run": "96e232f53095f78905206a61642bc3577a8126e5af31522bd788431e35aaab6b",
     "compare": "92dd548886ed40a9b5327f95d3f7ac6a86aa1979a369893bc0df1db2a2641488",
     "inspect-table": "e67a257c15a8dd6e236f36f1b521c0dbe40341bf76a46ac56033f40113c8e76f",
@@ -518,6 +526,41 @@ class TestInspect:
         assert "entries:" in text
         assert "pattern=" in text
 
+    # Edits of the quickstart table that load_table refuses: the keys to the
+    # edited value and its new value.
+    REFUSED_EDITS = {
+        # Service 0 unhosted, at the same instances and the same cost.
+        "misfit": (("entries", 0, "instances", 1, "assignment"), [0, 0, 0, 0, 1]),
+        "nan-cost": (("entries", 0, "cost"), math.nan),
+        "nan-pattern": (("entries", 0, "pattern", 0), math.nan),
+        "bit-of-2": (("entries", 0, "instances", 0, "assignment", 0), 2),
+        "threshold-5": (("threshold",), 5.0),
+        "threshold-abc": (("threshold",), "abc"),
+        "euclidean": (("similarity",), "euclidean"),
+    }
+
+    def test_refused_edits_exit_2_naming_the_file(self, workspace, capsys):
+        tmp_path, services, vms, trace = workspace
+        inputs = ["--catalog", str(services), "--vm-catalog", str(vms)]
+        assert main(["build", "--trace", str(trace), *inputs,
+                     "--out", str(tmp_path / "build"), "--seed", "7"]) == 0
+        built = (tmp_path / "build" / "table.json").read_text()
+        path = tmp_path / "edited.json"
+        path.write_text(built)
+        capsys.readouterr()
+        assert main(["inspect-table", "--table", str(path), *inputs]) == 0
+        assert "similarity: pearson" in capsys.readouterr().out
+        for name, (keys, value) in self.REFUSED_EDITS.items():
+            path.write_text(json.dumps(set_in(json.loads(built), keys, value)))
+            capsys.readouterr()
+            assert main(["inspect-table", "--table", str(path), *inputs]) == 2, name
+            assert capsys.readouterr().err.startswith(f"error: {path}: "), name
+            if name == "misfit":
+                # run refuses it too, where it served it at a hit rate of 1.
+                assert main(["run", "--trace", str(trace), *inputs, "--table", str(path),
+                             "--out", str(tmp_path / "run")]) == 2
+                assert not (tmp_path / "run").exists()
+
 
 class TestUsage:
     def test_unknown_flag_nonzero_exit(self):
@@ -543,6 +586,12 @@ class TestUsage:
         for cmd, rest in commands:
             flags = set(re.findall(r"--[\w-]+", rest))
             assert flags <= set(parsers[cmd]._option_string_actions), (cmd, flags)
+        # Every --flag in the prose is a flag of some subcommand, but for the
+        # abbreviation and the key=value form the prose shows as non-flags.
+        prose = re.sub(r"^```[^\n]*\n.*?^```", "", readme, flags=re.M | re.S)
+        known = set().union(*(p._option_string_actions for p in parsers.values()))
+        stray = set(re.findall(r"--[\w-]+", prose)) - known - {"--gen", "--key"}
+        assert not stray, stray
 
     def test_help_pinned(self, monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", "80")

@@ -129,10 +129,12 @@ class TestBuildOffline:
         with pytest.raises(ValueError):
             build_offline(trace, catalog, vms, k_range=(2, 15), ga_params=GA)
 
-    def test_euclidean_threshold_derived_from_centroids(self, catalog, vms):
-        trace, _, _ = planted_trace(catalog, 35, modes=4, periods=40)
-        table, _ = build_offline(trace, catalog, vms, k_range=(2, 6),
-                                 ga_params=GA, similarity="euclidean", seed=4)
+    def test_euclidean_threshold_derived_from_centroids(self, vms):
+        # A one-service catalog matches by distance.
+        one = ServiceCatalog(np.array([[1.0, 1.0, 2.0]]))
+        trace, _, _ = planted_trace(one, 35, modes=2, periods=40)
+        table, _ = build_offline(trace, one, vms, k_range=(2, 6), ga_params=GA, seed=4)
+        assert table.similarity == "euclidean"
         pats = np.vstack([e.pattern for e in table.entries])
         d = np.linalg.norm(pats[:, None, :] - pats[None, :, :], axis=2)
         mean_inter = d[~np.eye(len(pats), dtype=bool)].mean()

@@ -1,5 +1,6 @@
 """Similarity scoring, table matching, persistence."""
 
+import dataclasses
 import json
 import math
 from dataclasses import replace
@@ -27,6 +28,8 @@ from packwise import (
     save_table,
 )
 from packwise.lookup import entry_scores
+
+from conftest import set_in
 
 
 @pytest.fixture
@@ -162,12 +165,12 @@ class TestMatch:
             match(table, incoming([1, 2, 3, 4, 5]))
 
     def test_euclidean_mode(self, vm_catalog):
-        table = table_with([[10.0, 10.0], [100.0, 100.0]], vm_catalog[0],
-                           similarity="euclidean", threshold=5.0)
-        hit = match(table, incoming([12, 11]))
-        assert hit.hit and hit.best_index == 0 and hit.score == pytest.approx(np.sqrt(5))
-        miss = match(table, incoming([50, 50]))
-        assert not miss.hit
+        # One-service patterns match by distance.
+        table = table_with([[10.0], [100.0]], vm_catalog[0], threshold=5.0)
+        hit = match(table, incoming([12]))
+        assert hit.hit and hit.best_index == 0 and hit.score == 2.0
+        miss = match(table, incoming([50]))
+        assert not miss.hit and miss.score == 40.0
 
     def test_magnitude_guard_blocks_scaled_twin(self, vm_catalog):
         # Doubling a pattern keeps correlation 1.0; the guard turns the
@@ -219,14 +222,14 @@ class TestTableValidation:
         with pytest.raises(ValueError):
             table_with([[1.0, 2.0]], vm_catalog[0], threshold=-1.0)
         with pytest.raises(ValueError):
-            table_with([[1.0, 2.0]], vm_catalog[0], similarity="euclidean", threshold=0.0)
+            table_with([[1.0]], vm_catalog[0], threshold=0.0)
 
     def test_nan_settings_rejected(self, vm_catalog):
-        for kwargs in ({"threshold": math.nan},
-                       {"similarity": "euclidean", "threshold": math.nan},
-                       {"magnitude_ratio": math.nan}):
+        for pattern, kwargs in (([1.0, 2.0], {"threshold": math.nan}),
+                                ([1.0], {"threshold": math.nan}),
+                                ([1.0, 2.0], {"magnitude_ratio": math.nan})):
             with pytest.raises(ValueError):
-                table_with([[1.0, 2.0]], vm_catalog[0], **kwargs)
+                table_with([pattern], vm_catalog[0], **kwargs)
         # An infinite ratio still disables the guard.
         table = table_with([[1.0, 2.0]], vm_catalog[0], magnitude_ratio=math.inf)
         assert match(table, incoming([100, 200])).hit
@@ -248,16 +251,40 @@ class TestTableValidation:
             LookupTable(entries=entries)
 
     def test_single_service_needs_euclidean(self, vm_catalog):
-        with pytest.raises(ValueError, match="euclidean"):
-            table_with([[4.0], [9.0]], vm_catalog[0])
-        table = table_with([[4.0], [9.0]], vm_catalog[0],
-                           similarity="euclidean", threshold=1.0)
+        # Correlation is undefined for one value, so the width picks distance,
+        # with a quarter of the mean distance between patterns by default.
+        table = table_with([[4.0], [9.0]], vm_catalog[0])
+        assert table.similarity == "euclidean" and table.threshold == 1.25
         assert match(table, incoming([8])).best_index == 1
+        assert table_with([[4.0]], vm_catalog[0], threshold=1.0).threshold == 1.0
+        with pytest.raises(ValueError, match="one-entry distance table needs a threshold"):
+            table_with([[4.0]], vm_catalog[0])
+
+    def test_width_picks_the_metric(self, vm_catalog):
+        assert [f.name for f in dataclasses.fields(LookupTable)] == [
+            "entries", "threshold", "magnitude_ratio", "fingerprint"]
+        table = table_with([[4.0, 1.0], [9.0, 2.0]], vm_catalog[0])
+        assert table.similarity == "pearson" and table.threshold == 0.7
+        with pytest.raises(TypeError):
+            table_with([[4.0], [9.0]], vm_catalog[0], similarity="euclidean")
 
 
 class TestPersistence:
+    @pytest.fixture
+    def vm_catalog(self):
+        """The module's types at 100x capacity, so that build_table's
+        packings fit their patterns, as load_table requires."""
+        return [VmType("VM1", np.array([100.0, 100.0, 200.0]), 1.0),
+                VmType("VM2", np.array([100.0, 200.0, 100.0]), 1.2),
+                VmType("VM3", np.array([200.0, 100.0, 200.0]), 1.5)]
+
     def build_table(self, catalog, vm_catalog):
-        e1 = entry([25.0, 60.0, 12.0, 32.0, 48.0], vm_catalog[0], [0, 1, 1, 0, 0])
+        e1 = LookupEntry(
+            pattern=np.array([25.0, 60.0, 12.0, 32.0, 48.0]),
+            solution=PackingSolution(
+                (VmInstance(vm_catalog[0], np.array([0, 1, 1, 0, 0])),
+                 VmInstance(vm_catalog[1], np.array([1, 0, 0, 1, 1]))),
+                0.5, True))
         e2 = LookupEntry(
             pattern=np.array([10.0, 12.0, 17.0, 16.0, 13.0]),
             solution=PackingSolution(
@@ -301,7 +328,7 @@ class TestPersistence:
         doc = json.loads(path.read_text())
         doc["version"] = "packwise-table-v0"
         path.write_text(json.dumps(doc))
-        with pytest.raises(TableFormatError, match="version"):
+        with pytest.raises(TableFormatError, match="expected version"):
             load_table(path, five_service_catalog, vm_catalog)
 
     def test_non_finite_pattern_in_file_rejected(self, tmp_path, five_service_catalog,
@@ -382,5 +409,42 @@ class TestPersistence:
         doc = json.loads(path.read_text())
         doc["entries"][0]["cost"] = 123.0
         path.write_text(json.dumps(doc))
-        with pytest.raises(TableFormatError, match="cost"):
+        with pytest.raises(TableFormatError, match="stored cost 123.0 disagrees"):
             load_table(path, five_service_catalog, vm_catalog, period_seconds=600)
+
+    def saved_doc(self, path, catalog, vm_catalog):
+        save_table(self.build_table(catalog, vm_catalog), path)
+        return json.loads(path.read_text())
+
+    # Each edit: the keys to the edited value, its new value, and what the
+    # refusal says.
+    REFUSED_EDITS = {
+        # Service 4 unhosted, at the same instances and the same cost.
+        "misfit": (("entries", 0, "instances", 1, "assignment"), [1, 0, 0, 1, 0],
+                   "entry 0's packing does not fit its pattern: service 4 has positive "
+                   "demand but no host"),
+        "nan-cost": (("entries", 1, "cost"), math.nan,
+                     "entry 1 has stored cost nan, not a finite nonnegative number"),
+        "inf-cost": (("entries", 1, "cost"), math.inf, "stored cost inf, not a finite"),
+        "negative-cost": (("entries", 1, "cost"), -0.5, "stored cost -0.5, not a finite"),
+        "nan-pattern": (("entries", 1, "pattern", 2), math.nan, "finite"),
+        "bit-of-2": (("entries", 1, "instances", 0, "assignment", 0), 2, "0 or 1"),
+        "threshold-5": (("threshold",), 5.0, "correlation threshold"),
+        "threshold-abc": (("threshold",), "abc", "abc"),
+        "euclidean": (("similarity",), "euclidean",
+                      "'euclidean', but a 5-service catalog matches by 'pearson'"),
+        "unknown-type": (("entries", 0, "instances", 0, "type_id"), "VM9",
+                         "unknown VM type 'VM9'"),
+    }
+
+    @pytest.mark.parametrize("name", REFUSED_EDITS)
+    def test_refusals_name_the_file_once(self, tmp_path, five_service_catalog, vm_catalog,
+                                         name):
+        keys, value, message = self.REFUSED_EDITS[name]
+        path = tmp_path / "table.json"
+        doc = self.saved_doc(path, five_service_catalog, vm_catalog)
+        path.write_text(json.dumps(set_in(doc, keys, value)))
+        with pytest.raises(TableFormatError, match=message) as exc:
+            load_table(path, five_service_catalog, vm_catalog)
+        assert str(exc.value).startswith(f"{path}: ")
+        assert str(exc.value).count(str(path)) == 1

@@ -1,5 +1,6 @@
-"""The vectorized matcher against the scalar oracles: pearson() and a
-per-entry np.linalg.norm loop."""
+"""The vectorized matcher against the scalar oracles: pearson() and, for
+one-service tables, which match by distance, a per-entry np.linalg.norm
+loop."""
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from packwise.lookup import entry_scores
 @st.composite
 def tables_and_probes(draw):
     """(E, S) patterns with constant, duplicated, mirrored and scaled rows,
-    plus a probe that is often one of those rows transformed."""
-    S = draw(st.integers(2, 12))
+    plus a probe that is often one of those rows transformed. S = 1 draws
+    one-service tables, which match by distance."""
+    S = draw(st.one_of(st.just(1), st.integers(2, 12)))
     value = st.one_of(st.integers(0, 30).map(float),
                       st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False))
     row = st.lists(value, min_size=S, max_size=S).map(np.array)
@@ -45,7 +47,7 @@ def tables_and_probes(draw):
 
 
 class TestVectorizedMatchAgainstScalarOracle:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(tables_and_probes())
     def test_scores_and_best_index(self, case):
         patterns, probe = case
@@ -53,32 +55,35 @@ class TestVectorizedMatchAgainstScalarOracle:
             (VmInstance(VmType("VM", np.ones(1), 1.0), np.ones(len(probe), dtype=int)),),
             1.0, True)
         dv = DemandVector(probe[:, None])
-        for similarity, oracle, pick in (
-                ("pearson", [pearson(probe, p) for p in patterns], np.argmax),
-                ("euclidean", [float(np.linalg.norm(probe - p)) for p in patterns], np.argmin)):
-            table = LookupTable(entries=tuple(LookupEntry(p, solution) for p in patterns),
-                                similarity=similarity, threshold=0.5)
-            oracle = np.array(oracle)
-            # Rounding is relative: 1e-12 on correlations (|r| <= 1), and 1e-12
-            # of the distance on Euclidean scores, which reach 1e4 here.
-            tol = 1e-12 * np.maximum(1.0, np.abs(oracle))
-            scores = entry_scores(table, probe)
-            assert np.all(np.abs(scores - oracle) <= tol)
-            if similarity == "pearson":
-                assert np.all(np.abs(scores) <= 1.0)
-                c = probe - probe.mean()
-                for score, exact, p in zip(scores, oracle, patterns):
-                    d = p - p.mean()
-                    if (np.sqrt((c ** 2).sum()) == 0 or np.sqrt((d ** 2).sum()) == 0
-                            or np.array_equal(c, d) or np.array_equal(c, -d)):
-                        assert score == exact  # the sentinels are exact
-            result = match(table, dv)
-            ranked = np.sort(oracle)[::-1] if pick is np.argmax else np.sort(oracle)
-            if len(ranked) == 1 or abs(ranked[0] - ranked[1]) > 1e-12 * max(1.0, abs(ranked[0])):
-                assert result.best_index == int(pick(oracle))
-            # Equal patterns score bit-equal, so ties go to the lowest index.
-            same = np.all(patterns == patterns[result.best_index], axis=1)
-            assert result.best_index == int(np.flatnonzero(same)[0])
+        table = LookupTable(entries=tuple(LookupEntry(p, solution) for p in patterns),
+                            threshold=0.5)
+        if len(probe) == 1:
+            assert table.similarity == "euclidean"
+            oracle, pick = [float(np.linalg.norm(probe - p)) for p in patterns], np.argmin
+        else:
+            assert table.similarity == "pearson"
+            oracle, pick = [pearson(probe, p) for p in patterns], np.argmax
+        oracle = np.array(oracle)
+        # Rounding is relative: 1e-12 on correlations (|r| <= 1), and 1e-12
+        # of the distance on Euclidean scores, which reach 2e3 here.
+        tol = 1e-12 * np.maximum(1.0, np.abs(oracle))
+        scores = entry_scores(table, probe)
+        assert np.all(np.abs(scores - oracle) <= tol)
+        if table.similarity == "pearson":
+            assert np.all(np.abs(scores) <= 1.0)
+            c = probe - probe.mean()
+            for score, exact, p in zip(scores, oracle, patterns):
+                d = p - p.mean()
+                if (np.sqrt((c ** 2).sum()) == 0 or np.sqrt((d ** 2).sum()) == 0
+                        or np.array_equal(c, d) or np.array_equal(c, -d)):
+                    assert score == exact  # the sentinels are exact
+        result = match(table, dv)
+        ranked = np.sort(oracle)[::-1] if pick is np.argmax else np.sort(oracle)
+        if len(ranked) == 1 or abs(ranked[0] - ranked[1]) > 1e-12 * max(1.0, abs(ranked[0])):
+            assert result.best_index == int(pick(oracle))
+        # Equal patterns score bit-equal, so ties go to the lowest index.
+        same = np.all(patterns == patterns[result.best_index], axis=1)
+        assert result.best_index == int(np.flatnonzero(same)[0])
 
 
 def _table(patterns):
@@ -86,7 +91,7 @@ def _table(patterns):
         (VmInstance(VmType("VM", np.ones(1), 1.0), np.ones(patterns.shape[1], dtype=int)),),
         1.0, True)
     return LookupTable(entries=tuple(LookupEntry(p, solution) for p in patterns),
-                       similarity="pearson", threshold=0.5)
+                       threshold=0.5)
 
 
 class TestZeroVarianceSentinels:
