@@ -45,6 +45,7 @@ from scipy.cluster.hierarchy import fcluster
 from scipy.cluster.hierarchy import linkage as scipy_linkage
 from scipy.spatial.distance import cdist
 
+from .parallel import split_map
 from .validation import as_float_matrix
 
 KMEANS_RESTARTS = 10
@@ -486,6 +487,11 @@ def select_k(patterns, k_range, seed: int = 0):
     go to the larger Dunn index, then the smaller k. Returns
     (best_model, rows): the fitted k-means model of the best k, and
     (k, davies_bouldin, dunn) rows for reporting.
+
+    The ks are independent jobs, spread over the usable CPUs by
+    split_map; each returns its model's arrays, and only the best k's
+    become a ClusterModel, here. The error a failing k raises is the
+    lowest failing k's, as in a serial sweep.
     """
     X = as_float_matrix(patterns, "patterns")
     lo, hi = int(k_range[0]), int(k_range[1])
@@ -499,9 +505,15 @@ def select_k(patterns, k_range, seed: int = 0):
     distinct = canonical[2]
     _check_k(lo, distinct)
     hi = min(hi, distinct)
-    models, rows = {}, []
-    for k in range(lo, hi + 1):
-        models[k] = kmeans(X, k, seed=seed + k, canonical=canonical)
-        rows.append((k, davies_bouldin(models[k], X), dunn(models[k], X)))
-    best = min(rows, key=lambda row: (row[1], -row[2], row[0]))
-    return models[best[0]], rows
+
+    def fit(k):
+        model = kmeans(X, k, seed=seed + k, canonical=canonical)
+        return ((k, davies_bouldin(model, X), dunn(model, X)),
+                (model.centroids, model.assignments, model.objective_trace))
+
+    fits = split_map(fit, range(lo, hi + 1))
+    (k, _, _), (centroids, assignments, trace) = min(
+        fits, key=lambda f: (f[0][1], -f[0][2], f[0][0]))
+    model = ClusterModel(k=k, centroids=centroids, assignments=assignments,
+                         objective_trace=trace)
+    return model, [row for row, _ in fits]

@@ -13,6 +13,13 @@ configuration.
 All reports serialize deterministically (no wall-clock content); repeated
 runs with the same seeds produce byte-identical files. Stage timings are
 logged, not serialized.
+
+The independent, separately seeded jobs of a build, a recluster and a
+comparison (select_k's ks, the GA runs of _pack_representatives and
+evaluate_methods' periods) run on every usable CPU through split_map.
+Jobs return plain data and never log; this module builds the objects and
+writes the log records from what they return, in job order, so outputs
+and logs do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from .lookup import (
 from .packing import (
     BRUTE_FORCE_MAX_BITS,
     GaParams,
+    _decode,
     best_fit_pack,
     brute_force_pack,
     first_fit_pack,
@@ -50,6 +58,7 @@ from .packing import (
     mix_lower_bound,
     verify_solution,
 )
+from .parallel import split_map
 from .workload import ServiceCatalog, WorkloadTrace
 
 log = logging.getLogger(__name__)
@@ -175,32 +184,56 @@ class MissPolicy:
             raise ValueError(f"k range [{low}, {high}] must satisfy 2 <= low <= high")
 
 
+def _ga_genome(dv, vm_catalog, params, period_seconds):
+    """ga_pack's packing as plain data: the genome (VM type indexes into
+    vm_catalog, (instances, S) assignment rows, feasible) that _decode
+    turns back into it."""
+    sol = ga_pack(dv, vm_catalog, params, period_seconds)
+    index = {id(vm): t for t, vm in enumerate(vm_catalog)}
+    types = np.array([index[id(inst.vm_type)] for inst in sol.instances], dtype=np.intp)
+    bits = np.array([inst.assignment for inst in sol.instances],
+                    dtype=np.uint8).reshape(len(types), dv.service_count)
+    return types, bits, sol.feasible
+
+
 def _pack_representatives(centroids, catalog, vm_catalog, ga_params, period_seconds,
                           on_infeasible="raise", kept=None):
     """GA-pack each centroid; returns (entries, skipped count). kept[i],
     when given, lists packings already made for centroid i's cluster; the
     cheapest of them that fits the centroid (the first on ties) serves it
-    instead of running the GA again."""
-    entries, skipped = [], 0
-    for i, centroid in enumerate(centroids):
-        dv = demand_from_values(centroid, catalog)
+    instead of running the GA again.
+
+    The GA runs, centroid i's seeded ga_params.seed + i, are independent
+    jobs spread over the usable CPUs by split_map. Each returns its
+    packing's genome, decoded here, so every instance holds vm_catalog's
+    own VmType. The entries, and the BuildError or warning for an
+    infeasible representative, follow centroid order, as in a serial loop.
+    """
+    demands = [demand_from_values(centroid, catalog) for centroid in centroids]
+    served = []     # per centroid: its packing, None until the GA packs it
+    for i, dv in enumerate(demands):
         fits = [sol for sol in (kept[i] if kept else ()) if verify_solution(sol, dv)]
-        if fits:
-            cheapest = min(fits, key=lambda sol: sol.total_cost)
-            entries.append(LookupEntry(pattern=centroid, solution=cheapest))
+        served.append(min(fits, key=lambda sol: sol.total_cost) if fits else None)
+    runs = [i for i, sol in enumerate(served) if sol is None]
+    genomes = split_map(
+        lambda i: _ga_genome(demands[i], vm_catalog,
+                             replace(ga_params, seed=ga_params.seed + i), period_seconds),
+        runs)
+    skipped = 0
+    for i, genome in zip(runs, genomes):
+        sol = _decode(vm_catalog, *genome, period_seconds)
+        if sol.feasible:
+            served[i] = sol
             continue
-        params = replace(ga_params, seed=ga_params.seed + i)
-        sol = ga_pack(dv, vm_catalog, params, period_seconds)
-        if not sol.feasible:
-            if on_infeasible == "raise":
-                raise BuildError(
-                    f"representative {i} (pattern {_fmt_pattern(centroid)}) "
-                    f"has no feasible packing"
-                )
-            log.warning("skipping representative %d: no feasible packing", i)
-            skipped += 1
-            continue
-        entries.append(LookupEntry(pattern=centroid, solution=sol))
+        if on_infeasible == "raise":
+            raise BuildError(
+                f"representative {i} (pattern {_fmt_pattern(centroids[i])}) "
+                f"has no feasible packing"
+            )
+        log.warning("skipping representative %d: no feasible packing", i)
+        skipped += 1
+    entries = [LookupEntry(pattern=centroid, solution=sol)
+               for centroid, sol in zip(centroids, served) if sol is not None]
     return entries, skipped
 
 
@@ -388,6 +421,10 @@ def evaluate_methods(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
     reference). first_fit / best_fit: greedy packings per period.
     static_peak: one GA packing of the entrywise-maximum demand, reused
     every period.
+
+    The periods are independent jobs, each GA seeded gp.seed + its index,
+    spread over the usable CPUs by split_map; each returns its row of
+    costs.
     """
     _check_table(table, catalog, vm_catalog, trace.period_seconds)
     if trace.n_periods == 0:
@@ -399,21 +436,23 @@ def evaluate_methods(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
     peak = ga_pack(demand_for_period(peak_counts, catalog), vm_catalog,
                    replace(gp, seed=gp.seed + 10_000), secs)
 
-    rows = []
-    for i, counts in enumerate(trace.counts):
+    def price(period):
+        i, counts = period
         dv = demand_for_period(counts, catalog)
         pipeline, source, _ = decide(table, dv, vm_catalog, secs)
         # A greedy miss already is the best-fit packing of this demand.
         best_fit = (pipeline if source == "fallback-greedy"
                     else best_fit_pack(dv, vm_catalog, secs))
         per_ga = ga_pack(dv, vm_catalog, replace(gp, seed=gp.seed + i), secs)
-        rows.append((
+        return (
             pipeline.total_cost,
             per_ga.total_cost,
             first_fit_pack(dv, vm_catalog, secs).total_cost,
             best_fit.total_cost,
             peak.total_cost,
-        ))
+        )
+
+    rows = split_map(price, enumerate(trace.counts))
     totals = tuple(float(s) for s in np.array(rows).sum(axis=0))
     return ComparisonReport(
         methods=("pipeline", "per_period_ga", "first_fit", "best_fit", "static_peak"),

@@ -72,7 +72,13 @@ class VmType:
 
 @dataclass(frozen=True)
 class VmInstance:
-    """One rented machine and the binary service-assignment row it hosts."""
+    """One rented machine and the binary service-assignment row it hosts.
+
+    VmInstance(vm_type, assignment) checks the entries and keeps a
+    read-only uint8 copy. _decode builds its instances through _trusted
+    instead, which skips the check and the copy its packers make
+    unnecessary.
+    """
 
     vm_type: VmType
     assignment: np.ndarray
@@ -84,6 +90,17 @@ class VmInstance:
         a = np.array(a, dtype=np.uint8, copy=True)
         a.flags.writeable = False
         object.__setattr__(self, "assignment", a)
+
+    @classmethod
+    def _trusted(cls, vm_type: VmType, assignment: np.ndarray) -> VmInstance:
+        """Wrap a fresh uint8 row of 0s and 1s, made read-only here, without
+        re-checking or copying it. Neither the row nor the fresh array it
+        may be a row of may be used elsewhere."""
+        assignment.flags.writeable = False
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "vm_type", vm_type)
+        object.__setattr__(inst, "assignment", assignment)
+        return inst
 
     @property
     def services(self) -> np.ndarray:
@@ -351,8 +368,10 @@ def _decode(vm_catalog, slot_types, slot_bits, feasible, period_seconds) -> Pack
     """The solution renting one instance per slot, in slot order: slot m is
     vm_catalog[slot_types[m]] hosting the services slot_bits[m] marks.
     Callers drop a genome's off and empty slots first; greedy genomes have
-    none."""
-    instances = tuple(VmInstance(vm_catalog[t], row)
+    none. slot_bits is a fresh (slots, S) uint8 array of 0s and 1s that
+    nothing else holds, so its rows become the instances' read-only
+    assignments as they are."""
+    instances = tuple(VmInstance._trusted(vm_catalog[t], row)
                       for t, row in zip(slot_types.tolist(), slot_bits))
     return PackingSolution(
         instances=instances,

@@ -1,11 +1,21 @@
 """Shared fixtures: a five-service catalog, a three-type VM catalog,
-helpers for planting separated workload modes, and one for editing a
-JSON document in place."""
+helpers for planting separated workload modes, one for editing a JSON
+document in place, and one that keeps split_map in the test process."""
 
 import numpy as np
 import pytest
 
 from packwise import ServiceCatalog, SyntheticSpec, VmType, generate_trace
+
+
+@pytest.fixture
+def serial(monkeypatch):
+    """split_map runs every job in this process, so a test that counts
+    calls through a monkeypatched function sees all of them, not only
+    those of the calling process's share."""
+    from packwise import parallel
+
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
 
 
 @pytest.fixture

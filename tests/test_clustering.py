@@ -188,6 +188,7 @@ class TestKMeansGolden:
         assert self.fingerprint(model, rows) == (
             10, "36b2236b3b9e2ab5", "f2867417175a6482", "4cf930436b2feee4", "b7aab4c43049083d")
 
+    @pytest.mark.usefixtures("serial")
     def test_empty_cluster_repair_pinned(self, monkeypatch):
         # The repair is the only caller of np.flatnonzero in a select_k run
         # that finds an empty cluster.
@@ -420,6 +421,7 @@ class TestPruning:
                                  assignments=labels)
         assert repr(dunn(model, X)) == repr(all_pairs_dunn(model, X))
 
+    @pytest.mark.usefixtures("serial")
     def test_sweeps_skip_most_distances(self, monkeypatch):
         # Unpruned, each restart computes its n x k k-means++ columns and then
         # one n x k matrix per sweep; pruned, it must compute at most half.

@@ -234,6 +234,7 @@ class TestRunOnline:
         assert sorted(patterns) == sorted([table.entries[0].pattern.tolist(),
                                            demand_for_period(novel, catalog).values.tolist()])
 
+    @pytest.mark.usefixtures("serial")
     def test_recluster_keeps_the_packings_of_surviving_patterns(self, built, catalog, vms,
                                                                  monkeypatch):
         # 10 table patterns plus 20 copies of one novel row: each old
@@ -255,6 +256,7 @@ class TestRunOnline:
         assert all(id(e.solution) in kept for e in table.entries)
         assert len(sim.final_table.entries) == len(table.entries) + 1
 
+    @pytest.mark.usefixtures("serial")
     def test_recluster_keeps_a_packing_that_fits_the_moved_centroid(self, built, catalog,
                                                                    vms, monkeypatch):
         # 20 misses at 0.9x of entry 0's pattern and k_max 10: they join
@@ -396,6 +398,7 @@ class TestEvaluateMethods:
         assert by["per_period_ga"] <= by["first_fit"] + 1e-9
         assert by["per_period_ga"] <= by["best_fit"] + 1e-9
 
+    @pytest.mark.usefixtures("serial")
     def test_best_fit_packed_once_per_period(self, built, catalog, vms, monkeypatch):
         # Misses (demand at 1.6x the modes) are served by the greedy fallback,
         # which is the best-fit packing; it must not be packed again for the

@@ -55,6 +55,7 @@ def test_traced_name_resolves(name):
     assert callable(getattr(module, attr, None)), f"packwise.{name} is gone"
 
 
+@pytest.mark.usefixtures("serial")
 def test_select_k_alone_scores_clusterings(monkeypatch):
     # perfbench splits the select_k sweep into kmeans, davies_bouldin and
     # dunn spans by wrapping these module-level names; each scorer runs
