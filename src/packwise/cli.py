@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -79,6 +80,9 @@ def _given(args, *names, **renamed) -> dict:
 _GA_SETTINGS = ("population", "generations")
 CENTER_RANGE = (20, 200)   # inclusive range of gen's integer mode centers
 SIGMA_FRACTION = 0.05
+# Most periods build's hierarchical clustering runs on: scipy's linkage
+# holds m(m-1)/2 distances for m of them, 100 MB at 5,000.
+AHC_MAX_PERIODS = 5000
 
 
 def _ga_params(args) -> GaParams:
@@ -127,10 +131,13 @@ def cmd_build(args) -> int:
         seed=args.seed,
     )
     # The dendrogram needs O(n^2) memory for n periods, so the library build
-    # leaves it out; it runs before any file is written, so a degenerate
-    # tree still leaves no artifact behind.
+    # leaves it out, and a longer trace is clustered on at most
+    # AHC_MAX_PERIODS evenly spaced periods of it. It runs before any file
+    # is written, so a degenerate tree still leaves no artifact behind.
     patterns = demand_patterns(trace, catalog)
-    ahc_model, dendrogram = ahc(patterns, report.best_k)
+    step = math.ceil(patterns.shape[0] / AHC_MAX_PERIODS)
+    patterns = patterns[::step]
+    ahc_model, merges = ahc(patterns, report.best_k)
     try:
         ahc_db = davies_bouldin(ahc_model, patterns)
     except DegenerateModelError:
@@ -138,9 +145,10 @@ def cmd_build(args) -> int:
     ahc_scores = (ahc_db, dunn(ahc_model, patterns))
     out = _outdir(args)
     save_table(table, out / "table.json")
-    report.to_csv(out / "offline_report.csv", ahc_scores)
+    report.to_csv(out / "offline_report.csv", ahc_scores,
+                  ahc_periods=patterns.shape[0] if step > 1 else None)
     save_index_table(report.index_rows, out / "index_table.csv")
-    save_dendrogram(dendrogram, out / "dendrogram.csv")
+    save_dendrogram(merges, out / "dendrogram.csv")
     print(f"built table with {len(table.entries)} entries (k={report.best_k}) in {out}")
     return 0
 

@@ -65,17 +65,6 @@ class DegenerateModelError(ValueError):
 
 
 @dataclass(frozen=True)
-class Dendrogram:
-    """Agglomeration record: (cluster_a, cluster_b, distance) per merge.
-
-    Indices follow the usual convention: 0..n-1 are the input patterns,
-    n+i is the cluster created by merge i. n inputs yield n-1 merges.
-    """
-
-    merges: tuple
-
-
-@dataclass(frozen=True)
 class ClusterModel:
     """A fitted clustering: centroids are the representative patterns.
 
@@ -427,13 +416,16 @@ def kmeans(patterns, k: int, seed: int = 0, *, canonical=None) -> ClusterModel:
                         objective_trace=tuple(trace))
 
 
-def ahc(patterns, k: int) -> tuple[ClusterModel, Dendrogram]:
-    """Bottom-up hierarchical clustering cut at k; returns (model, dendrogram).
+def ahc(patterns, k: int) -> tuple[ClusterModel, tuple]:
+    """Bottom-up hierarchical clustering cut at k; returns (model, merges).
 
     The agglomeration itself comes from scipy, always with Ward linkage,
     which merges the pair that least raises the within-cluster sum of
     squares k-means minimizes; centroids are member means of the cut
-    clusters. The full merge list is kept as a Dendrogram for plotting.
+    clusters. merges, the full tree for plotting, holds one
+    (cluster_a, cluster_b, distance) triple per merge: 0..n-1 are the n
+    patterns in lexicographic row order, and n+i is the cluster merge i
+    creates, so n patterns yield n-1 merges.
     """
     X = as_float_matrix(patterns, "patterns")
     order, Xs, distinct = _canonical_order(X)
@@ -456,8 +448,7 @@ def ahc(patterns, k: int) -> tuple[ClusterModel, Dendrogram]:
         centroids=np.vstack([Xs[labels == c].mean(axis=0) for c in range(k)]),
         assignments=assignments,
     )
-    dendrogram = Dendrogram(merges=tuple((int(a), int(b), float(d)) for a, b, d, _ in Z))
-    return model, dendrogram
+    return model, tuple((int(a), int(b), float(d)) for a, b, d, _ in Z)
 
 
 def save_index_table(rows, path) -> None:
@@ -468,10 +459,10 @@ def save_index_table(rows, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def save_dendrogram(dendrogram: Dendrogram, path) -> None:
-    """Write the merge list as CSV for external plotting."""
+def save_dendrogram(merges, path) -> None:
+    """Write ahc's merge list as CSV for external plotting."""
     lines = ["step,cluster_a,cluster_b,distance"]
-    for i, (a, b, dist) in enumerate(dendrogram.merges):
+    for i, (a, b, dist) in enumerate(merges):
         lines.append(f"{i},{a},{b},{dist:.6g}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

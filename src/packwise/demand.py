@@ -100,11 +100,6 @@ def _demand_arrays(counts, catalog: ServiceCatalog, ndim: int = 2):
     return values, per_dim
 
 
-def _demand_vectors(counts, catalog: ServiceCatalog) -> list[DemandVector]:
-    """One DemandVector per row of an (n, S) count matrix, order preserved."""
-    return [DemandVector._checked(v, p) for v, p in zip(*_demand_arrays(counts, catalog))]
-
-
 def _periods(trace: WorkloadTrace) -> np.ndarray:
     if trace.n_periods == 0:
         raise ValueError("trace has no periods")
@@ -120,7 +115,8 @@ def demand_for_period(counts, catalog: ServiceCatalog) -> DemandVector:
 
 def demand_series(trace: WorkloadTrace, catalog: ServiceCatalog) -> list[DemandVector]:
     """One DemandVector per trace period, order preserved."""
-    return _demand_vectors(_periods(trace), catalog)
+    return [DemandVector._checked(v, p)
+            for v, p in zip(*_demand_arrays(_periods(trace), catalog))]
 
 
 def demand_patterns(trace: WorkloadTrace, catalog: ServiceCatalog) -> np.ndarray:

@@ -34,7 +34,6 @@ import numpy as np
 from .clustering import kmeans, select_k
 from .demand import (
     DemandVector,
-    _demand_vectors,
     demand_for_period,
     demand_from_values,
     demand_patterns,
@@ -88,15 +87,18 @@ class OfflineReport:
     centroid_rows: tuple       # (index, pattern, ga, first_fit, best_fit, brute|None)
     lower_bounds: tuple        # mix_lower_bound of each centroid row's pattern
 
-    def to_csv(self, path, ahc_scores=(None, None)) -> None:
+    def to_csv(self, path, ahc_scores=(None, None), ahc_periods=None) -> None:
         """Write the report; ahc_scores, the (davies_bouldin, dunn) of the
         hierarchical clustering of the same patterns cut at best_k, fill
-        the ahc_* comment fields, each left empty where it is None."""
+        the ahc_* comment fields, each left empty where it is None.
+        ahc_periods, the number of periods that clustering ran on when it
+        ran on a sample of them, adds an ahc_periods field."""
         db, dn = ahc_scores
         lines = [
             f"# best_k={self.best_k}",
             f"# ahc_davies_bouldin={_fmt(db) if db is not None else ''}"
-            f" ahc_dunn={_fmt(dn) if dn is not None else ''}",
+            f" ahc_dunn={_fmt(dn) if dn is not None else ''}"
+            + (f" ahc_periods={ahc_periods}" if ahc_periods is not None else ""),
             "representative,pattern,ga_cost,first_fit_cost,best_fit_cost,brute_force_cost,"
             "lower_bound,gap",
         ]
@@ -168,15 +170,18 @@ class MissPolicy:
     selection over the table's patterns plus the buffer, whose model
     replaces the table. k_range is that sweep, held to select_k's
     2 <= low <= high, so a table never holds more than k_range[1] entries
-    after a recluster.
+    after a recluster. ga_params=None becomes GaParams(seed=seed), as in
+    build_offline, so one seed drives a whole replay.
     """
 
     buffer_size: int = 20
-    ga_params: GaParams = field(default_factory=GaParams)
+    ga_params: GaParams | None = None
     k_range: tuple = DEFAULT_K_RANGE
     seed: int = 0
 
     def __post_init__(self):
+        if self.ga_params is None:
+            self.ga_params = GaParams(seed=self.seed)
         if self.buffer_size < 1:
             raise ValueError("buffer_size must be >= 1")
         low, high = self.k_range
@@ -267,6 +272,8 @@ def build_offline(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
     periods; hierarchical clustering, which does, is left to callers that
     want a dendrogram (the CLI's build). The table's width picks its
     metric, and threshold=None its default (see LookupTable).
+    ga_params=None packs with GaParams(seed=seed), so one seed drives the
+    whole build, as the CLI's --seed does.
 
     Returns (LookupTable, OfflineReport).
     """
@@ -280,9 +287,10 @@ def build_offline(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
     timings["clustering"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    gp = ga_params or GaParams()
+    if ga_params is None:
+        ga_params = GaParams(seed=seed)
     entries, _ = _pack_representatives(
-        model.centroids, catalog, vm_catalog, gp, trace.period_seconds,
+        model.centroids, catalog, vm_catalog, ga_params, trace.period_seconds,
         on_infeasible="raise")
     report_rows = [_report_row(i, entry, catalog, vm_catalog, trace.period_seconds)
                    for i, entry in enumerate(entries)]
@@ -342,11 +350,11 @@ def _recluster(table, missed, catalog, vm_catalog, policy, period_seconds, event
 
 def decide(table: LookupTable, dv: DemandVector, vm_catalog, period_seconds: float):
     """Serve one period: the matched entry's own packing on a hit, a best-fit
-    packing of the live demand on a miss. Returns (solution, source, MatchResult)."""
+    packing of the live demand on a miss. Returns (solution, MatchResult)."""
     result = match(table, dv)
     if result.hit:
-        return result.chosen, "table", result
-    return best_fit_pack(dv, vm_catalog, period_seconds), "fallback-greedy", result
+        return result.chosen, result
+    return best_fit_pack(dv, vm_catalog, period_seconds), result
 
 
 def run_online(table: LookupTable, online_trace: WorkloadTrace,
@@ -376,8 +384,8 @@ def run_online(table: LookupTable, online_trace: WorkloadTrace,
     total = 0.0
     for period, counts in enumerate(online_trace.counts):
         dv = demand_for_period(counts, catalog)
-        solution, source, result = decide(table, dv, vm_catalog,
-                                          online_trace.period_seconds)
+        solution, result = decide(table, dv, vm_catalog, online_trace.period_seconds)
+        source = "table" if result.hit else "fallback-greedy"
         if not verify_solution(solution, dv):
             violations += 1
             log.debug("period %d: configuration from %s violates live demand",
@@ -439,10 +447,9 @@ def evaluate_methods(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
     def price(period):
         i, counts = period
         dv = demand_for_period(counts, catalog)
-        pipeline, source, _ = decide(table, dv, vm_catalog, secs)
+        pipeline, result = decide(table, dv, vm_catalog, secs)
         # A greedy miss already is the best-fit packing of this demand.
-        best_fit = (pipeline if source == "fallback-greedy"
-                    else best_fit_pack(dv, vm_catalog, secs))
+        best_fit = pipeline if not result.hit else best_fit_pack(dv, vm_catalog, secs)
         per_ga = ga_pack(dv, vm_catalog, replace(gp, seed=gp.seed + i), secs)
         return (
             pipeline.total_cost,
@@ -466,10 +473,13 @@ class PackingAutoscaler:
     configurations for new demand.
 
     fit() runs the offline pipeline and stores the lookup table; predict()
-    maps request-count rows to PackingSolutions by decide() (stateless): a
-    hit gets its entry's packing, a miss a best-fit packing of the live
-    demand. replay() runs the full online loop, reclustering misses over
-    the same k_range as fit(), and returns the simulation report.
+    maps one row of request counts to a PackingSolution by decide()
+    (stateless): a hit gets its entry's packing, a miss a best-fit packing
+    of the live demand. replay() runs the full online loop, reclustering
+    misses over the same k_range as fit(), and returns the simulation
+    report. With ga_params=None both seed the GA from seed, so
+    PackingAutoscaler(seed=s) fits the table that `packwise build --seed s`
+    writes for the same settings.
     """
 
     def __init__(self, k_range=DEFAULT_K_RANGE, threshold=None,
@@ -496,23 +506,18 @@ class PackingAutoscaler:
         return self
 
     def predict(self, counts):
-        """Configurations for one count row or a matrix of rows; a matrix
-        is converted to demand in one step, each row as a lone row would be."""
+        """The configuration for one period's (S,) row of request counts;
+        anything else, a matrix of rows included, raises ValueError."""
         if not hasattr(self, "table_"):
             raise ValueError("autoscaler is not fitted")
-        arr = np.asarray(counts)
-        row = arr.ndim == 1
-        demands = ([demand_for_period(arr, self._catalog)] if row
-                   else _demand_vectors(arr, self._catalog))
-        solutions = [decide(self.table_, dv, self._vm_catalog,
-                            self._period_seconds)[0] for dv in demands]
-        return solutions[0] if row else solutions
+        return decide(self.table_, demand_for_period(counts, self._catalog),
+                      self._vm_catalog, self._period_seconds)[0]
 
     def replay(self, trace: WorkloadTrace) -> SimulationReport:
         if not hasattr(self, "table_"):
             raise ValueError("autoscaler is not fitted")
         policy = MissPolicy(buffer_size=self.miss_buffer_size,
-                            ga_params=self.ga_params or GaParams(),
+                            ga_params=self.ga_params,
                             k_range=self.k_range,
                             seed=self.seed)
         return run_online(self.table_, trace, self._catalog, self._vm_catalog,

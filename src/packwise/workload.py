@@ -131,6 +131,9 @@ def load_trace(path, catalog: ServiceCatalog) -> WorkloadTrace:
     if m is None:
         raise TraceParseError(f"{path}: line 1: missing or malformed header")
     services, period_seconds = int(m.group(1)), int(m.group(2))
+    if period_seconds < 1:
+        raise TraceParseError(f"{path}: line 1: period_seconds must be a positive "
+                              f"integer, got {period_seconds}")
     if services != catalog.service_count:
         raise TraceParseError(
             f"{path}: line 1: header declares {services} services, "

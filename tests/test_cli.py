@@ -99,6 +99,28 @@ class TestBuild:
         ahc_line = (out / "offline_report.csv").read_text().split("\n")[1]
         assert re.fullmatch(r"# ahc_davies_bouldin=\S+ ahc_dunn=\S+", ahc_line)
 
+    def test_long_trace_clusters_a_sample_of_its_periods(self, workspace, monkeypatch):
+        # Above AHC_MAX_PERIODS periods, the hierarchical clustering runs on
+        # every ceil(n / AHC_MAX_PERIODS)-th period and the report says on
+        # how many; the table and the k sweep do not change. At the cap,
+        # nothing is sampled and the report keeps its two ahc fields.
+        import packwise.cli as cli
+        _, full = build(workspace)
+        monkeypatch.setattr(cli, "AHC_MAX_PERIODS", 100)
+        _, at_cap = build(workspace, "at-cap")
+        monkeypatch.setattr(cli, "AHC_MAX_PERIODS", 30)
+        rc, out = build(workspace, "sampled")
+        assert rc == 0
+        merges = (out / "dendrogram.csv").read_text().strip().split("\n")[1:]
+        assert len(merges) == 25 - 1       # periods 0, 4, ..., 96
+        ahc_line = (out / "offline_report.csv").read_text().split("\n")[1]
+        assert re.fullmatch(r"# ahc_davies_bouldin=\S+ ahc_dunn=\S+ ahc_periods=25", ahc_line)
+        for name in ("table.json", "index_table.csv"):
+            assert (out / name).read_bytes() == (full / name).read_bytes(), name
+        for name in ("table.json", "offline_report.csv", "index_table.csv",
+                     "dendrogram.csv"):
+            assert (at_cap / name).read_bytes() == (full / name).read_bytes(), name
+
     def test_non_finite_vm_price_exits_2(self, workspace, capsys):
         tmp_path, services, _, trace = workspace
         vms = tmp_path / "nan_vms.csv"
@@ -513,6 +535,27 @@ class TestQuickstart:
                          "--out", str(out), "--seed", "7", *extra]) == 0
             got[extra] = hashlib.sha256((out / "simulation.csv").read_bytes()).hexdigest()
         assert got == REPLAY_SHA256
+
+
+    def test_readme_library_example_builds_the_quickstart_table(self, workspace, capsys,
+                                                                 monkeypatch):
+        # The README's library example, run on the quickstart trace, fits
+        # the table that the quickstart's `build --seed 7` writes.
+        from packwise import save_table
+        tmp_path, services, vms, trace = workspace
+        assert main(["build", "--trace", str(trace), "--catalog", str(services),
+                     "--vm-catalog", str(vms), "--out", str(tmp_path / "build"),
+                     "--seed", "7"]) == 0
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = next(block for block in re.findall(r"^```python\n(.*?)^```", readme,
+                                                     flags=re.M | re.S)
+                       if "PackingAutoscaler(" in block)
+        monkeypatch.chdir(tmp_path)      # the example reads trace.csv
+        namespace = {}
+        exec(example, namespace)
+        save_table(namespace["model"].table_, tmp_path / "library.json")
+        assert (tmp_path / "library.json").read_bytes() == \
+            (tmp_path / "build" / "table.json").read_bytes()
 
 
 class TestInspect:

@@ -536,8 +536,8 @@ class TestWeightedDraw:
 class TestAgglomerative:
     def test_merge_count(self):
         X, _, _ = planted_patterns(6, n=40)
-        model, dendro = ahc(X, 3)
-        assert len(dendro.merges) == 39
+        model, merges = ahc(X, 3)
+        assert len(merges) == 39
         assert model.centroids.shape == (3, 5)
 
     def test_k_equals_n_gives_singletons(self):
@@ -562,8 +562,8 @@ class TestAgglomerative:
 
     def test_merge_distances_nondecreasing(self):
         X, _, _ = planted_patterns(9, n=50)
-        _, dendro = ahc(X, 5)
-        d = [m[2] for m in dendro.merges]
+        _, merges = ahc(X, 5)
+        d = [m[2] for m in merges]
         assert np.all(np.diff(d) >= -1e-12)
 
     def test_k_above_distinct_rejected(self):
@@ -733,9 +733,9 @@ class TestCsvWriters:
 
     def test_dendrogram_format(self, tmp_path):
         X = np.array([[0.0], [1.0], [10.0]])
-        _, dendro = ahc(X, 2)
+        _, merges = ahc(X, 2)
         path = tmp_path / "dendro.csv"
-        save_dendrogram(dendro, path)
+        save_dendrogram(merges, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "step,cluster_a,cluster_b,distance"
         assert len(lines) == 3

@@ -81,6 +81,14 @@ class TestLoadTrace:
         with pytest.raises(TraceParseError, match="line 1"):
             load_trace(path, five_service_catalog)
 
+    def test_zero_period_seconds_names_the_file(self, tmp_path, two_service_catalog):
+        path = tmp_path / "t.csv"
+        path.write_text("# services=2 period_seconds=0\n1,2\n")
+        with pytest.raises(TraceParseError) as exc:
+            load_trace(path, two_service_catalog)
+        assert str(exc.value) == (
+            f"{path}: line 1: period_seconds must be a positive integer, got 0")
+
     def test_wrong_width_names_line(self, tmp_path, five_service_catalog):
         path = tmp_path / "t.csv"
         path.write_text("# services=5 period_seconds=600\n1,2,3,4\n")
