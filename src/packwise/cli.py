@@ -132,20 +132,26 @@ def cmd_build(args) -> int:
     )
     # The dendrogram needs O(n^2) memory for n periods, so the library build
     # leaves it out, and a longer trace is clustered on at most
-    # AHC_MAX_PERIODS evenly spaced periods of it. It runs before any file
-    # is written, so a degenerate tree still leaves no artifact behind.
+    # AHC_MAX_PERIODS evenly spaced periods of it. That sample can hold
+    # fewer distinct patterns than best_k, and the tree is then cut at
+    # their count, unscored below 2 clusters. It runs before any file is
+    # written, so a degenerate tree still leaves no artifact behind.
     patterns = demand_patterns(trace, catalog)
     step = math.ceil(patterns.shape[0] / AHC_MAX_PERIODS)
     patterns = patterns[::step]
-    ahc_model, merges = ahc(patterns, report.best_k)
-    try:
-        ahc_db = davies_bouldin(ahc_model, patterns)
-    except DegenerateModelError:
-        ahc_db = None
-    ahc_scores = (ahc_db, dunn(ahc_model, patterns))
+    cut = min(report.best_k, len(np.unique(patterns, axis=0)))
+    ahc_model, merges = ahc(patterns, cut)
+    ahc_scores = (None, None)
+    if cut >= 2:
+        try:
+            ahc_db = davies_bouldin(ahc_model, patterns)
+        except DegenerateModelError:
+            ahc_db = None
+        ahc_scores = (ahc_db, dunn(ahc_model, patterns))
     out = _outdir(args)
     save_table(table, out / "table.json")
     report.to_csv(out / "offline_report.csv", ahc_scores,
+                  ahc_k=cut if cut != report.best_k else None,
                   ahc_periods=patterns.shape[0] if step > 1 else None)
     save_index_table(report.index_rows, out / "index_table.csv")
     save_dendrogram(merges, out / "dendrogram.csv")

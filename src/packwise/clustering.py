@@ -7,7 +7,8 @@ repair of empty clusters, and a seeded initialization that is invariant to
 input ordering. Agglomerative clustering delegates the tree construction
 to scipy and exposes the merge list for dendrogram plotting; scipy's
 linkage holds all n(n-1)/2 pairwise distances, so only the CLI's build
-runs it, not build_offline.
+runs it, not build_offline, and only ahc imports scipy: the rest of the
+module, and of the library, needs numpy alone.
 
 Clustering runs on raw (unnormalized) pattern values: magnitudes carry the
 machine-count signal, so scaling the data away would destroy exactly what
@@ -19,18 +20,20 @@ order numpy's own last-axis sum uses, and centroids are per-service
 bincount sums in member order, so the fitted models are bit for bit those
 of the plain broadcast-and-mask formulas (see _lloyd).
 
-The Dunn index reads its distances in tiles of at most DUNN_BLOCK, so its
-memory stays fixed however many patterns a cluster holds.
+The Dunn index computes its distances with its own service-major kernel,
+_squared_distances, which sums the services in the order scipy's cdist
+does, so each distance is cdist's float. It computes them in tiles of at
+most DUNN_BLOCK, so its memory stays fixed however many patterns a cluster
+holds.
 
 Both skip work the triangle inequality proves cannot matter (Hamerly,
 "Making k-means even faster", SDM 2010, after Elkan, ICML 2003). A Lloyd
 sweep computes distances only for points whose bounds leave their label
-in doubt, and Dunn compares only the cluster pairs whose centroid
-distance, less both radii, does not exceed the separation found so far,
-and measures only the clusters whose doubled radius reaches the largest
-diameter found so far.
+in doubt. Dunn measures only the member pairs whose distances to the
+centroids leave it in doubt whether they could hold the largest diameter
+or the smallest separation.
 Every bound is widened by BOUND_MARGIN beyond the rounding of the
-distances it stands for, so a skipped point's label and Dunn's minimum
+distances it stands for, so a skipped point's label and Dunn's extremes
 are those of the full computation bit for bit (see _lloyd and dunn).
 """
 
@@ -41,9 +44,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster
-from scipy.cluster.hierarchy import linkage as scipy_linkage
-from scipy.spatial.distance import cdist
 
 from .parallel import split_map
 from .validation import as_float_matrix
@@ -54,9 +54,13 @@ KMEANS_MAX_ITER = 300
 # the absolute one is this times (sqrt(S) * largest |value| + 1) for S
 # services.
 BOUND_MARGIN = 1e-9
-# Most distances one cdist call of dunn returns: a 512-KB tile, which its
-# max or min reads back from cache.
-DUNN_BLOCK = 1 << 16
+# Most distances one call of dunn's kernel computes: a 128-KB tile, which
+# its additions, max and min read back from cache.
+DUNN_BLOCK = 1 << 14
+# The most patterns for which dunn measures every pair, in one tile of
+# DUNN_BLOCK distances: up to it, the pruning's per-cluster work costs more
+# than the distances it saves.
+DUNN_ALL_PAIRS = math.isqrt(DUNN_BLOCK)
 
 
 class DegenerateModelError(ValueError):
@@ -314,18 +318,103 @@ def davies_bouldin(model: ClusterModel, patterns) -> float:
     return float(ratio.max(axis=1).mean())
 
 
-def _cdist_tiles(A: np.ndarray, B: np.ndarray, triangle: bool = False):
-    """cdist(A, B) as tiles of at most DUNN_BLOCK distances: row slices of A
-    against column slices of B. With triangle (A is B), a row slice starting
-    at row i meets only the columns from i on, which still holds every pair
-    of distinct rows once. Each distance is the float that cdist or pdist
-    computes for that pair in either order, as (a - b)**2 == (b - a)**2
-    exactly."""
-    cols = min(len(B), DUNN_BLOCK)
-    rows = max(1, DUNN_BLOCK // cols)
-    for i in range(0, len(A), rows):
-        for j in range(i if triangle else 0, len(B), cols):
-            yield cdist(A[i:i + rows], B[j:j + cols])
+def _squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the service-major points A and
+    B, each of S rows that broadcast against each other: for (S, m) AT and
+    (S, n) BT, np.sqrt(_squared_distances(AT[:, :, None], BT[:, None, :]))
+    is bit-equal to cdist(AT.T, BT.T), and _squared_distances(AT, BT) gives
+    its diagonal for m = n. The squared differences are added service by
+    service from service 0, the order scipy's cdist sums them in; _sq_dist
+    follows numpy's pairwise order instead, which differs from 8 services
+    on. A root is monotone, so an extreme of the roots is the root of the
+    extreme, and dunn roots only its extremes."""
+    acc = np.subtract(A[0], B[0])
+    np.square(acc, out=acc)
+    if len(A) > 1:
+        t = np.empty_like(acc)
+        for a, b in zip(A[1:], B[1:]):
+            np.subtract(a, b, out=t)
+            np.square(t, out=t)
+            acc += t
+    return acc
+
+
+def _tile_shape(n: int) -> tuple[int, int]:
+    """(rows, cols) of the tiles that cover a block of n columns with at
+    most DUNN_BLOCK distances each: up to DUNN_BLOCK // 16 columns, and as
+    many rows as then fit."""
+    cols = max(1, min(n, DUNN_BLOCK // 16))
+    return max(1, DUNN_BLOCK // cols), cols
+
+
+def _tiles(AT: np.ndarray, BT: np.ndarray):
+    """The squared distances between the columns of AT and those of BT, as
+    tiles of _tile_shape."""
+    rows, cols = _tile_shape(BT.shape[1])
+    for i in range(0, AT.shape[1], rows):
+        for j in range(0, BT.shape[1], cols):
+            yield _squared_distances(AT[:, i:i + rows, None], BT[:, None, j:j + cols])
+
+
+def _max_diameter(XT, starts, ends, reach, radius) -> float:
+    """The largest distance between two members of one cluster, the members
+    of cluster c being the columns starts[c]:ends[c] of XT; reach holds
+    each member's widened distance to its centroid, radius each cluster's
+    largest reach."""
+    top = 0.0
+    for c in np.argsort(-radius, kind="stable"):
+        if 2.0 * radius[c] < np.sqrt(top):
+            break
+        s, e = starts[c], ends[c]
+        members = s + np.argsort(-reach[s:e], kind="stable")
+        KT, r = XT[:, members], reach[members]
+        top = max(top, *(t.max() for t in _tiles(KT[:, :1], KT)))
+        rows, cols = _tile_shape(len(r))
+        for i in range(0, len(r), rows):
+            # Only the members j with r_i + r_j >= L can pair with row i
+            # to exceed L, and r is sorted, so they are the first ones.
+            end = np.searchsorted(-r, r[i] - np.sqrt(top), side="right")
+            if end <= i:
+                break
+            for j in range(i, end, cols):
+                top = max(top, _squared_distances(KT[:, i:i + rows, None],
+                                                  KT[:, None, j:min(j + cols, end)]).max())
+    return np.sqrt(top)
+
+
+def _min_separation(XT, starts, ends, lower, upper) -> float:
+    """The smallest distance between members of two different clusters,
+    laid out as for _max_diameter; lower and upper hold each member's
+    narrowed and widened distances to the k centroids."""
+    k = len(starts)
+    # nearest[a, b]: the member of a nearest b's centroid. The distances
+    # between nearest[a, b] and nearest[b, a] are ones between clusters,
+    # found at the cost of one per cluster pair.
+    nearest = np.vstack([s + lower[s:e].argmin(axis=0) for s, e in zip(starts, ends)])
+    first, second = np.triu_indices(k, 1)
+    low = _squared_distances(XT[:, nearest[first, second]], XT[:, nearest[second, first]]).min()
+    box_lo = np.minimum.reduceat(lower, starts)
+    box_hi = np.maximum.reduceat(upper, starts)
+    bound = np.maximum(box_lo[first] - box_hi[second],
+                       box_lo[second] - box_hi[first]).max(axis=1)
+
+    def near(members, lo, hi):
+        # The members that may lie within the separation found so far of
+        # a point whose centroid distances all lie in [lo, hi].
+        u = np.sqrt(low)
+        return members[((lower[members] <= hi + u) & (upper[members] >= lo - u)).all(axis=1)]
+
+    for p in np.argsort(bound, kind="stable"):
+        if bound[p] > np.sqrt(low):
+            break
+        a, b = first[p], second[p]
+        in_a = near(np.arange(starts[a], ends[a]), box_lo[b], box_hi[b])
+        if in_a.size:
+            in_b = near(np.arange(starts[b], ends[b]),
+                        lower[in_a].min(axis=0), upper[in_a].max(axis=0))
+            if in_b.size:
+                low = min(low, *(t.min() for t in _tiles(XT[:, in_a], XT[:, in_b])))
+    return np.sqrt(low)
 
 
 def dunn(model: ClusterModel, patterns) -> float:
@@ -335,50 +424,69 @@ def dunn(model: ClusterModel, patterns) -> float:
     clusters; diameter is the maximum intra-cluster pairwise distance.
     All-singleton models have zero diameters and return +inf.
 
-    Both passes skip work the triangle inequality proves cannot matter.
-    Each cluster's radius is its largest member-to-centroid distance; twice
-    it bounds the cluster's diameter. Clusters are visited in descending
-    order of that bound, and the visit stops once it falls below the
-    largest diameter found. Cluster pairs are visited in ascending order
-    of a lower bound on their separation, the distance between their
-    centroids less both radii, and the visit stops once the next bound
-    exceeds the smallest separation found. Radii are widened and centroid
-    distances narrowed by BOUND_MARGIN relative and BOUND_MARGIN *
-    (sqrt(S) * largest |value| + 1) absolute, more than the rounding of
-    any computed distance, so a skipped cluster's diameter is at most the
-    largest diameter found and a skipped pair's separation at least the
-    smallest separation found. The visited values are the ones the
-    all-pairs computation takes, so both extremes, and the index, are
-    returned bit for bit.
+    Every distance comes from _squared_distances, whose roots are the
+    floats scipy's cdist computes. Up to DUNN_ALL_PAIRS patterns, dunn
+    measures every pair. Above, it computes every member's distances to
+    the k centroids once, and then measures only the member pairs the
+    triangle inequality leaves in doubt.
+    - Diameter: clusters are visited in descending order of radius (the
+      largest member-to-centroid distance), and the visit stops once twice
+      the radius falls below the largest diameter L found. A visited
+      cluster first measures its member farthest from its centroid against
+      the others. Then, in descending order of their distances r to the
+      centroid, it measures only the tiles of member pairs whose largest
+      r_i + r_j reaches L, as d(i, j) <= r_i + r_j.
+    - Separation: d(i, j) >= |d(i, c) - d(j, c)| for every centroid c, so
+      a member of cluster a can lie within the separation found so far,
+      U, of a member of b only if each of its centroid distances lies
+      within U of the range of b's; b's members are then kept against the
+      range of a's kept members. Cluster pairs are visited in ascending
+      order of the largest gap between their two ranges, a lower bound on
+      their separation, and the visit stops once it exceeds U. U starts at
+      the smallest distance between each pair's members nearest the
+      other's centroid.
+    Every centroid distance is widened for an upper bound and narrowed for
+    a lower one by BOUND_MARGIN relative and BOUND_MARGIN * (sqrt(S) *
+    largest |value| + 1) absolute, more than the rounding of any computed
+    distance, so a skipped pair is never longer than the largest diameter
+    found nor shorter than the smallest separation found. Both extremes,
+    and the index, are thus those of the all-pairs computation bit for
+    bit.
 
-    Each diameter and each separation is read through _cdist_tiles, so
-    memory holds at most DUNN_BLOCK distances at a time, whatever the
+    Memory holds the n x k centroid distances, their widened and narrowed
+    copies, and one tile of at most DUNN_BLOCK distances, whatever the
     cluster sizes.
     """
     X = as_float_matrix(patterns, "patterns")
-    if model.k < 2:
+    k = model.k
+    if k < 2:
         raise ValueError("index needs k >= 2")
-    blocks = [X[model.assignments == c] for c in range(model.k)]
-    centroids = model.centroids
-    scale = max(np.abs(X).max(), np.abs(centroids).max())
-    pad = BOUND_MARGIN * (np.sqrt(X.shape[1]) * scale + 1.0)
-    radius = np.array([np.sqrt(((b - c) ** 2).sum(axis=1)).max()
-                       for b, c in zip(blocks, centroids)]) * (1.0 + BOUND_MARGIN) + pad
-    max_diameter = 0.0
-    for c in np.argsort(-radius, kind="stable"):
-        if 2.0 * radius[c] < max_diameter:
-            break
-        tiles = _cdist_tiles(blocks[c], blocks[c], triangle=True)
-        max_diameter = max(max_diameter, *(t.max() for t in tiles))
-    first, second = np.triu_indices(model.k, 1)
-    bound = (cdist(centroids, centroids)[first, second] * (1.0 - BOUND_MARGIN) - pad
-             - radius[first] - radius[second])
-    min_separation = math.inf
-    for p in np.argsort(bound, kind="stable"):
-        if bound[p] > min_separation:
-            break
-        tiles = _cdist_tiles(blocks[first[p]], blocks[second[p]])
-        min_separation = min(min_separation, *(t.min() for t in tiles))
+    n = X.shape[0]
+    if n <= DUNN_ALL_PAIRS:
+        XT = np.ascontiguousarray(X.T)
+        sq = _squared_distances(XT[:, :, None], XT[:, None, :])
+        same = model.assignments[:, None] == model.assignments[None, :]
+        max_diameter, min_separation = np.sqrt(sq[same].max()), np.sqrt(sq[~same].min())
+    else:
+        # The members of cluster c are the columns starts[c]:ends[c] of XT.
+        order = np.argsort(model.assignments, kind="stable")
+        labels = model.assignments[order]
+        ends = np.cumsum(np.bincount(labels, minlength=k))
+        starts = ends - np.bincount(labels, minlength=k)
+        XT = np.ascontiguousarray(X[order].T)
+        # _tiles yields the row blocks in order, each as `width` tiles.
+        tiles = list(_tiles(XT, np.ascontiguousarray(model.centroids.T)))
+        width = len(range(0, k, _tile_shape(k)[1]))
+        to_centroid = np.sqrt(np.block([tiles[i:i + width]
+                                        for i in range(0, len(tiles), width)]))
+        scale = max(np.abs(X).max(), np.abs(model.centroids).max())
+        pad = BOUND_MARGIN * (np.sqrt(X.shape[1]) * scale + 1.0)
+        upper = to_centroid * (1.0 + BOUND_MARGIN) + pad
+        lower = to_centroid * (1.0 - BOUND_MARGIN) - pad
+        reach = upper[np.arange(n), labels]
+        max_diameter = _max_diameter(XT, starts, ends, reach,
+                                     np.maximum.reduceat(reach, starts))
+        min_separation = _min_separation(XT, starts, ends, lower, upper)
     if max_diameter == 0.0:
         return float("inf")
     return float(min_separation / max_diameter)
@@ -427,10 +535,13 @@ def ahc(patterns, k: int) -> tuple[ClusterModel, tuple]:
     patterns in lexicographic row order, and n+i is the cluster merge i
     creates, so n patterns yield n-1 merges.
     """
+    # Imported here, so that only ahc's callers load scipy.
+    from scipy.cluster.hierarchy import fcluster, linkage
+
     X = as_float_matrix(patterns, "patterns")
     order, Xs, distinct = _canonical_order(X)
     _check_k(k, distinct)
-    Z = scipy_linkage(Xs, method="ward")
+    Z = linkage(Xs, method="ward")
     labels = fcluster(Z, t=k, criterion="maxclust") - 1
     if np.unique(labels).shape[0] != k:
         raise DegenerateModelError(f"cutting the tree produced fewer than {k} clusters")

@@ -87,17 +87,19 @@ class OfflineReport:
     centroid_rows: tuple       # (index, pattern, ga, first_fit, best_fit, brute|None)
     lower_bounds: tuple        # mix_lower_bound of each centroid row's pattern
 
-    def to_csv(self, path, ahc_scores=(None, None), ahc_periods=None) -> None:
+    def to_csv(self, path, ahc_scores=(None, None), ahc_k=None, ahc_periods=None) -> None:
         """Write the report; ahc_scores, the (davies_bouldin, dunn) of the
         hierarchical clustering of the same patterns cut at best_k, fill
         the ahc_* comment fields, each left empty where it is None.
-        ahc_periods, the number of periods that clustering ran on when it
-        ran on a sample of them, adds an ahc_periods field."""
+        ahc_k, the cluster count that clustering was cut at when it was not
+        best_k, adds an ahc_k field; ahc_periods, the number of periods it
+        ran on when it ran on a sample of them, an ahc_periods field."""
         db, dn = ahc_scores
         lines = [
             f"# best_k={self.best_k}",
             f"# ahc_davies_bouldin={_fmt(db) if db is not None else ''}"
             f" ahc_dunn={_fmt(dn) if dn is not None else ''}"
+            + (f" ahc_k={ahc_k}" if ahc_k is not None else "")
             + (f" ahc_periods={ahc_periods}" if ahc_periods is not None else ""),
             "representative,pattern,ga_cost,first_fit_cost,best_fit_cost,brute_force_cost,"
             "lower_bound,gap",

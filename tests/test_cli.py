@@ -121,6 +121,26 @@ class TestBuild:
                      "dendrogram.csv"):
             assert (at_cap / name).read_bytes() == (full / name).read_bytes(), name
 
+    def test_sample_with_fewer_patterns_than_best_k_still_builds(self, workspace):
+        # 6,000 periods alternating two rows: select_k picks k=2 on the
+        # whole trace, but every second period, the AHC sample, is one row.
+        # The tree is cut at that one pattern and left unscored.
+        tmp_path, services, vms, _ = workspace
+        trace = tmp_path / "alternating.csv"
+        rows = ["40,30,20,10,50", "90,80,70,60,100"]
+        trace.write_text("\n".join(["# services=5 period_seconds=300",
+                                     *(rows[i % 2] for i in range(6000))]) + "\n")
+        out = tmp_path / "alternating"
+        rc = main(["build", "--trace", str(trace), "--catalog", str(services),
+                   "--vm-catalog", str(vms), "--out", str(out), "--k-max", "2"])
+        assert rc == 0
+        report = (out / "offline_report.csv").read_text().split("\n")
+        assert report[:2] == ["# best_k=2",
+                              "# ahc_davies_bouldin= ahc_dunn= ahc_k=1 ahc_periods=3000"]
+        merges = (out / "dendrogram.csv").read_text().strip().split("\n")[1:]
+        assert len(merges) == 3000 - 1
+        assert len(json.loads((out / "table.json").read_text())["entries"]) == 2
+
     def test_non_finite_vm_price_exits_2(self, workspace, capsys):
         tmp_path, services, _, trace = workspace
         vms = tmp_path / "nan_vms.csv"

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist
 
@@ -253,6 +253,20 @@ class TestServiceMajorKernels:
         assert got.tobytes() == expected.tobytes()
 
     @settings(max_examples=300, deadline=None)
+    @given(service_major_inputs(), st.sampled_from(["all", "one row", "one column"]))
+    def test_dunn_kernel_matches_cdist(self, case, shape):
+        # scipy is the oracle: every distance dunn computes is cdist's float.
+        X, centers, _ = case
+        A = X[:1] if shape == "one row" else X
+        for B in (X[-1:] if shape == "one column" else X, centers):
+            AT, BT = np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)
+            got = np.sqrt(clustering._squared_distances(AT[:, :, None], BT[:, None, :]))
+            assert got.tobytes() == cdist(A, B).tobytes()
+        XT = np.ascontiguousarray(X.T)
+        paired = np.sqrt(clustering._squared_distances(XT, XT[:, ::-1]))
+        assert paired.tobytes() == cdist(X, X[::-1]).diagonal().tobytes()
+
+    @settings(max_examples=300, deadline=None)
     @given(service_major_inputs())
     def test_centroids_match_masked_mean(self, case):
         X, _, labels = case
@@ -369,6 +383,24 @@ def pruning_inputs(draw):
     return X, k, draw(st.integers(0, 2**16))
 
 
+@st.composite
+def grid_models(draw):
+    """(X, model): 2 to 12 patterns on a small integer grid of 1 to 3
+    services in 2 to 4 clusters whose centroids are any grid points, not
+    their members' means. Points in line with a centroid make dunn's
+    triangle-inequality bounds exact, so a bound any tighter than the
+    inequality allows skips a pair that holds an extreme."""
+    S = draw(st.integers(1, 3))
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k, 12))
+    labels = draw(st.permutations(list(range(k)) + draw(
+        st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))))
+    grid = st.lists(st.integers(0, 8), min_size=S, max_size=S)
+    X = np.array(draw(st.lists(grid, min_size=n, max_size=n)), dtype=float)
+    centroids = np.array(draw(st.lists(grid, min_size=k, max_size=k)), dtype=float)
+    return X, ClusterModel(k=k, centroids=centroids, assignments=np.array(labels))
+
+
 class TestPruning:
     """The triangle-inequality pruning of Lloyd sweeps and of Dunn's
     separation against the unpruned computations, bytewise."""
@@ -420,6 +452,27 @@ class TestPruning:
                                                            for c in range(k)]),
                                  assignments=labels)
         assert repr(dunn(model, X)) == repr(all_pairs_dunn(model, X))
+        # These inputs fit DUNN_ALL_PAIRS; the pruned passes must agree too.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clustering, "DUNN_ALL_PAIRS", 0)
+            assert repr(dunn(model, X)) == repr(all_pairs_dunn(model, X))
+
+    @settings(max_examples=500, deadline=None)
+    @given(grid_models(), st.sampled_from([1, 4, clustering.DUNN_BLOCK]))
+    # Cluster 0's one member lies on cluster 1's centroid, so the pair's
+    # separation, sqrt(17), equals its lower bound, 8% below the distance
+    # that starts the search, sqrt(20): a visit that stopped short of the
+    # separation found so far would miss it.
+    @example((np.array([[5.0, 5.0], [5.0, 2.0], [1.0, 3.0]]),
+              ClusterModel(k=2, centroids=np.array([[2.0, 7.0], [1.0, 3.0]]),
+                           assignments=np.array([1, 1, 0]))), clustering.DUNN_BLOCK)
+    def test_pruned_dunn_matches_all_pairs_for_any_centroids(self, case, block):
+        # Tiles of one or four distances make the pruning act pair by pair.
+        X, model = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clustering, "DUNN_ALL_PAIRS", 0)
+            mp.setattr(clustering, "DUNN_BLOCK", block)
+            assert repr(dunn(model, X)) == repr(all_pairs_dunn(model, X))
 
     @pytest.mark.usefixtures("serial")
     def test_sweeps_skip_most_distances(self, monkeypatch):
@@ -444,13 +497,18 @@ class TestPruning:
         assert 0 < computed[0] <= unpruned[0] / 2
 
 
-    def test_dunn_diameter_bound_covers_rounding(self):
+    def test_dunn_diameter_bound_covers_rounding(self, monkeypatch):
         # Cluster 1 is a pair whose computed distance exceeds twice its
         # computed radius by two ulps or more. Cluster 0, 8 away in service
-        # 0, has a larger radius and a diameter between those two, so it is
-        # measured first; an unwidened bound would then skip cluster 1.
+        # 0, is a pair one ulp closer, exactly, along service 1: it has the
+        # larger radius and a diameter between those two, so it is measured
+        # first; an unwidened bound would then skip cluster 1.
+        # Four patterns fit DUNN_ALL_PAIRS, which would measure every pair.
+        monkeypatch.setattr(clustering, "DUNN_ALL_PAIRS", 0)
+
         def radius(b):
-            return np.sqrt(((b - b.mean(axis=0)) ** 2).sum(axis=1)).max()
+            # As dunn computes it: cdist's float for each member.
+            return cdist(b, b.mean(axis=0)[None]).max()
 
         rng = np.random.default_rng(5)
         while True:
@@ -459,17 +517,11 @@ class TestPruning:
             diameter = pdist(pair)[0]
             if diameter - 2.0 * radius(pair) >= 2.0 * np.spacing(diameter):
                 break
-        x, y = pair.copy()
-        j = 1
-        while pdist(np.vstack([x, y]))[0] >= diameter:
-            y[j] = np.nextafter(y[j], x[j])
-            j = j % 56 + 1
-        apex = (x + y) / 2
-        apex[0] = diameter / 2
-        wide = np.vstack([x, y, apex])
-        wide[:, 0] += 8.0
+        wide = np.zeros((2, 57))
+        wide[:, 0] = 8.0
+        wide[1, 1] = np.nextafter(diameter, 0.0)
         X = np.vstack([wide, pair])
-        labels = np.array([0, 0, 0, 1, 1])
+        labels = np.array([0, 0, 1, 1])
         model = ClusterModel(k=2, centroids=np.vstack([X[labels == c].mean(axis=0)
                                                        for c in range(2)]),
                              assignments=labels)
@@ -478,19 +530,44 @@ class TestPruning:
         assert repr(dunn(model, X)) == repr(all_pairs_dunn(model, X))
 
     def test_dunn_measures_fewer_diameters(self, monkeypatch):
+        # A kernel call between members of one cluster measures its
+        # diameter. The rows of X are distinct, so each names its cluster.
         X = build_scale_patterns()
         model = kmeans(X, 10, seed=10)
-        calls = []
-        tiles = clustering._cdist_tiles
+        label_of = {row.tobytes(): c for row, c in zip(X, model.assignments)}
+        measured, pairs = set(), [0]
+        kernel = clustering._squared_distances
 
-        def counted(A, B, triangle=False):
-            if triangle:
-                calls.append(len(A))
-            return tiles(A, B, triangle)
+        def counted(A, B):
+            out = kernel(A, B)
+            labels = {label_of.get(p.tobytes())
+                      for side in (A, B) for p in side.reshape(len(side), -1).T}
+            if len(labels) == 1 and None not in labels:
+                measured.update(labels)
+                pairs[0] += out.size
+            return out
 
-        monkeypatch.setattr(clustering, "_cdist_tiles", counted)
+        monkeypatch.setattr(clustering, "_squared_distances", counted)
         assert repr(dunn(model, X)) == repr(all_pairs_dunn(model, X))
-        assert 0 < len(calls) < model.k
+        sizes = np.bincount(model.assignments)
+        assert 0 < len(measured) < model.k
+        assert 0 < pairs[0] < (sizes * (sizes - 1) // 2).sum() / 4
+
+    @pytest.mark.usefixtures("serial")
+    def test_dunn_computes_under_half_the_distances_at_build_scale(self, monkeypatch):
+        # Pruning only whole clusters and cluster pairs, the Dunn indices of
+        # this sweep computed 11,391,166 distances.
+        computed = [0]
+        kernel = clustering._squared_distances
+
+        def counting(A, B):
+            out = kernel(A, B)
+            computed[0] += out.size
+            return out
+
+        monkeypatch.setattr(clustering, "_squared_distances", counting)
+        select_k(build_scale_patterns(), (2, 15))
+        assert 0 < computed[0] <= 11_391_166 / 2
 
 
 @st.composite
@@ -671,7 +748,9 @@ class TestDunn:
     def test_tiles_match_all_pairs_on_clusters_beyond_one_block(self, monkeypatch):
         # Integer rows repeat within each cluster; the label shift keeps the
         # clusters apart. Every cluster exceeds one tile per diameter and per
-        # separation; blocks smaller than a cluster also slice columns.
+        # separation; blocks smaller than a cluster also slice columns. The
+        # smaller two fit DUNN_ALL_PAIRS, which would measure every pair.
+        monkeypatch.setattr(clustering, "DUNN_ALL_PAIRS", 0)
         for n, block in ((900, clustering.DUNN_BLOCK), (60, 7), (40, 1)):
             monkeypatch.setattr(clustering, "DUNN_BLOCK", block)
             rng = np.random.default_rng(n)
