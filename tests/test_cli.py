@@ -496,7 +496,7 @@ class TestCompare:
 QUICKSTART_SHA256 = {
     "build/table.json": "af85aae61b364c8099aee690076e349adb7bf5b08e4370e0bf0943ea11b2b790",
     "build/offline_report.csv": "fe051f0fa7cd378a049313b4b6881aa8bb65e756c91221e36d69ecee75d384da",
-    "build/index_table.csv": "8fc65f89647056aa7201ad3480b9d9f91f44a88c8226428c26cd970f55a4df84",
+    "build/index_table.csv": "33fb9ba72b414db11d996db6d156542b37ada53a508b920931c695128d5773db",
     "build/dendrogram.csv": "0230a439e53db5fb9e1ea368c5ca4b3634d72a9b992bf0983e1eeccd8ea036dd",
     "run/simulation.csv": "9e85bfc40343c8c72d26251d2308b248c70648dd968a4649d665b2fa95ecfee8",
     "cmp/comparison.csv": "5e2d79439776147b603c708a18232cd1060bdd4fe016474dda3633027f006488",

@@ -19,7 +19,7 @@ from packwise import (
     kmeans,
     select_k,
 )
-from packwise import clustering
+from packwise import clustering, parallel
 from packwise.clustering import save_dendrogram, save_index_table
 
 from conftest import separated_centers
@@ -144,7 +144,7 @@ def build_scale_patterns():
 
 
 # Seven distinct rows, sixteen patterns in canonical (lexicographic) order:
-# at k=4 one restart of select_k(seed=19) empties a cluster and takes the
+# at k=4 the screen of select_k(seed=1364) empties a cluster and takes the
 # farthest-point repair.
 DUPLICATE_HEAVY = np.repeat(
     np.array([[1.0, 11.0], [3.0, 10.0], [4.0, 1.0], [5.0, 1.0], [6.0, 3.0],
@@ -155,38 +155,54 @@ DUPLICATE_HEAVY = np.repeat(
 class TestKMeansGolden:
     """select_k outputs pinned bytewise, so a rewrite of the Lloyd sweep must
     keep every float: sha256 prefixes of the best model's centroid and
-    assignment bytes, of repr(objective_trace) and of repr(rows)."""
+    assignment bytes and of repr(objective_trace), and, apart, of
+    repr(rows), the screen's scores."""
 
     GOLDEN = {
-        1: (3, "2cf6759dacdd0791", "e45754258ab8006f", "260ca8f365c5ad4e", "958ad5a27dc3327e"),
-        2: (3, "42f27e663960d53e", "ac09e52227496267", "c5c9f9470f17c1c2", "101fae47237a2d48"),
-        5: (6, "9a56b7b2f120dd3f", "f354963dc82ebce3", "ab611ea041113645", "548c777013734d15"),
-        8: (5, "00b3bde8203ef10f", "16069d1839c146fc", "bfc69b591596d367", "987b5dc63f47945f"),
-        12: (6, "874aaf4a73d54b7b", "c01cc219addbf31b", "7221905cd24175af", "174d850d6b2462ab"),
-        20: (6, "374248eab4441876", "d4d6b7ff00c448a8", "192ab5f15fde0d1a", "ba3de65a8da02b70"),
+        1: (3, "2cf6759dacdd0791", "e45754258ab8006f", "260ca8f365c5ad4e"),
+        2: (3, "42f27e663960d53e", "ac09e52227496267", "c5c9f9470f17c1c2"),
+        5: (6, "9a56b7b2f120dd3f", "f354963dc82ebce3", "ab611ea041113645"),
+        8: (5, "00b3bde8203ef10f", "16069d1839c146fc", "bfc69b591596d367"),
+        12: (6, "874aaf4a73d54b7b", "c01cc219addbf31b", "7221905cd24175af"),
+        20: (6, "374248eab4441876", "d4d6b7ff00c448a8", "192ab5f15fde0d1a"),
+    }
+    GOLDEN_ROWS = {
+        1: "231c7320278035fc",
+        2: "00ef3dba4b30b6d7",
+        5: "1ff7c5ef447bcf93",
+        8: "33a856b96af3325f",
+        12: "df2f5395e8562c57",
+        20: "b2724871fb3b9427",
     }
     GOLDEN_DUPLICATE_HEAVY = (
-        7, "3ca011cf0a62e1d8", "1168273f2fb1c943", "33f182838c96ef79", "5de900deb0f32839")
-    # The repaired restart loses to another at k=4, so its own output is
-    # pinned through the ten restarts kmeans(DUPLICATE_HEAVY, 4, seed=23) runs.
+        (7, "3ca011cf0a62e1d8", "1168273f2fb1c943", "33f182838c96ef79"), "ac63119d7a31ac71")
+    # The restarts of kmeans(DUPLICATE_HEAVY, 4, seed=23) take the repair
+    # too, in one that loses to another; its own output is pinned through
+    # all ten.
     GOLDEN_K4_RESTARTS = "f5fc6dd129183ca0"
 
     @staticmethod
-    def fingerprint(model, rows):
+    def fingerprint(model):
         parts = (model.centroids.tobytes(), model.assignments.tobytes(),
-                 repr(model.objective_trace).encode(), repr(rows).encode())
+                 repr(model.objective_trace).encode())
         return (model.k, *(hashlib.sha256(p).hexdigest()[:16] for p in parts))
+
+    @staticmethod
+    def rows_hash(rows):
+        return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
 
     @pytest.mark.parametrize("S", sorted(GOLDEN))
     def test_select_k_pinned(self, S):
         model, rows = select_k(golden_patterns(S), (2, 9), seed=S)
-        assert self.fingerprint(model, rows) == self.GOLDEN[S]
+        assert self.fingerprint(model) == self.GOLDEN[S]
+        assert self.rows_hash(rows) == self.GOLDEN_ROWS[S]
 
     def test_select_k_pinned_at_build_scale(self):
         # 2000 patterns, where most sweeps skip most points (see TestPruning).
         model, rows = select_k(build_scale_patterns(), (2, 15), seed=3)
-        assert self.fingerprint(model, rows) == (
-            10, "36b2236b3b9e2ab5", "f2867417175a6482", "4cf930436b2feee4", "b7aab4c43049083d")
+        assert self.fingerprint(model) == (
+            10, "36b2236b3b9e2ab5", "f2867417175a6482", "4cf930436b2feee4")
+        assert self.rows_hash(rows) == "ecdb86dcf0f647f0"
 
     @pytest.mark.usefixtures("serial")
     def test_empty_cluster_repair_pinned(self, monkeypatch):
@@ -201,9 +217,9 @@ class TestKMeansGolden:
             return found
 
         monkeypatch.setattr(np, "flatnonzero", counting)
-        model, rows = select_k(DUPLICATE_HEAVY, (2, 7), seed=19)
+        model, rows = select_k(DUPLICATE_HEAVY, (2, 7), seed=1364)
         assert repairs
-        assert self.fingerprint(model, rows) == self.GOLDEN_DUPLICATE_HEAVY
+        assert (self.fingerprint(model), self.rows_hash(rows)) == self.GOLDEN_DUPLICATE_HEAVY
 
         repairs.clear()
         rng = np.random.default_rng(23)
@@ -800,6 +816,77 @@ class TestSelectK:
         assert model.k <= 5
         with pytest.raises(DegenerateModelError):
             select_k(X, (6, 15), seed=0)
+
+
+def model_bytes(model):
+    """Everything a fitted model holds, as bytes to compare bitwise."""
+    return (model.k, model.centroids.tobytes(), model.assignments.tobytes(),
+            repr(model.objective_trace))
+
+
+def screened_model(X, k, seed):
+    """The model the first four of kmeans(X, k, seed)'s restarts fit: the
+    lowest final objective wins, the earliest on a tie."""
+    order, Xs, _ = clustering._canonical_order(X)
+    rng = np.random.default_rng(seed)
+    fits = [clustering._lloyd(Xs, k, rng) for _ in range(4)]
+    centers, labels, trace = min(fits, key=lambda fit: fit[2][-1])
+    assignments = np.empty(len(X), dtype=np.int64)
+    assignments[order] = labels
+    return ClusterModel(k=k, centroids=centers, assignments=assignments,
+                        objective_trace=tuple(trace))
+
+
+@st.composite
+def sweep_inputs(draw):
+    """(X, k_range, seed): pruning_inputs' patterns, at least three of
+    them and two distinct, with a range of up to five ks within [2, n - 1]
+    that starts at or below the number of distinct patterns."""
+    X, _, seed = draw(pruning_inputs())
+    distinct = len(np.unique(X, axis=0))
+    assume(len(X) >= 3 and distinct >= 2)
+    lo = draw(st.integers(2, min(len(X) - 1, distinct)))
+    return X, (lo, draw(st.integers(lo, min(len(X) - 1, lo + 4)))), seed
+
+
+class TestScreenThenRefit:
+    """select_k scores each k on four restarts and refits the chosen k
+    with all ten, on one process and on two alike."""
+
+    @staticmethod
+    def check(X, k_range, seed):
+        runs = []
+        for cpus in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(parallel, "_usable_cpus", lambda: cpus)
+                runs.append(select_k(X, k_range, seed=seed))
+        (model, rows), (split_model, split_rows) = runs
+        assert (model_bytes(split_model), repr(split_rows)) == (model_bytes(model), repr(rows))
+        assert model_bytes(model) == model_bytes(kmeans(X, model.k, seed=seed + model.k))
+        for k, db, dn in rows:
+            screened = screened_model(X, k, seed + k)
+            assert repr((db, dn)) == repr((davies_bouldin(screened, X), dunn(screened, X)))
+        assert model.k == min(rows, key=lambda row: (row[1], -row[2], row[0]))[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_inputs())
+    def test_small_sweeps(self, case):
+        X, k_range, seed = case
+        try:
+            select_k(X, k_range, seed=seed)
+        except DegenerateModelError:
+            assume(False)
+        self.check(X, k_range, seed)
+
+    @pytest.mark.parametrize("S", sorted(TestKMeansGolden.GOLDEN))
+    def test_golden_sweeps(self, S):
+        self.check(golden_patterns(S), (2, 9), S)
+
+    def test_golden_sweeps_at_build_scale(self):
+        self.check(build_scale_patterns(), (2, 15), 3)
+
+    def test_duplicate_heavy_sweep(self):
+        self.check(DUPLICATE_HEAVY, (2, 7), 1364)
 
 
 class TestCsvWriters:
