@@ -86,7 +86,7 @@ AHC_MAX_PERIODS = 5000
 
 
 def _ga_params(args) -> GaParams:
-    return GaParams(**_given(args, *_GA_SETTINGS), seed=args.seed)
+    return GaParams(**_given(args, *_GA_SETTINGS))
 
 
 def _outdir(args) -> Path:
@@ -184,7 +184,7 @@ def cmd_compare(args) -> int:
     trace = load_trace(args.trace, catalog)
     table = load_table(args.table, catalog, vm_catalog, trace.period_seconds)
     report = evaluate_methods(trace, catalog, vm_catalog, table,
-                              ga_params=_ga_params(args))
+                              ga_params=_ga_params(args), seed=args.seed)
     out = _outdir(args)
     report.to_csv(out / "comparison.csv")
     totals = ", ".join(f"{m}={t:.6g}" for m, t in zip(report.methods, report.totals))

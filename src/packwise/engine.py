@@ -172,18 +172,16 @@ class MissPolicy:
     selection over the table's patterns plus the buffer, whose model
     replaces the table. k_range is that sweep, held to select_k's
     2 <= low <= high, so a table never holds more than k_range[1] entries
-    after a recluster. ga_params=None becomes GaParams(seed=seed), as in
-    build_offline, so one seed drives a whole replay.
+    after a recluster. Recluster event e seeds its sweep seed + 1000·e and
+    its centroid i's GA seed + 1000·e + i.
     """
 
     buffer_size: int = 20
-    ga_params: GaParams | None = None
+    ga_params: GaParams = field(default_factory=GaParams)
     k_range: tuple = DEFAULT_K_RANGE
     seed: int = 0
 
     def __post_init__(self):
-        if self.ga_params is None:
-            self.ga_params = GaParams(seed=self.seed)
         if self.buffer_size < 1:
             raise ValueError("buffer_size must be >= 1")
         low, high = self.k_range
@@ -191,11 +189,11 @@ class MissPolicy:
             raise ValueError(f"k range [{low}, {high}] must satisfy 2 <= low <= high")
 
 
-def _ga_genome(dv, vm_catalog, params, period_seconds):
+def _ga_genome(dv, vm_catalog, params, period_seconds, seed):
     """ga_pack's packing as plain data: the genome (VM type indexes into
     vm_catalog, (instances, S) assignment rows, feasible) that _decode
     turns back into it."""
-    sol = ga_pack(dv, vm_catalog, params, period_seconds)
+    sol = ga_pack(dv, vm_catalog, params, period_seconds, seed=seed)
     index = {id(vm): t for t, vm in enumerate(vm_catalog)}
     types = np.array([index[id(inst.vm_type)] for inst in sol.instances], dtype=np.intp)
     bits = np.array([inst.assignment for inst in sol.instances],
@@ -203,18 +201,18 @@ def _ga_genome(dv, vm_catalog, params, period_seconds):
     return types, bits, sol.feasible
 
 
-def _pack_representatives(centroids, catalog, vm_catalog, ga_params, period_seconds,
+def _pack_representatives(centroids, catalog, vm_catalog, ga_params, period_seconds, seed,
                           on_infeasible="raise", kept=None):
     """GA-pack each centroid; returns (entries, skipped count). kept[i],
     when given, lists packings already made for centroid i's cluster; the
     cheapest of them that fits the centroid (the first on ties) serves it
     instead of running the GA again.
 
-    The GA runs, centroid i's seeded ga_params.seed + i, are independent
-    jobs spread over the usable CPUs by split_map. Each returns its
-    packing's genome, decoded here, so every instance holds vm_catalog's
-    own VmType. The entries, and the BuildError or warning for an
-    infeasible representative, follow centroid order, as in a serial loop.
+    The GA runs, centroid i's seeded seed + i, are independent jobs
+    spread over the usable CPUs by split_map. Each returns its packing's
+    genome, decoded here, so every instance holds vm_catalog's own
+    VmType. The entries, and the BuildError or warning for an infeasible
+    representative, follow centroid order, as in a serial loop.
     """
     demands = [demand_from_values(centroid, catalog) for centroid in centroids]
     served = []     # per centroid: its packing, None until the GA packs it
@@ -223,8 +221,7 @@ def _pack_representatives(centroids, catalog, vm_catalog, ga_params, period_seco
         served.append(min(fits, key=lambda sol: sol.total_cost) if fits else None)
     runs = [i for i, sol in enumerate(served) if sol is None]
     genomes = split_map(
-        lambda i: _ga_genome(demands[i], vm_catalog,
-                             replace(ga_params, seed=ga_params.seed + i), period_seconds),
+        lambda i: _ga_genome(demands[i], vm_catalog, ga_params, period_seconds, seed + i),
         runs)
     skipped = 0
     for i, genome in zip(runs, genomes):
@@ -273,9 +270,8 @@ def build_offline(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
     serve feasible configurations. Nothing here holds O(n^2) memory for n
     periods; hierarchical clustering, which does, is left to callers that
     want a dendrogram (the CLI's build). The table's width picks its
-    metric, and threshold=None its default (see LookupTable).
-    ga_params=None packs with GaParams(seed=seed), so one seed drives the
-    whole build, as the CLI's --seed does.
+    metric, and threshold=None its default (see LookupTable). seed seeds
+    the sweep and, at seed + i, centroid i's GA.
 
     Returns (LookupTable, OfflineReport).
     """
@@ -289,10 +285,8 @@ def build_offline(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
     timings["clustering"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if ga_params is None:
-        ga_params = GaParams(seed=seed)
     entries, _ = _pack_representatives(
-        model.centroids, catalog, vm_catalog, ga_params, trace.period_seconds,
+        model.centroids, catalog, vm_catalog, ga_params, trace.period_seconds, seed,
         on_infeasible="raise")
     report_rows = [_report_row(i, entry, catalog, vm_catalog, trace.period_seconds)
                    for i, entry in enumerate(entries)]
@@ -337,12 +331,11 @@ def _recluster(table, missed, catalog, vm_catalog, policy, period_seconds, event
         model = kmeans(union, distinct, seed=seed)
     else:
         model, _ = select_k(union, (lo, hi), seed=seed)
-    gp = replace(policy.ga_params, seed=policy.ga_params.seed + 1000 * event)
     old = model.assignments[:len(table.entries)]      # the table's rows lead the union
     kept = [[e.solution for e, c in zip(table.entries, old) if c == i]
             for i in range(len(model.centroids))]
     entries, skipped = _pack_representatives(
-        model.centroids, catalog, vm_catalog, gp, period_seconds,
+        model.centroids, catalog, vm_catalog, policy.ga_params, period_seconds, seed,
         on_infeasible="skip", kept=kept)
     if not entries:
         log.warning("recluster produced no feasible entries; keeping old table")
@@ -421,8 +414,8 @@ def run_online(table: LookupTable, online_trace: WorkloadTrace,
 
 
 def evaluate_methods(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
-                     table: LookupTable,
-                     ga_params: GaParams | None = None) -> ComparisonReport:
+                     table: LookupTable, ga_params: GaParams | None = None, *,
+                     seed: int = 0) -> ComparisonReport:
     """Price every period under five provisioning methods.
 
     pipeline: table lookup with greedy fallback on misses (stateless; the
@@ -432,19 +425,18 @@ def evaluate_methods(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
     static_peak: one GA packing of the entrywise-maximum demand, reused
     every period.
 
-    The periods are independent jobs, each GA seeded gp.seed + its index,
-    spread over the usable CPUs by split_map; each returns its row of
-    costs.
+    The static peak's GA is seeded seed + 10_000. The periods are
+    independent jobs, period i's GA seeded seed + i, spread over the usable
+    CPUs by split_map; each returns its row of costs.
     """
     _check_table(table, catalog, vm_catalog, trace.period_seconds)
     if trace.n_periods == 0:
         raise ValueError("trace has no periods")
-    gp = ga_params or GaParams()
     secs = trace.period_seconds
 
     peak_counts = trace.counts.max(axis=0)
-    peak = ga_pack(demand_for_period(peak_counts, catalog), vm_catalog,
-                   replace(gp, seed=gp.seed + 10_000), secs)
+    peak = ga_pack(demand_for_period(peak_counts, catalog), vm_catalog, ga_params, secs,
+                   seed=seed + 10_000)
 
     def price(period):
         i, counts = period
@@ -452,7 +444,7 @@ def evaluate_methods(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
         pipeline, result = decide(table, dv, vm_catalog, secs)
         # A greedy miss already is the best-fit packing of this demand.
         best_fit = pipeline if not result.hit else best_fit_pack(dv, vm_catalog, secs)
-        per_ga = ga_pack(dv, vm_catalog, replace(gp, seed=gp.seed + i), secs)
+        per_ga = ga_pack(dv, vm_catalog, ga_params, secs, seed=seed + i)
         return (
             pipeline.total_cost,
             per_ga.total_cost,
@@ -479,28 +471,27 @@ class PackingAutoscaler:
     (stateless): a hit gets its entry's packing, a miss a best-fit packing
     of the live demand. replay() runs the full online loop, reclustering
     misses over the same k_range as fit(), and returns the simulation
-    report. With ga_params=None both seed the GA from seed, so
-    PackingAutoscaler(seed=s) fits the table that `packwise build --seed s`
-    writes for the same settings.
+    report. Both run under one MissPolicy, built here, whose seed drives
+    fit's build and replay's reclusters; a bad miss_buffer_size or k_range
+    raises ValueError here, before any fit.
     """
 
     def __init__(self, k_range=DEFAULT_K_RANGE, threshold=None,
                  magnitude_ratio=1.5, miss_buffer_size=20, ga_params=None, seed=0):
-        self.k_range = k_range
         self.threshold = threshold
         self.magnitude_ratio = magnitude_ratio
-        self.miss_buffer_size = miss_buffer_size
-        self.ga_params = ga_params
-        self.seed = seed
+        self.policy = MissPolicy(buffer_size=miss_buffer_size,
+                                 ga_params=ga_params or GaParams(),
+                                 k_range=k_range, seed=seed)
 
     def fit(self, trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog):
         self.table_, self.report_ = build_offline(
             trace, catalog, vm_catalog,
-            k_range=self.k_range,
-            ga_params=self.ga_params,
+            k_range=self.policy.k_range,
+            ga_params=self.policy.ga_params,
             threshold=self.threshold,
             magnitude_ratio=self.magnitude_ratio,
-            seed=self.seed,
+            seed=self.policy.seed,
         )
         self._catalog = catalog
         self._vm_catalog = vm_catalog
@@ -518,9 +509,5 @@ class PackingAutoscaler:
     def replay(self, trace: WorkloadTrace) -> SimulationReport:
         if not hasattr(self, "table_"):
             raise ValueError("autoscaler is not fitted")
-        policy = MissPolicy(buffer_size=self.miss_buffer_size,
-                            ga_params=self.ga_params,
-                            k_range=self.k_range,
-                            seed=self.seed)
         return run_online(self.table_, trace, self._catalog, self._vm_catalog,
-                          miss_policy=policy)
+                          miss_policy=self.policy)

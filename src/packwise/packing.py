@@ -123,13 +123,12 @@ class PackingSolution:
 
 @dataclass
 class GaParams:
-    """Genetic-algorithm budget and seed. max_instances defaults, when None,
-    to default_max_instances: twice the slot-count lower bound."""
+    """Genetic-algorithm budget. max_instances defaults, when None, to
+    default_max_instances: twice the slot-count lower bound."""
 
     population: int = 80
     generations: int = 300
     max_instances: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.population < 4:
@@ -387,7 +386,7 @@ def _slots_on(slot_types, slot_bits):
 
 
 def ga_evolve(demand: DemandVector, vm_catalog, params: GaParams,
-              period_seconds: float = DEFAULT_PERIOD_SECONDS):
+              period_seconds: float = DEFAULT_PERIOD_SECONDS, *, seed: int = 0):
     """Run the GA and return (solution, best_fitness_trace).
 
     Genome: params.max_instances slots, each a type index (or off) plus an
@@ -397,7 +396,7 @@ def ga_evolve(demand: DemandVector, vm_catalog, params: GaParams,
     types, and the ELITISM fittest kept unchanged (population >= 4 leaves
     room for them). The initial population is seeded with the two
     greedy baselines when they fit the slot budget, so the GA starts no
-    worse than greedy. Deterministic given params.seed.
+    worse than greedy. Deterministic given seed.
 
     Each generation's feasible individual with the least slot cost
     replaces the champion only if its mix (on, non-empty slots per type)
@@ -422,7 +421,7 @@ def ga_evolve(demand: DemandVector, vm_catalog, params: GaParams,
     hours = period_hours(period_seconds)
     T = len(vm_catalog)
     P = params.population
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     stop_at = _price_bound(demand, vm_catalog)
 
     types = rng.integers(-1, T, size=(P, M))
@@ -495,9 +494,11 @@ def ga_evolve(demand: DemandVector, vm_catalog, params: GaParams,
 
 
 def ga_pack(demand: DemandVector, vm_catalog, params: GaParams | None = None,
-            period_seconds: float = DEFAULT_PERIOD_SECONDS) -> PackingSolution:
+            period_seconds: float = DEFAULT_PERIOD_SECONDS, *,
+            seed: int = 0) -> PackingSolution:
     """Near-optimal packing for one demand vector via the genetic algorithm."""
-    solution, _ = ga_evolve(demand, vm_catalog, params or GaParams(), period_seconds)
+    solution, _ = ga_evolve(demand, vm_catalog, params or GaParams(), period_seconds,
+                            seed=seed)
     return solution
 
 
@@ -635,7 +636,8 @@ def brute_force_pack(demand: DemandVector, vm_catalog, m_cap: int,
 
 def load_vm_catalog(path) -> list[VmType]:
     """Read VM types: one `id,cap_1,...,cap_d,hourly_cost` line per type,
-    each id on one line only."""
+    each id on one line only. Every refusal, VmType's included, names the
+    file and the line."""
     types = []
     width = None
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
@@ -657,7 +659,10 @@ def load_vm_catalog(path) -> list[VmType]:
         type_id = fields[0].strip()
         if any(t.id == type_id for t in types):
             raise TraceParseError(f"{path}: line {lineno}: repeated type id {type_id!r}")
-        types.append(VmType(id=type_id, capacity=np.array(caps), hourly_cost=cost))
+        try:
+            types.append(VmType(id=type_id, capacity=np.array(caps), hourly_cost=cost))
+        except ValueError as exc:
+            raise TraceParseError(f"{path}: line {lineno}: {exc}") from None
     if not types:
         raise TraceParseError(f"{path}: empty VM catalog")
     return types

@@ -191,7 +191,8 @@ def generate_trace(spec: SyntheticSpec, catalog: ServiceCatalog) -> WorkloadTrac
 
 
 def load_catalog(path) -> ServiceCatalog:
-    """Read a service catalog: one line per service, d comma-separated unit costs."""
+    """Read a service catalog: one line per service, d comma-separated unit
+    costs. Every refusal, ServiceCatalog's included, names the file."""
     rows = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
         line = line.strip()
@@ -207,7 +208,10 @@ def load_catalog(path) -> ServiceCatalog:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise TraceParseError(f"{path}: inconsistent column counts {sorted(widths)}")
-    return ServiceCatalog(np.array(rows))
+    try:
+        return ServiceCatalog(np.array(rows))
+    except ValueError as exc:
+        raise TraceParseError(f"{path}: {exc}") from None
 
 
 def save_catalog(catalog: ServiceCatalog, path) -> None:

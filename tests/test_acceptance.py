@@ -129,7 +129,7 @@ def test_criterion_3_packing_near_optimality():
         demand, catalog = tiny_instance(seed)
         oracle = brute_force_pack(demand, catalog, 3)
         assert oracle.feasible, f"seed {seed}: oracle infeasible"
-        sol = ga_pack(demand, catalog, GaParams(max_instances=3, seed=seed))
+        sol = ga_pack(demand, catalog, GaParams(max_instances=3), seed=seed)
         if sol.feasible and verify_solution(sol, demand):
             verified += 1
         if sol.total_cost <= 1.10 * oracle.total_cost + 1e-12:
@@ -150,7 +150,7 @@ def test_criterion_4_ga_beats_greedy(catalog, vms):
         rng = np.random.default_rng(4000 + seed)
         counts = rng.integers(20, 200, size=5)
         demand = demand_for_period(counts, catalog)
-        ga = ga_pack(demand, vms, GaParams(seed=seed))
+        ga = ga_pack(demand, vms, seed=seed)
         ff = first_fit_pack(demand, vms)
         bf = best_fit_pack(demand, vms)
         if ff.feasible or bf.feasible:
@@ -227,13 +227,10 @@ def test_criterion_6_end_to_end_sandwich(catalog, vms):
                                          periods=100, seed=61), catalog)
     online = generate_trace(SyntheticSpec(mode_centers=centers, noise_sigma=sigma,
                                           periods=100, seed=62), catalog)
-    gp = GaParams(seed=6)
-    table, _ = build_offline(train, catalog, vms, k_range=(2, 15),
-                             ga_params=gp, seed=6)
-    sim = run_online(table, online, catalog, vms,
-                     miss_policy=MissPolicy(ga_params=gp, seed=6))
+    table, _ = build_offline(train, catalog, vms, k_range=(2, 15), seed=6)
+    sim = run_online(table, online, catalog, vms, miss_policy=MissPolicy(seed=6))
     assert sim.hit_rate >= 0.95, f"hit rate {sim.hit_rate}"
-    comparison = evaluate_methods(online, catalog, vms, table, ga_params=gp)
+    comparison = evaluate_methods(online, catalog, vms, table, seed=6)
     by = dict(zip(comparison.methods, comparison.totals))
     assert by["per_period_ga"] <= by["pipeline"] + 1e-9, by
     assert by["pipeline"] <= by["static_peak"] + 1e-9, by
@@ -252,9 +249,7 @@ def test_criterion_7_miss_recycling(catalog, vms):
     sigma = 0.05 * float(centers.mean())
     train = generate_trace(SyntheticSpec(mode_centers=centers, noise_sigma=sigma,
                                          periods=100, seed=71), catalog)
-    gp = GaParams(seed=7)
-    table, _ = build_offline(train, catalog, vms, k_range=(2, 15),
-                             ga_params=gp, seed=7)
+    table, _ = build_offline(train, catalog, vms, k_range=(2, 15), seed=7)
 
     novel = np.array([138, 109, 19, 270, 15])
     probe = demand_for_period(novel, catalog)
@@ -263,7 +258,7 @@ def test_criterion_7_miss_recycling(catalog, vms):
 
     online = WorkloadTrace(np.tile(novel, (30, 1)))
     sim = run_online(table, online, catalog, vms,
-                     miss_policy=MissPolicy(buffer_size=20, ga_params=gp, seed=7))
+                     miss_policy=MissPolicy(buffer_size=20, seed=7))
     assert sim.recluster_events == 1, sim.recluster_events
     assert all(not r.hit for r in sim.records[:20])
     tail = sim.records[20:]

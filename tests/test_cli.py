@@ -148,8 +148,19 @@ class TestBuild:
         rc = main(["build", "--trace", str(trace), "--catalog", str(services),
                    "--vm-catalog", str(vms), "--out", str(tmp_path / "nan")])
         assert rc == 2
-        assert "finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "finite" in err and f"{vms}: line 2: " in err
         assert not (tmp_path / "nan" / "table.json").exists()
+
+    def test_non_finite_unit_cost_exits_2(self, workspace, capsys):
+        tmp_path, _, vms, trace = workspace
+        services = tmp_path / "nan_services.csv"
+        services.write_text("1,1,2\n1,2,1\n2,1,nan\n1,1,1\n2,2,1\n")
+        rc = main(["build", "--trace", str(trace), "--catalog", str(services),
+                   "--vm-catalog", str(vms), "--out", str(tmp_path / "nan")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {services}: unit costs must be finite\n"
+        assert not (tmp_path / "nan").exists()
 
     def test_repeated_vm_type_id_exits_2(self, workspace, capsys):
         tmp_path, services, _, trace = workspace

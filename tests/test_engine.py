@@ -30,9 +30,6 @@ from packwise import (
 
 from conftest import planted_trace
 
-GA = GaParams(seed=2)
-
-
 @pytest.fixture(scope="module")
 def catalog():
     return ServiceCatalog(np.array([
@@ -58,8 +55,7 @@ def vms():
 def built(catalog, vms):
     """One shared 10-mode build: (trace, centers, sigma, table, report)."""
     trace, centers, sigma = planted_trace(catalog, 21)
-    table, report = build_offline(trace, catalog, vms, k_range=(2, 15),
-                                  ga_params=GA, seed=2)
+    table, report = build_offline(trace, catalog, vms, k_range=(2, 15), seed=2)
     return trace, centers, sigma, table, report
 
 
@@ -79,8 +75,8 @@ class TestBuildOffline:
         tracemalloc.start()
         try:
             table, _ = build_offline(trace, catalog, vms, k_range=(2, 4),
-                                     ga_params=GaParams(population=20, generations=20,
-                                                        seed=2), seed=2)
+                                     ga_params=GaParams(population=20, generations=20),
+                                     seed=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -111,12 +107,11 @@ class TestBuildOffline:
     def test_constant_trace_degenerates(self, catalog, vms):
         trace = WorkloadTrace(np.tile([50, 50, 50, 50, 50], (30, 1)))
         with pytest.raises(DegenerateModelError):
-            build_offline(trace, catalog, vms, k_range=(2, 5), ga_params=GA)
+            build_offline(trace, catalog, vms, k_range=(2, 5))
 
     def test_single_mode_trace_builds_near_identical_centroids(self, catalog, vms):
         trace, centers, sigma = planted_trace(catalog, 33, modes=1, periods=60)
-        table, report = build_offline(trace, catalog, vms, k_range=(2, 3),
-                                      ga_params=GA, seed=3)
+        table, report = build_offline(trace, catalog, vms, k_range=(2, 3), seed=3)
         assert report.best_k in (2, 3)
         assert len(table.entries) == report.best_k
         pats = np.vstack([e.pattern for e in table.entries])
@@ -127,13 +122,13 @@ class TestBuildOffline:
     def test_k_range_beyond_periods_rejected(self, catalog, vms):
         trace, _, _ = planted_trace(catalog, 34, periods=10)
         with pytest.raises(ValueError):
-            build_offline(trace, catalog, vms, k_range=(2, 15), ga_params=GA)
+            build_offline(trace, catalog, vms, k_range=(2, 15))
 
     def test_euclidean_threshold_derived_from_centroids(self, vms):
         # A one-service catalog matches by distance.
         one = ServiceCatalog(np.array([[1.0, 1.0, 2.0]]))
         trace, _, _ = planted_trace(one, 35, modes=2, periods=40)
-        table, _ = build_offline(trace, one, vms, k_range=(2, 6), ga_params=GA, seed=4)
+        table, _ = build_offline(trace, one, vms, k_range=(2, 6), seed=4)
         assert table.similarity == "euclidean"
         pats = np.vstack([e.pattern for e in table.entries])
         d = np.linalg.norm(pats[:, None, :] - pats[None, :, :], axis=2)
@@ -147,8 +142,7 @@ class TestRunOnline:
         online = generate_trace(
             SyntheticSpec(mode_centers=centers, noise_sigma=sigma,
                           periods=100, seed=777), catalog)
-        sim = run_online(table, online, catalog, vms,
-                         miss_policy=MissPolicy(ga_params=GA))
+        sim = run_online(table, online, catalog, vms)
         assert sim.hit_rate >= 0.99
         assert len(sim.records) == 100
         assert sim.total_cost == pytest.approx(sum(r.cost for r in sim.records))
@@ -158,8 +152,7 @@ class TestRunOnline:
         # representatives nearly perfectly.
         _, centers, _, table, _ = built
         online = WorkloadTrace(centers.astype(np.int64))
-        sim = run_online(table, online, catalog, vms,
-                         miss_policy=MissPolicy(ga_params=GA))
+        sim = run_online(table, online, catalog, vms)
         assert sim.hit_rate >= 0.99
         assert all(r.score >= 0.99 for r in sim.records)
 
@@ -170,8 +163,7 @@ class TestRunOnline:
         assert max(pearson(probe.values, e.pattern) for e in table.entries) < 0.7
         online = WorkloadTrace(np.tile(novel, (30, 1)))
         sim = run_online(table, online, catalog, vms,
-                         miss_policy=MissPolicy(buffer_size=20,
-                                                ga_params=GaParams(seed=5), seed=5))
+                         miss_policy=MissPolicy(buffer_size=20, seed=5))
         assert sim.recluster_events == 1
         first, rest = sim.records[:20], sim.records[20:]
         assert all(not r.hit and r.source == "fallback-greedy" for r in first)
@@ -200,8 +192,7 @@ class TestRunOnline:
         online = WorkloadTrace(np.tile(np.array([138, 109, 19, 270, 15]), (20, 1)))
         sim = run_online(table, online, catalog, vms,
                          miss_policy=MissPolicy(buffer_size=20,
-                                                ga_params=GaParams(generations=20, seed=5),
-                                                seed=5))
+                                                ga_params=GaParams(generations=20), seed=5))
         assert sim.recluster_events == 1
         assert len(sim.final_table.entries) == len(table.entries) + 1
         assert calls == []
@@ -213,8 +204,7 @@ class TestRunOnline:
         online = WorkloadTrace(np.tile(np.array([138, 109, 19, 270, 15]), (25, 1)))
         sim = run_online(table, online, catalog, vms,
                          miss_policy=MissPolicy(buffer_size=20,
-                                                ga_params=GaParams(generations=20, seed=5),
-                                                seed=5))
+                                                ga_params=GaParams(generations=20), seed=5))
         assert sim.recluster_events == 1
         assert 2 <= len(sim.final_table.entries) <= 11
 
@@ -226,8 +216,7 @@ class TestRunOnline:
         online = WorkloadTrace(np.tile(novel, (3, 1)))
         sim = run_online(replace(table, entries=table.entries[:1]), online, catalog, vms,
                          miss_policy=MissPolicy(buffer_size=1,
-                                                ga_params=GaParams(generations=20, seed=5),
-                                                seed=5))
+                                                ga_params=GaParams(generations=20), seed=5))
         assert sim.recluster_events == 1
         assert [r.hit for r in sim.records] == [False, True, True]
         patterns = [e.pattern.tolist() for e in sim.final_table.entries]
@@ -244,12 +233,12 @@ class TestRunOnline:
         _, _, _, table, _ = built
         packed = []
         real = engine.ga_pack
-        monkeypatch.setattr(engine, "ga_pack", lambda *a: packed.append(1) or real(*a))
+        monkeypatch.setattr(engine, "ga_pack",
+                            lambda *a, **kw: packed.append(1) or real(*a, **kw))
         online = WorkloadTrace(np.tile(np.array([138, 109, 19, 270, 15]), (20, 1)))
         sim = run_online(table, online, catalog, vms,
                          miss_policy=MissPolicy(buffer_size=20,
-                                                ga_params=GaParams(generations=20, seed=5),
-                                                seed=5))
+                                                ga_params=GaParams(generations=20), seed=5))
         assert sim.recluster_events == 1
         assert len(packed) == 1
         kept = {id(e.solution) for e in sim.final_table.entries}
@@ -266,9 +255,9 @@ class TestRunOnline:
         _, _, _, table, _ = built
         packed = []
         real = engine.ga_pack
-        monkeypatch.setattr(engine, "ga_pack", lambda *a: packed.append(1) or real(*a))
-        policy = MissPolicy(k_range=(2, 10), ga_params=GaParams(generations=20, seed=5),
-                            seed=5)
+        monkeypatch.setattr(engine, "ga_pack",
+                            lambda *a, **kw: packed.append(1) or real(*a, **kw))
+        policy = MissPolicy(k_range=(2, 10), ga_params=GaParams(generations=20), seed=5)
         rebuilt, skipped = engine._recluster(table, [0.9 * table.entries[0].pattern] * 20,
                                              catalog, vms, policy, 300.0, 1)
         assert packed == [] and skipped == 0
@@ -299,8 +288,7 @@ class TestRunOnline:
                           periods=100, seed=5), catalog)
         sim = run_online(table, online, catalog, vms,
                          miss_policy=MissPolicy(k_range=(2, 10),
-                                                ga_params=GaParams(generations=20, seed=5),
-                                                seed=5))
+                                                ga_params=GaParams(generations=20), seed=5))
         assert sim.recluster_events >= 2
         assert len(sizes) == sim.recluster_events
         assert max(sizes) <= 10
@@ -319,7 +307,7 @@ class TestRunOnline:
     def test_empty_trace_empty_report(self, built, catalog, vms):
         _, _, _, table, _ = built
         sim = run_online(table, WorkloadTrace(np.zeros((0, 5), dtype=np.int64)),
-                         catalog, vms, miss_policy=MissPolicy(ga_params=GA))
+                         catalog, vms)
         assert sim.records == ()
         assert sim.total_cost == 0.0
 
@@ -351,8 +339,7 @@ class TestRunOnline:
             SyntheticSpec(mode_centers=centers * 1.25, noise_sigma=sigma,
                           periods=30, seed=11), catalog)
         with caplog.at_level("WARNING", logger="packwise.engine"):
-            sim = run_online(table, online, catalog, vms,
-                             miss_policy=MissPolicy(ga_params=GA))
+            sim = run_online(table, online, catalog, vms)
         assert len(sim.records) == 30
         if sim.live_violation_rate > 0:
             assert any("violates live demand" in m for m in caplog.messages)
@@ -367,13 +354,13 @@ def comparison(built, catalog, vms):
     online = generate_trace(
         SyntheticSpec(mode_centers=centers, noise_sigma=sigma,
                       periods=40, seed=888), catalog)
-    return evaluate_methods(online, catalog, vms, table, ga_params=GA)
+    return evaluate_methods(online, catalog, vms, table, seed=2)
 
 
 @pytest.fixture(scope="module")
 def fitted(catalog, vms):
     trace, centers, sigma = planted_trace(catalog, 77, modes=3, periods=40)
-    model = PackingAutoscaler(k_range=(2, 5), ga_params=GaParams(seed=6), seed=6)
+    model = PackingAutoscaler(k_range=(2, 5), seed=6)
     return model.fit(trace, catalog, vms), centers
 
 
@@ -419,7 +406,7 @@ class TestEvaluateMethods:
 
         monkeypatch.setattr(engine, "best_fit_pack", counting)
         report = evaluate_methods(online, catalog, vms, table,
-                                  ga_params=GaParams(generations=5, seed=2))
+                                  ga_params=GaParams(generations=5), seed=2)
         assert len(calls) == 40
         secs = online.period_seconds
         demands = [demand_for_period(c, catalog) for c in online.counts]
@@ -432,7 +419,82 @@ class TestEvaluateMethods:
         _, _, _, table, _ = built
         with pytest.raises(ValueError):
             evaluate_methods(WorkloadTrace(np.zeros((0, 5), dtype=np.int64)),
-                             catalog, vms, table, ga_params=GA)
+                             catalog, vms, table)
+
+
+@pytest.fixture
+def packed(serial, monkeypatch):
+    """(seed, demand values) of every engine.ga_pack call, in call order."""
+    import packwise.engine as engine
+    calls = []
+    real = engine.ga_pack
+
+    def recording(dv, *args, seed, **kwargs):
+        calls.append((seed, dv.values))
+        return real(dv, *args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(engine, "ga_pack", recording)
+    return calls
+
+
+class TestSeeds:
+    """Every GA job's seed derives from its caller's one seed."""
+
+    def test_build_seeds_centroid_i_at_seed_plus_i(self, packed, catalog, vms):
+        trace, _, _ = planted_trace(catalog, 41, modes=4, periods=60)
+        table, _ = build_offline(trace, catalog, vms, k_range=(2, 6),
+                                 ga_params=GaParams(generations=10), seed=7)
+        assert [seed for seed, _ in packed] == [7 + i for i in range(len(table.entries))]
+        for (_, values), entry in zip(packed, table.entries):
+            assert np.array_equal(values, demand_from_values(entry.pattern, catalog).values)
+
+    def test_recluster_seeds_centroid_i_of_event_e_at_seed_plus_1000e_plus_i(
+            self, packed, built, catalog, vms, monkeypatch):
+        import packwise.engine as engine
+        _, centers, sigma, table, _ = built
+        events, centroids = [], {}    # centroids[e]: event e's sweep's centroids
+        real_recluster, real_select_k = engine._recluster, engine.select_k
+
+        def recluster(*args):
+            events.append(args[-1])
+            return real_recluster(*args)
+
+        def select_k(*args, **kwargs):
+            model, rows = real_select_k(*args, **kwargs)
+            centroids[events[-1]] = model.centroids
+            return model, rows
+
+        monkeypatch.setattr(engine, "_recluster", recluster)
+        monkeypatch.setattr(engine, "select_k", select_k)
+        packed.clear()
+        online = WorkloadTrace(np.vstack([
+            generate_trace(SyntheticSpec(mode_centers=scale * centers, noise_sigma=sigma,
+                                         periods=30, seed=5), catalog).counts
+            for scale in (2, 3)
+        ]))
+        sim = run_online(table, online, catalog, vms,
+                         miss_policy=MissPolicy(buffer_size=10, k_range=(2, 10),
+                                                ga_params=GaParams(generations=10), seed=3))
+        assert sim.recluster_events >= 2
+        assert events == sorted(centroids) == list(range(1, sim.recluster_events + 1))
+        offsets = [divmod(seed - 3, 1000) for seed, _ in packed]
+        assert offsets and offsets == sorted(offsets)
+        for (event, i), (_, values) in zip(offsets, packed):
+            want = demand_from_values(centroids[event][i], catalog).values
+            assert np.array_equal(values, want)
+
+    def test_compare_seeds_the_peak_then_period_i_at_seed_plus_i(self, packed, built,
+                                                                 catalog, vms):
+        trace, _, _, table, _ = built
+        online = WorkloadTrace(trace.counts[:6])
+        packed.clear()
+        evaluate_methods(online, catalog, vms, table, ga_params=GaParams(generations=5),
+                         seed=11)
+        assert [seed for seed, _ in packed] == [11 + 10_000] + [11 + i for i in range(6)]
+        peak = demand_for_period(online.counts.max(axis=0), catalog).values
+        assert np.array_equal(packed[0][1], peak)
+        for (_, values), counts in zip(packed[1:], online.counts):
+            assert np.array_equal(values, demand_for_period(counts, catalog).values)
 
 
 class TestDeterminism:
@@ -441,8 +503,7 @@ class TestDeterminism:
         trace, _, _ = planted_trace(catalog, 55, modes=4, periods=50)
         results = []
         for run in range(2):
-            table, report = build_offline(trace, catalog, vms, k_range=(2, 6),
-                                          ga_params=GaParams(seed=9), seed=9)
+            table, report = build_offline(trace, catalog, vms, k_range=(2, 6), seed=9)
             tp = tmp_path / f"table{run}.json"
             rp = tmp_path / f"report{run}.csv"
             save_table(table, tp)
@@ -460,7 +521,7 @@ class TestDeterminism:
         outputs = []
         for run in range(2):
             sim = run_online(table, online, catalog, vms,
-                             miss_policy=MissPolicy(ga_params=GaParams(seed=4), seed=4))
+                             miss_policy=MissPolicy(seed=4))
             path = tmp_path / f"sim{run}.csv"
             sim.to_csv(path)
             outputs.append(path.read_bytes())
@@ -539,3 +600,12 @@ class TestPackingAutoscaler:
     def test_unfitted_predict_rejected(self):
         with pytest.raises(ValueError, match="not fitted"):
             PackingAutoscaler().predict(np.array([1, 2, 3, 4, 5]))
+
+    def test_bad_settings_raise_at_construction(self):
+        # fit and replay share the MissPolicy built here, so a setting that
+        # only replay reads is refused before fit builds a table.
+        with pytest.raises(ValueError, match="buffer_size"):
+            PackingAutoscaler(miss_buffer_size=0)
+        for k_range in ((1, 14), (9, 3), (0, 0)):
+            with pytest.raises(ValueError, match="k range"):
+                PackingAutoscaler(k_range=k_range)

@@ -27,7 +27,7 @@ centers = np.array([[40, 30, 20, 10, 50], [90, 80, 70, 60, 100], [20, 100, 40, 8
 trace = generate_trace(SyntheticSpec(mode_centers=centers, noise_sigma=3.0, periods=300,
                                      seed=1), catalog)
 model = PackingAutoscaler(k_range=(2, 4), miss_buffer_size=10,
-                          ga_params=GaParams(population=20, generations=20, seed=1), seed=1)
+                          ga_params=GaParams(population=20, generations=20), seed=1)
 model.fit(trace, catalog, vms)
 model.predict(trace.counts[0])
 report = model.replay(WorkloadTrace(trace.counts * 2, period_seconds=trace.period_seconds))

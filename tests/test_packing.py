@@ -114,7 +114,7 @@ FLOAT_ORDER = (make_demand([[0.0, 0.0, 0.0], [0.0, 278.4, 626.4]]),
                [VmType("t0", np.array([52.0, 58.0, 99.0]), 0.1)], 60.0)
 
 
-# ga_fingerprint of ga_evolve(demand, vms, GaParams(seed=seed)) per
+# ga_fingerprint of ga_evolve(demand, vms, GaParams(), seed=seed) per
 # (instance, seed). Any change to the GA's draws or float reductions moves
 # these; a rewrite that claims identical output must leave them alone. The
 # trace hashes of mode0-1x, mode3-1x and tiny-5 are those of runs that stop
@@ -244,10 +244,11 @@ class TestTypes:
             GaParams(population=2)
 
     def test_operator_rates_are_constants(self):
-        # The GA's rates and elitism are module constants, not parameters.
+        # The GA's rates and elitism are module constants, and its seed is
+        # the caller's argument: none of them is a parameter.
         assert [f.name for f in dataclasses.fields(GaParams)] == [
-            "population", "generations", "max_instances", "seed"]
-        for name in ("crossover_rate", "mutation_rate", "elitism"):
+            "population", "generations", "max_instances"]
+        for name in ("crossover_rate", "mutation_rate", "elitism", "seed"):
             with pytest.raises(TypeError):
                 GaParams(**{name: 0.9})
 
@@ -385,7 +386,7 @@ class TestGaPack:
     def test_exact_fit_single_instance(self):
         vms = [VmType("snug", np.array([10.0]), 1.0)]
         demand = make_demand([[10.0]])
-        sol = ga_pack(demand, vms, GaParams(generations=50, seed=0))
+        sol = ga_pack(demand, vms, GaParams(generations=50), seed=0)
         assert sol.feasible
         assert sol.instance_count == 1
         assert sol.instances[0].vm_type.id == "snug"
@@ -396,7 +397,7 @@ class TestGaPack:
             demand, vms = tiny_instance(seed)
             oracle = brute_force_pack(demand, vms, 3)
             assert oracle.feasible
-            sol = ga_pack(demand, vms, GaParams(max_instances=3, seed=seed))
+            sol = ga_pack(demand, vms, GaParams(max_instances=3), seed=seed)
             assert sol.feasible
             assert verify_solution(sol, demand)
             if sol.total_cost <= 1.10 * oracle.total_cost + 1e-12:
@@ -405,8 +406,8 @@ class TestGaPack:
 
     def test_deterministic(self):
         demand, vms = tiny_instance(5)
-        a = ga_pack(demand, vms, GaParams(seed=9))
-        b = ga_pack(demand, vms, GaParams(seed=9))
+        a = ga_pack(demand, vms, seed=9)
+        b = ga_pack(demand, vms, seed=9)
         assert a.total_cost == b.total_cost
         assert all(x.vm_type.id == y.vm_type.id and np.array_equal(x.assignment, y.assignment)
                    for x, y in zip(a.instances, b.instances))
@@ -416,7 +417,7 @@ class TestGaPack:
         # no slot count within the budget can absorb it.
         vms = [VmType("lopsided", np.array([1.0, 99.0]), 1.0)]
         demand = make_demand([[50.0, 0.0]])
-        sol = ga_pack(demand, vms, GaParams(generations=40, seed=1))
+        sol = ga_pack(demand, vms, GaParams(generations=40), seed=1)
         assert not sol.feasible
 
     def test_demand_within_tolerance_still_gets_a_host(self):
@@ -424,7 +425,7 @@ class TestGaPack:
         # so the GA must not count the empty packing of 5e-10 as feasible.
         vms = [VmType("unit", np.array([1.0]), 1.0)]
         demand = make_demand([[5e-10]])
-        solution, _ = ga_evolve(demand, vms, GaParams(generations=20, seed=0))
+        solution, _ = ga_evolve(demand, vms, GaParams(generations=20), seed=0)
         assert solution.feasible and solution.instance_count == 1
         assert verify_solution(solution, demand)
 
@@ -432,19 +433,19 @@ class TestGaPack:
         got = {}
         for name, demand, vms in pinned_instances(five_service_catalog, three_vm_catalog):
             for seed in (0, 7):
-                got[name, seed] = ga_fingerprint(*ga_evolve(demand, vms, GaParams(seed=seed)))
+                got[name, seed] = ga_fingerprint(*ga_evolve(demand, vms, GaParams(), seed=seed))
         assert got == PINNED_GA
 
     def test_certified_run_stops_early(self, five_service_catalog, three_vm_catalog):
         cases = {name: (demand, vms) for name, demand, vms
                  in pinned_instances(five_service_catalog, three_vm_catalog)}
         demand, vms = cases["mode3-1x"]
-        solution, trace = ga_evolve(demand, vms, GaParams(seed=0))
+        solution, trace = ga_evolve(demand, vms, GaParams(), seed=0)
         assert len(trace) < GaParams().generations
         assert solution.total_cost == mix_lower_bound(demand, vms)
         # Infeasible: nothing reaches the bound, so every generation runs.
         demand, vms = cases["lopsided"]
-        solution, trace = ga_evolve(demand, vms, GaParams(generations=40, seed=1))
+        solution, trace = ga_evolve(demand, vms, GaParams(generations=40), seed=1)
         assert not solution.feasible and len(trace) == 40
 
     @pytest.mark.parametrize("name,params", [
@@ -461,10 +462,12 @@ class TestGaPack:
         # depends on the order its prices are added in.
         cases["tie-60"] = (make_demand([[30.0], [30.0]]), cases["tie-0.3"][1], 600.0)
         demand, vms, period = cases[name]
-        ga = GaParams(**{"generations": 100, **params})
-        stopped = ga_evolve(demand, vms, ga, period)
+        budget = {"generations": 100, **params}
+        seed = budget.pop("seed")
+        ga = GaParams(**budget)
+        stopped = ga_evolve(demand, vms, ga, period, seed=seed)
         monkeypatch.setattr(packing, "_price_bound", lambda *a: -math.inf)
-        full = ga_evolve(demand, vms, ga, period)
+        full = ga_evolve(demand, vms, ga, period, seed=seed)
         assert ga_fingerprint(*stopped)[:4] == ga_fingerprint(*full)[:4]
         assert stopped[1] == full[1][:len(stopped[1])]
         if name != "wide-20":   # whose champion ends above the bound
@@ -473,7 +476,7 @@ class TestGaPack:
     def test_seeds_from_greedy_genomes_not_the_public_packers(
             self, monkeypatch, five_service_catalog, three_vm_catalog):
         cases = pinned_instances(five_service_catalog, three_vm_catalog)
-        want = [ga_fingerprint(*ga_evolve(demand, vms, GaParams(seed=7)))
+        want = [ga_fingerprint(*ga_evolve(demand, vms, GaParams(), seed=7))
                 for _, demand, vms in cases]
 
         def refuse(*args, **kwargs):
@@ -481,7 +484,7 @@ class TestGaPack:
 
         monkeypatch.setattr(packing, "first_fit_pack", refuse)
         monkeypatch.setattr(packing, "best_fit_pack", refuse)
-        got = [ga_fingerprint(*ga_evolve(demand, vms, GaParams(seed=7)))
+        got = [ga_fingerprint(*ga_evolve(demand, vms, GaParams(), seed=7))
                for _, demand, vms in cases]
         assert got == want
 
@@ -491,7 +494,7 @@ class TestGaPack:
         # fractional bound and costs what a run without any bound does.
         vms = [VmType(f"c{s}", np.array([float(s)]), float(s)) for s in (1, 2, 4, 8, 16, 32)]
         demand = make_demand([[125.0]] * 4)
-        params = GaParams(generations=40, seed=0)
+        params = GaParams(generations=40)
         runs = {packing._price_bound: [], (lambda *a: -math.inf): []}
         for _ in range(5):    # alternating, so load on the host slows both alike
             for bound, times in runs.items():
@@ -506,7 +509,7 @@ class TestGaPack:
     def test_best_fitness_trace_nonincreasing(self):
         for seed in (0, 3, 8):
             demand, vms = tiny_instance(seed + 100)
-            _, trace = ga_evolve(demand, vms, GaParams(generations=80, seed=seed))
+            _, trace = ga_evolve(demand, vms, GaParams(generations=80), seed=seed)
             assert np.all(np.diff(np.array(trace)) <= 1e-12)
 
     def test_empty_catalog_rejected(self):
@@ -597,8 +600,8 @@ class TestMixLowerBound:
             bound = mix_lower_bound(demand, vms)
             packings = [brute_force_pack(demand, vms, 3), first_fit_pack(demand, vms),
                         best_fit_pack(demand, vms),
-                        ga_pack(demand, vms, GaParams(max_instances=3, seed=seed)),
-                        ga_pack(demand, vms, GaParams(seed=seed))]
+                        ga_pack(demand, vms, GaParams(max_instances=3), seed=seed),
+                        ga_pack(demand, vms, seed=seed)]
             assert packings[0].feasible
             for sol in packings:
                 if sol.feasible:
@@ -627,7 +630,7 @@ class TestMixLowerBound:
         vms = [VmType("A", np.array([10.0, 0.0]), 1.0), VmType("B", np.array([10.0, 10.0]), 2.0)]
         demand = make_demand([[5.0, 5e-10]])
         assert mix_lower_bound(demand, vms) == period_hours(600.0)
-        solution, _ = ga_evolve(demand, vms, GaParams(seed=0))
+        solution, _ = ga_evolve(demand, vms, GaParams(), seed=0)
         assert solution.feasible and solution.total_cost == period_hours(600.0)
         assert [inst.vm_type.id for inst in solution.instances] == ["A"]
         assert milp_bound(demand, vms) == period_hours(600.0)
@@ -722,7 +725,7 @@ class TestGreedy:
         for i in range(runs):
             counts = rng.integers(20, 200, size=5)
             demand = demand_for_period(counts, five_service_catalog)
-            ga = ga_pack(demand, three_vm_catalog, GaParams(seed=i))
+            ga = ga_pack(demand, three_vm_catalog, seed=i)
             ff = first_fit_pack(demand, three_vm_catalog)
             assert ga.feasible
             if ga.total_cost <= ff.total_cost + 1e-12:
@@ -867,7 +870,7 @@ class TestBruteForce:
             oracle = brute_force_pack(demand, vms, 3)
             assert oracle.feasible
             for sol in (
-                ga_pack(demand, vms, GaParams(max_instances=3, seed=seed)),
+                ga_pack(demand, vms, GaParams(max_instances=3), seed=seed),
                 first_fit_pack(demand, vms),
                 best_fit_pack(demand, vms),
             ):
@@ -948,9 +951,9 @@ class TestCostScaling:
             for solver in (first_fit_pack, best_fit_pack):
                 assert solver(demand, scaled).total_cost == pytest.approx(
                     alpha * solver(demand, vms).total_cost, rel=1e-12)
-            gp = GaParams(seed=seed, generations=60)
-            assert ga_pack(demand, scaled, gp).total_cost == pytest.approx(
-                alpha * ga_pack(demand, vms, gp).total_cost, rel=1e-12)
+            gp = GaParams(generations=60)
+            assert ga_pack(demand, scaled, gp, seed=seed).total_cost == pytest.approx(
+                alpha * ga_pack(demand, vms, gp, seed=seed).total_cost, rel=1e-12)
 
 
 class TestVerifier:

@@ -30,7 +30,8 @@ from packwise.parallel import split_map
 
 from conftest import planted_trace
 
-GA = GaParams(generations=40, seed=3)
+GA = GaParams(generations=40)
+BUILD_SEED = 4
 
 
 @pytest.fixture
@@ -71,7 +72,7 @@ def built(five_service_catalog, three_vm_catalog):
 
 def build(built):
     trace, _, catalog, vms = built
-    return build_offline(trace, catalog, vms, k_range=(2, 8), ga_params=GA, seed=4)
+    return build_offline(trace, catalog, vms, k_range=(2, 8), ga_params=GA, seed=BUILD_SEED)
 
 
 def report_bytes(report, tmp_path):
@@ -220,9 +221,9 @@ class TestCallers:
         import packwise.engine as engine
         real = engine.ga_pack
 
-        def ga_pack(dv, vms, params, period_seconds):
-            sol = real(dv, vms, params, period_seconds)
-            if params.seed - GA.seed in (1, 2):
+        def ga_pack(dv, vms, params, period_seconds, *, seed):
+            sol = real(dv, vms, params, period_seconds, seed=seed)
+            if seed - BUILD_SEED in (1, 2):
                 return PackingSolution(sol.instances, sol.total_cost, False)
             return sol
 
@@ -265,7 +266,7 @@ class TestCallers:
 
         def run():
             report = evaluate_methods(online, catalog, vms, table,
-                                      ga_params=GaParams(generations=10, seed=1))
+                                      ga_params=GaParams(generations=10), seed=1)
             return report.rows, report.totals
 
         split, serial = both_ways(workers, run)

@@ -89,7 +89,7 @@ def test_recluster_sweeps_through_select_k(monkeypatch):
     vms = [VmType("small", np.array([300.0, 300.0]), 1.0),
            VmType("large", np.array([900.0, 900.0]), 2.5)]
     trace, centers, _ = planted_trace(catalog, 5, modes=3, periods=30)
-    gp = GaParams(generations=20, seed=1)
+    gp = GaParams(generations=20)
     table, _ = build_offline(trace, catalog, vms, k_range=(2, 4), ga_params=gp, seed=1)
     sweeps = []
     real = engine.select_k
