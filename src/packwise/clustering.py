@@ -10,11 +10,9 @@ linkage holds all n(n-1)/2 pairwise distances, so only the CLI's build
 runs it, not build_offline, and only ahc imports scipy: the rest of the
 module, and of the library, needs numpy alone.
 
-select_k picks the cluster count in two steps. It screens every k on the
-best of its first SCREEN_RESTARTS seeded k-means restarts and scores those
-models, which are the rows it reports; then it fits the chosen k alone
-with all KMEANS_RESTARTS, so the model it returns is kmeans's own for that
-k and seed. A sweep of 14 ks thus runs 66 restarts instead of 140.
+select_k fits every k of its sweep once, with kmeans's KMEANS_RESTARTS
+seeded restarts, scores each model, and returns the chosen k's model as
+it scored it.
 
 Clustering runs on raw (unnormalized) pattern values: magnitudes carry the
 machine-count signal, so scaling the data away would destroy exactly what
@@ -54,10 +52,7 @@ import numpy as np
 from .parallel import split_map
 from .validation import as_float_matrix
 
-KMEANS_RESTARTS = 10
-# Restarts select_k scores each k of its sweep on; the chosen k alone is
-# then fitted with all KMEANS_RESTARTS.
-SCREEN_RESTARTS = 4
+KMEANS_RESTARTS = 4
 KMEANS_MAX_ITER = 300
 # Relative widening of the triangle-inequality bounds of _lloyd and dunn;
 # the absolute one is this times (sqrt(S) * largest |value| + 1) for S
@@ -501,8 +496,7 @@ def dunn(model: ClusterModel, patterns) -> float:
     return float(min_separation / max_diameter)
 
 
-def kmeans(patterns, k: int, seed: int = 0, *, canonical=None,
-           restarts: int = KMEANS_RESTARTS) -> ClusterModel:
+def kmeans(patterns, k: int, seed: int = 0, *, canonical=None) -> ClusterModel:
     """Seeded Lloyd's k-means; the model is unscored (see select_k).
 
     Each of KMEANS_RESTARTS restarts runs to convergence (no reassignments)
@@ -516,10 +510,6 @@ def kmeans(patterns, k: int, seed: int = 0, *, canonical=None,
     canonical is internal: select_k passes _canonical_order(patterns),
     which it computes once for every k of its sweep. Any other value
     clusters the wrong rows; one of the wrong length is refused.
-
-    restarts is internal: select_k's screen passes SCREEN_RESTARTS. The
-    restarts draw from one generator in turn, so r of them are the first
-    r of the KMEANS_RESTARTS a default call runs with the same seed.
     """
     X = as_float_matrix(patterns, "patterns")
     order, Xs, distinct = canonical or _canonical_order(X)
@@ -528,7 +518,7 @@ def kmeans(patterns, k: int, seed: int = 0, *, canonical=None,
     _check_k(k, distinct)
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(restarts):
+    for _ in range(KMEANS_RESTARTS):
         centers, labels, trace = _lloyd(Xs, k, rng)
         if best is None or trace[-1] < best[2][-1]:
             best = (centers, labels, trace)
@@ -600,21 +590,17 @@ def select_k(patterns, k_range, seed: int = 0):
     of distinct patterns, and fewer distinct patterns than lo raise
     DegenerateModelError.
 
-    The sweep screens, then refits (successive halving, Jamieson and
-    Talwalkar 2016, cut to one round). The screen fits each k with the
-    first SCREEN_RESTARTS of its restarts, seed seed+k, and scores that
-    model with davies_bouldin and dunn; coincident centroids at any k
-    raise DegenerateModelError. Best k minimizes the screened
-    Davies-Bouldin index; ties go to the larger Dunn index, then the
-    smaller k. Only the best k is then fitted with all KMEANS_RESTARTS,
-    as kmeans(patterns, k, seed=seed + k) fits it. Returns (best_model,
-    rows): that refitted model, and the screen's (k, davies_bouldin,
-    dunn) rows, from which the choice can be re-derived; the refitted
-    model itself is not scored.
+    Each k is fitted as kmeans(patterns, k, seed=seed + k) fits it and
+    scored with davies_bouldin and dunn; coincident centroids at any k
+    raise DegenerateModelError. Best k minimizes the Davies-Bouldin index;
+    ties go to the larger Dunn index, then the smaller k. Returns
+    (best_model, rows): the best k's model, the one its row scores, and
+    the (k, davies_bouldin, dunn) rows, from which the choice can be
+    re-derived.
 
-    The screened ks are independent jobs, spread over the usable CPUs by
-    split_map; each returns its row alone. The error a failing k raises
-    is the lowest failing k's, as in a serial sweep.
+    The ks are independent jobs, spread over the usable CPUs by
+    split_map; each returns its model and its row. The error a failing k
+    raises is the lowest failing k's, as in a serial sweep.
     """
     X = as_float_matrix(patterns, "patterns")
     lo, hi = int(k_range[0]), int(k_range[1])
@@ -629,11 +615,10 @@ def select_k(patterns, k_range, seed: int = 0):
     _check_k(lo, distinct)
     hi = min(hi, distinct)
 
-    def screen(k):
-        model = kmeans(X, k, seed=seed + k, canonical=canonical,
-                       restarts=SCREEN_RESTARTS)
-        return k, davies_bouldin(model, X), dunn(model, X)
+    def fit(k):
+        model = kmeans(X, k, seed=seed + k, canonical=canonical)
+        return model, (k, davies_bouldin(model, X), dunn(model, X))
 
-    rows = split_map(screen, range(lo, hi + 1))
-    k = min(rows, key=lambda row: (row[1], -row[2], row[0]))[0]
-    return kmeans(X, k, seed=seed + k, canonical=canonical), rows
+    fits = split_map(fit, range(lo, hi + 1))
+    best_model, _ = min(fits, key=lambda fit: (fit[1][1], -fit[1][2], fit[1][0]))
+    return best_model, [row for _, row in fits]

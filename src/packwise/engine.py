@@ -43,6 +43,7 @@ from .lookup import (
     LookupEntry,
     LookupTable,
     catalog_fingerprint,
+    check_match_settings,
     check_period_prices,
     match,
 )
@@ -270,11 +271,13 @@ def build_offline(trace: WorkloadTrace, catalog: ServiceCatalog, vm_catalog,
     serve feasible configurations. Nothing here holds O(n^2) memory for n
     periods; hierarchical clustering, which does, is left to callers that
     want a dendrogram (the CLI's build). The table's width picks its
-    metric, and threshold=None its default (see LookupTable). seed seeds
-    the sweep and, at seed + i, centroid i's GA.
+    metric, and threshold=None its default (see LookupTable); a threshold
+    or magnitude_ratio that metric refuses raises ValueError before any
+    clustering. seed seeds the sweep and, at seed + i, centroid i's GA.
 
     Returns (LookupTable, OfflineReport).
     """
+    check_match_settings(catalog.service_count, threshold, magnitude_ratio)
     timings = {}
     t0 = time.perf_counter()
     patterns = demand_patterns(trace, catalog)
@@ -473,7 +476,9 @@ class PackingAutoscaler:
     misses over the same k_range as fit(), and returns the simulation
     report. Both run under one MissPolicy, built here, whose seed drives
     fit's build and replay's reclusters; a bad miss_buffer_size or k_range
-    raises ValueError here, before any fit.
+    raises ValueError here, before any fit, and a bad threshold or
+    magnitude_ratio when fit starts, before any clustering, since the
+    catalog's width decides which thresholds the metric takes.
     """
 
     def __init__(self, k_range=DEFAULT_K_RANGE, threshold=None,

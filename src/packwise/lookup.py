@@ -98,6 +98,25 @@ def pearson(a, b) -> float:
     return max(-1.0, min(1.0, r))
 
 
+def check_match_settings(width: int, threshold, magnitude_ratio) -> str:
+    """The metric of a table of width-service patterns: "pearson" from two
+    services on, "euclidean" for one, where correlation is undefined.
+    Raises ValueError for a threshold outside that metric's range or a
+    magnitude_ratio below 1; a threshold of None, the metric's default,
+    passes. LookupTable checks its settings here, and build_offline checks
+    them here before it clusters."""
+    similarity = "pearson" if width >= 2 else "euclidean"
+    # Each range check is written so that NaN fails it.
+    if threshold is not None:
+        if similarity == "pearson" and not -1.0 < threshold <= 1.0:
+            raise ValueError("correlation threshold must lie in (-1, 1]")
+        if similarity == "euclidean" and not threshold > 0:
+            raise ValueError("distance threshold must be positive")
+    if not magnitude_ratio >= 1.0:
+        raise ValueError("magnitude_ratio must be >= 1 (inf disables the guard)")
+    return similarity
+
+
 @dataclass(frozen=True)
 class LookupEntry:
     """One table row: representative pattern -> feasible packing."""
@@ -147,7 +166,8 @@ class LookupTable:
         widths = {len(e.pattern) for e in self.entries}
         if len(widths) != 1:
             raise ValueError("entry patterns have inconsistent lengths")
-        self.similarity = "pearson" if self.service_count >= 2 else "euclidean"
+        self.similarity = check_match_settings(self.service_count, self.threshold,
+                                               self.magnitude_ratio)
         self.patterns = np.vstack([e.pattern for e in self.entries])
         if self.threshold is None and self.similarity == "pearson":
             self.threshold = 0.7
@@ -157,13 +177,8 @@ class LookupTable:
             c = self.patterns
             dists = np.linalg.norm(c[:, None, :] - c[None, :, :], axis=2)
             self.threshold = 0.25 * float(dists[~np.eye(len(c), dtype=bool)].mean())
-        # Each range check is written so that NaN fails it.
-        if self.similarity == "pearson" and not -1.0 < self.threshold <= 1.0:
-            raise ValueError("correlation threshold must lie in (-1, 1]")
-        if self.similarity == "euclidean" and not self.threshold > 0:
-            raise ValueError("distance threshold must be positive")
-        if not self.magnitude_ratio >= 1.0:
-            raise ValueError("magnitude_ratio must be >= 1 (inf disables the guard)")
+            if not self.threshold > 0:
+                raise ValueError("a distance table of coincident patterns needs a threshold")
         self.centred = self.patterns - self.patterns.mean(axis=1, keepdims=True)
         self.centred_norms = np.sqrt((self.centred ** 2).sum(axis=1))
         self.flat = self.centred_norms == 0.0

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .demand import DemandVector
-from .validation import as_float_vector
+from .validation import as_float_vector, check_positive_int
 from .workload import DEFAULT_PERIOD_SECONDS, TraceParseError
 
 FEASIBILITY_TOL = 1e-9
@@ -131,10 +131,12 @@ class GaParams:
     max_instances: int | None = None
 
     def __post_init__(self):
+        self.population = check_positive_int(self.population, "population")
         if self.population < 4:
             raise ValueError("population must be >= 4")
-        if self.generations < 1:
-            raise ValueError("generations must be >= 1")
+        self.generations = check_positive_int(self.generations, "generations")
+        if self.max_instances is not None:
+            self.max_instances = check_positive_int(self.max_instances, "max_instances")
 
 
 def period_hours(period_seconds: float) -> float:
@@ -670,7 +672,13 @@ def load_vm_catalog(path) -> list[VmType]:
 
 def save_vm_catalog(vm_catalog, path) -> None:
     """Write the file load_vm_catalog reads; each number in its shortest
-    exact form, so the reloaded catalog has the same fingerprint."""
+    exact form, so the reloaded catalog has the same fingerprint. An id
+    that would not read back as itself raises ValueError, before anything
+    is written: load_vm_catalog strips each line and field, skips a line
+    that starts with "#", splits at commas and ends a line at "\n" or "\r"."""
+    for t in vm_catalog:
+        if t.id != t.id.strip() or t.id.startswith("#") or any(c in t.id for c in ",\n\r"):
+            raise ValueError(f"type id {t.id!r} would not read back from a VM catalog file")
     lines = [
         ",".join([t.id] + [repr(float(c)) for c in t.capacity] + [repr(float(t.hourly_cost))])
         for t in vm_catalog

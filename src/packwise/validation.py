@@ -31,6 +31,12 @@ def as_float_matrix(x, name: str) -> np.ndarray:
 
 
 def check_positive_int(value, name: str) -> int:
-    if int(value) != value or value < 1:
+    """int(value) for a whole number >= 1; anything else, NaN and infinity
+    included, raises ValueError naming it."""
+    try:
+        whole = int(value) == value
+    except (ValueError, OverflowError):
+        whole = False
+    if not whole or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return int(value)

@@ -144,7 +144,7 @@ def build_scale_patterns():
 
 
 # Seven distinct rows, sixteen patterns in canonical (lexicographic) order:
-# at k=4 the screen of select_k(seed=1364) empties a cluster and takes the
+# at k=4 the fit of select_k(seed=1364) empties a cluster and takes the
 # farthest-point repair.
 DUPLICATE_HEAVY = np.repeat(
     np.array([[1.0, 11.0], [3.0, 10.0], [4.0, 1.0], [5.0, 1.0], [6.0, 3.0],
@@ -156,7 +156,7 @@ class TestKMeansGolden:
     """select_k outputs pinned bytewise, so a rewrite of the Lloyd sweep must
     keep every float: sha256 prefixes of the best model's centroid and
     assignment bytes and of repr(objective_trace), and, apart, of
-    repr(rows), the screen's scores."""
+    repr(rows), the sweep's scores."""
 
     GOLDEN = {
         1: (3, "2cf6759dacdd0791", "e45754258ab8006f", "260ca8f365c5ad4e"),
@@ -176,9 +176,9 @@ class TestKMeansGolden:
     }
     GOLDEN_DUPLICATE_HEAVY = (
         (7, "3ca011cf0a62e1d8", "1168273f2fb1c943", "33f182838c96ef79"), "ac63119d7a31ac71")
-    # The restarts of kmeans(DUPLICATE_HEAVY, 4, seed=23) take the repair
-    # too, in one that loses to another; its own output is pinned through
-    # all ten.
+    # Ten _lloyd restarts from default_rng(23) on DUPLICATE_HEAVY at k=4
+    # take the repair too, in one that loses to another; all ten outputs
+    # are pinned.
     GOLDEN_K4_RESTARTS = "f5fc6dd129183ca0"
 
     @staticmethod
@@ -224,7 +224,7 @@ class TestKMeansGolden:
         repairs.clear()
         rng = np.random.default_rng(23)
         h = hashlib.sha256()
-        for _ in range(clustering.KMEANS_RESTARTS):
+        for _ in range(10):
             centers, labels, trace = clustering._lloyd(DUPLICATE_HEAVY, 4, rng)
             for part in (centers.tobytes(), labels.astype(np.int64).tobytes(),
                          repr(trace).encode()):
@@ -825,8 +825,9 @@ def model_bytes(model):
 
 
 def screened_model(X, k, seed):
-    """The model the first four of kmeans(X, k, seed)'s restarts fit: the
-    lowest final objective wins, the earliest on a tie."""
+    """The model four _lloyd restarts from default_rng(seed) fit on X's
+    canonical order, as kmeans(X, k, seed) runs them: the lowest final
+    objective wins, the earliest on a tie."""
     order, Xs, _ = clustering._canonical_order(X)
     rng = np.random.default_rng(seed)
     fits = [clustering._lloyd(Xs, k, rng) for _ in range(4)]
@@ -850,8 +851,8 @@ def sweep_inputs(draw):
 
 
 class TestScreenThenRefit:
-    """select_k scores each k on four restarts and refits the chosen k
-    with all ten, on one process and on two alike."""
+    """select_k fits each k once, on four restarts, and returns the chosen
+    k's model as it scored it, on one process and on two alike."""
 
     @staticmethod
     def check(X, k_range, seed):
@@ -863,6 +864,8 @@ class TestScreenThenRefit:
         (model, rows), (split_model, split_rows) = runs
         assert (model_bytes(split_model), repr(split_rows)) == (model_bytes(model), repr(rows))
         assert model_bytes(model) == model_bytes(kmeans(X, model.k, seed=seed + model.k))
+        scored = (model.k, davies_bouldin(model, X), dunn(model, X))
+        assert repr(scored) == repr(next(row for row in rows if row[0] == model.k))
         for k, db, dn in rows:
             screened = screened_model(X, k, seed + k)
             assert repr((db, dn)) == repr((davies_bouldin(screened, X), dunn(screened, X)))

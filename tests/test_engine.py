@@ -59,6 +59,17 @@ def built(catalog, vms):
     return trace, centers, sigma, table, report
 
 
+@pytest.fixture
+def no_sweep(monkeypatch):
+    """engine.select_k replaced by a function that fails the test."""
+    import packwise.engine as engine
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("select_k ran")
+
+    monkeypatch.setattr(engine, "select_k", unreachable)
+
+
 class TestBuildOffline:
     def test_planted_modes_fill_table(self, built):
         _, _, _, table, report = built
@@ -123,6 +134,23 @@ class TestBuildOffline:
         trace, _, _ = planted_trace(catalog, 34, periods=10)
         with pytest.raises(ValueError):
             build_offline(trace, catalog, vms, k_range=(2, 15))
+
+    @pytest.mark.parametrize("settings", [
+        {"threshold": 5.0}, {"threshold": float("nan")},
+        {"magnitude_ratio": 0.5}, {"magnitude_ratio": float("nan")}])
+    def test_bad_match_settings_raise_before_clustering(self, catalog, vms, no_sweep,
+                                                        settings):
+        trace, _, _ = planted_trace(catalog, 36, periods=40)
+        with pytest.raises(ValueError, match="threshold must|magnitude_ratio must"):
+            build_offline(trace, catalog, vms, k_range=(2, 6), **settings)
+        with pytest.raises(ValueError, match="threshold must|magnitude_ratio must"):
+            PackingAutoscaler(k_range=(2, 6), **settings).fit(trace, catalog, vms)
+
+    def test_one_service_threshold_checked_as_a_distance(self, vms, no_sweep):
+        one = ServiceCatalog(np.array([[1.0, 1.0, 2.0]]))
+        trace, _, _ = planted_trace(one, 35, modes=2, periods=40)
+        with pytest.raises(ValueError, match="distance threshold must be positive"):
+            build_offline(trace, one, vms, k_range=(2, 6), threshold=-0.5)
 
     def test_euclidean_threshold_derived_from_centroids(self, vms):
         # A one-service catalog matches by distance.

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
 import time
 
 import numpy as np
@@ -242,6 +243,12 @@ class TestTypes:
     def test_ga_params_ranges(self):
         with pytest.raises(ValueError):
             GaParams(population=2)
+
+    @pytest.mark.parametrize("name", ["population", "generations", "max_instances"])
+    @pytest.mark.parametrize("value", [2.5, 80.5, 0, float("nan"), float("inf")])
+    def test_ga_params_refuse_non_integer_budgets(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            GaParams(**{name: value})
 
     def test_operator_rates_are_constants(self):
         # The GA's rates and elitism are module constants, and its seed is
@@ -1021,6 +1028,14 @@ class TestVmCatalogIO:
         path.write_text("vm1,1,1\nvm2,1,1,1\n")
         with pytest.raises(ValueError, match="inconsistent"):
             load_vm_catalog(path)
+
+    @pytest.mark.parametrize("type_id", ["#x", " pad ", "a,b", "two\nlines", "car\rriage"])
+    def test_ids_that_would_read_back_otherwise_refused(self, tmp_path, type_id):
+        path = tmp_path / "vms.csv"
+        vms = [VmType("ok", np.array([1.0, 2.0]), 1.0), VmType(type_id, np.array([3.0, 4.0]), 2.0)]
+        with pytest.raises(ValueError, match=re.escape(repr(type_id))):
+            save_vm_catalog(vms, path)
+        assert not path.exists()
 
     def test_repeated_id_rejected(self, tmp_path):
         path = tmp_path / "vms.csv"
