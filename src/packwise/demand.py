@@ -9,6 +9,7 @@ the vector of those S values is what gets clustered and matched. The full
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,13 +90,18 @@ def _demand_arrays(counts, catalog: ServiceCatalog, ndim: int = 2):
     if c.ndim != ndim or c.shape[-1] != S:
         raise ValueError(
             f"counts must be a vector of length {S}, got shape {c.shape[ndim - 1:]}")
-    if not np.isfinite(c).all():
+    # min and max both propagate NaN, and a non-finite count is refused
+    # before a negative one. Every caller passes at least one period.
+    lo, hi = c.min(), c.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("counts must be finite")
-    if c.size and c.min() < 0:
+    if lo < 0:
         raise ValueError("counts must be nonnegative")
     per_dim = c[..., None] * catalog.unit_costs
     values = per_dim.sum(axis=-1)
-    if not np.isfinite(values).all():
+    # The sums are nonnegative or NaN, so they are all finite when their
+    # max is; max propagates a NaN from a bad unit cost too.
+    if not math.isfinite(values.max()):
         raise ValueError("demand entries must be finite")
     return values, per_dim
 

@@ -150,8 +150,9 @@ class LookupTable:
     Tables are never mutated (derive new ones with dataclasses.replace), so
     match() scores against read-only arrays built once here: the (E, S)
     matrix ``patterns``, its row-centred copy ``centred``, ``centred_norms``,
-    the mask ``flat`` of zero-variance rows (``centred_norms == 0``) and each
-    pattern's L1 norm ``magnitudes``, bit-equal to np.abs(pattern).sum().
+    the mask ``flat`` of zero-variance rows (``centred_norms == 0``), whether
+    ``any_flat`` row is, and each pattern's L1 norm ``magnitudes``, bit-equal
+    to np.abs(pattern).sum().
     """
 
     entries: tuple
@@ -182,6 +183,7 @@ class LookupTable:
         self.centred = self.patterns - self.patterns.mean(axis=1, keepdims=True)
         self.centred_norms = np.sqrt((self.centred ** 2).sum(axis=1))
         self.flat = self.centred_norms == 0.0
+        self.any_flat = bool(self.flat.any())
         self.magnitudes = np.abs(self.patterns).sum(axis=1)
         for arr in (self.patterns, self.centred, self.centred_norms, self.flat,
                     self.magnitudes):
@@ -221,11 +223,11 @@ class LookupTable:
         return self.to_doc() == other.to_doc()
 
 
-def _magnitude_ok(incoming: np.ndarray, magnitude: float, ratio: float) -> bool:
+def _magnitude_ok(l1_norm: float, magnitude: float, ratio: float) -> bool:
     """Whether the incoming L1 norm lies within ratio of an entry's magnitude."""
     if math.isinf(ratio):
         return True
-    ni, np_ = float(np.abs(incoming).sum()), float(magnitude)
+    ni, np_ = float(l1_norm), float(magnitude)
     if ni == 0.0 and np_ == 0.0:
         return True
     if ni == 0.0 or np_ == 0.0:
@@ -242,27 +244,38 @@ def entry_scores(table: LookupTable, vec: np.ndarray) -> np.ndarray:
     score bit-equal so that ties go to the lowest index."""
     if table.similarity == "euclidean":
         return np.linalg.norm(table.patterns - vec, axis=1)
-    c = vec - vec.sum() / vec.shape[0]     # vec.mean(), the same float
+    return _pearson_scores(table, vec, vec.sum())
+
+
+def _pearson_scores(table: LookupTable, vec: np.ndarray, total) -> np.ndarray:
+    """entry_scores' Pearson branch, given total = vec.sum()."""
+    c = vec - total / vec.shape[0]     # vec.mean(), the same float
     norm = np.sqrt((c ** 2).sum())
-    rows, row_norms = table.centred, table.centred_norms
-    den = norm * row_norms
+    rows = table.centred
     r = (rows * c).sum(axis=1)
-    # A product of two nonzero norms is at least 5e-324, so den is zero on
-    # exactly the zero-variance rows (all rows for a flat probe), which the
-    # block at the end overwrites.
-    np.divide(r, den, out=r, where=den != 0.0)
-    np.maximum(r, -1.0, out=r)
-    np.minimum(r, 1.0, out=r)
-    # pearson()'s sentinels, lowest precedence first so that later writes win.
-    if 1e-150 < norm < 1e150:
-        near = np.flatnonzero(np.abs(r) >= 1.0 - SENTINEL_EDGE)
+    # A product of two nonzero norms is at least 5e-324, so the denominator
+    # is zero on exactly the zero-variance rows (all rows for a flat probe),
+    # which the block at the end overwrites; without them it divides in place.
+    degenerate = norm == 0.0 or table.any_flat
+    if degenerate:
+        den = norm * table.centred_norms
+        np.divide(r, den, out=r, where=den != 0.0)
     else:
-        near = np.arange(r.shape[0])
-    if near.size:
-        near_rows = rows[near]
-        r[near[(near_rows == -c).all(axis=1)]] = -1.0
-        r[near[(near_rows == c).all(axis=1)]] = 1.0
-    if norm == 0.0 or table.flat.any():
+        r /= norm * table.centred_norms
+    # Within the range of SENTINEL_EDGE's bound, a row that needs a sentinel
+    # scores within SENTINEL_EDGE of +-1, and the clip changes only scores
+    # that near; a NaN score fails the test and takes the full path.
+    edge, bounded = 1.0 - SENTINEL_EDGE, 1e-150 < norm < 1e150
+    if not (bounded and r.max() < edge and r.min() > -edge):
+        np.maximum(r, -1.0, out=r)
+        np.minimum(r, 1.0, out=r)
+        # pearson()'s sentinels, lowest precedence first so that later writes win.
+        near = np.flatnonzero(np.abs(r) >= edge) if bounded else np.arange(r.shape[0])
+        if near.size:
+            near_rows = rows[near]
+            r[near[(near_rows == -c).all(axis=1)]] = -1.0
+            r[near[(near_rows == c).all(axis=1)]] = 1.0
+    if degenerate:
         zero_var = table.flat | (norm == 0.0)
         flat = rows[zero_var]   # np.allclose(c, flat, atol=1e-12) per row, written out
         r[zero_var] = (np.abs(c - flat) <= 1e-12 + 1e-5 * np.abs(flat)).all(axis=1)
@@ -282,12 +295,16 @@ def match(table: LookupTable, incoming: DemandVector) -> MatchResult:
         raise FingerprintMismatchError(
             f"incoming pattern has {len(vec)} services, table holds {table.service_count}"
         )
-    scores = entry_scores(table, vec)
     if table.similarity == "pearson":
+        # Demand values are nonnegative, so their sum is the L1 norm up to
+        # the sign of a zero, which _magnitude_ok's == 0.0 ignores.
+        total = vec.sum()
+        scores = _pearson_scores(table, vec, total)
         best = int(scores.argmax())
         hit = scores[best] >= table.threshold and _magnitude_ok(
-            vec, table.magnitudes[best], table.magnitude_ratio)
+            total, table.magnitudes[best], table.magnitude_ratio)
     else:
+        scores = entry_scores(table, vec)
         best = int(scores.argmin())
         hit = scores[best] <= table.threshold
     return MatchResult(

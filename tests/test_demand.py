@@ -178,6 +178,10 @@ class TestCheckedConstruction:
         ([[np.inf, 1.0], [1.0, 1.0]], [0, 1], "demand entries must be finite"),
         ([[np.inf, 1.0], [1.0, 1.0]], [2, 1], "demand entries must be finite"),
         ([[np.nan, 1.0], [1.0, 1.0]], [2, 1], "demand entries must be finite"),
+        # A non-finite count is refused before a negative one.
+        (None, [-1, np.inf, 3, 4, 5], "counts must be finite"),
+        (None, [-np.inf, 2, 3, 4, 5], "counts must be finite"),
+        (None, [np.nan, -1, 3, 4, 5], "counts must be finite"),
     ])
     def test_rejections_keep_their_messages(self, five_service_catalog, unit_costs,
                                             counts, message):
@@ -191,6 +195,14 @@ class TestCheckedConstruction:
                 pytest.raises(ValueError) as exc:
             demand_for_period(counts, catalog)
         assert str(exc.value) == message
+
+    def test_negative_zero_count_accepted(self, five_service_catalog):
+        counts = [1.0, -0.0, 3.0, 4.0, 5.0]
+        got = demand_for_period(counts, five_service_catalog)
+        want = DemandVector(np.array(counts)[:, None] * five_service_catalog.unit_costs)
+        assert np.signbit(got.per_dim[1]).all()
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.per_dim.tobytes() == want.per_dim.tobytes()
 
 
 class TestDemandSeries:
