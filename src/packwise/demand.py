@@ -78,32 +78,36 @@ def _demand_arrays(counts, catalog: ServiceCatalog, ndim: int = 2):
     counts[t, s] * unit_costs[s, k] and values[t, s] its sum over k. With
     ndim=1, of one (S,) row of counts, as (S,) values and (S, d) per_dim.
 
-    The counts are checked once (shape, finite, nonnegative) and the sums
-    once (finite; else "demand entries must be finite", as DemandVector
-    raises). Nothing else needs checking: the catalog's unit costs are not
-    negative, so no product is either (it is finite, +inf or NaN), and a
-    sum is then finite only when all its products are. Each row t is
-    therefore bit-equal to the validating DemandVector(per_dim[t]).
+    Beside the shape, accepted counts pass two checks: c.min() >= 0, which
+    NaN fails, and finite sums (math.isfinite(values.max())). That is all
+    they need. An infinite count makes each of its products infinite or
+    NaN, so the sum test refuses it; the catalog's unit costs are not
+    negative, so no product is either, and a sum is finite only when all its
+    products are. Each accepted row t is therefore bit-equal to the
+    validating DemandVector(per_dim[t]). A refusal re-diagnoses in this
+    order: a non-finite count ("counts must be finite"), a negative one
+    ("counts must be nonnegative"), then a non-finite sum ("demand entries
+    must be finite", as DemandVector raises).
     """
     c = np.asarray(counts, dtype=float)
     S = catalog.service_count
     if c.ndim != ndim or c.shape[-1] != S:
         raise ValueError(
             f"counts must be a vector of length {S}, got shape {c.shape[ndim - 1:]}")
-    # min and max both propagate NaN, and a non-finite count is refused
-    # before a negative one. Every caller passes at least one period.
+    # Every caller passes at least one period.
+    if c.min() >= 0:
+        per_dim = c[..., None] * catalog.unit_costs
+        values = per_dim.sum(axis=-1)
+        # The sums are nonnegative or NaN, so they are all finite when their
+        # max is; max propagates NaN.
+        if math.isfinite(values.max()):
+            return values, per_dim
     lo, hi = c.min(), c.max()
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("counts must be finite")
     if lo < 0:
         raise ValueError("counts must be nonnegative")
-    per_dim = c[..., None] * catalog.unit_costs
-    values = per_dim.sum(axis=-1)
-    # The sums are nonnegative or NaN, so they are all finite when their
-    # max is; max propagates a NaN from a bad unit cost too.
-    if not math.isfinite(values.max()):
-        raise ValueError("demand entries must be finite")
-    return values, per_dim
+    raise ValueError("demand entries must be finite")
 
 
 def _periods(trace: WorkloadTrace) -> np.ndarray:

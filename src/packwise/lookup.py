@@ -46,6 +46,17 @@ TABLE_VERSION = "packwise-table-v1"
 # four million. That needs p, q, q' and the product to be normal floats,
 # which holds for 1e-150 < sqrt(q) < 1e150; outside that range every row
 # is tested.
+#
+# So _settle, which turns raw quotients into pearson()'s scores, clips and
+# scans for +-1 sentinels only when the probe's norm is out of that range
+# or some score is not strictly inside +-(1 - SENTINEL_EDGE). match settles
+# nothing (no clip, no scan, no zero-variance block) unless a row or the
+# probe is flat, the norm is out of range, or its best raw score is not
+# strictly inside +-(1 - SENTINEL_EDGE); NaN fails both window tests. With
+# the best raw score inside, no row scores near +1, so none is +c or clipped
+# at +1, and the clip at -1 and the -1 sentinel write -1, below the best
+# score: the best entry, the lowest index among its ties, and its score are
+# those of the settled scores.
 SENTINEL_EDGE = 1e-9
 
 
@@ -244,24 +255,31 @@ def entry_scores(table: LookupTable, vec: np.ndarray) -> np.ndarray:
     score bit-equal so that ties go to the lowest index."""
     if table.similarity == "euclidean":
         return np.linalg.norm(table.patterns - vec, axis=1)
-    return _pearson_scores(table, vec, vec.sum())
+    return _settle(table, *_raw_pearson(table, vec, vec.sum()))
 
 
-def _pearson_scores(table: LookupTable, vec: np.ndarray, total) -> np.ndarray:
-    """entry_scores' Pearson branch, given total = vec.sum()."""
+def _raw_pearson(table: LookupTable, vec: np.ndarray, total):
+    """(r, c, norm): the unsettled Pearson quotients r of vec against every
+    row, vec's centred copy c and its norm, given total = vec.sum(). On a
+    zero-variance row, or every row for a flat probe, r holds the product
+    sum, which only _settle's zero-variance block overwrites."""
     c = vec - total / vec.shape[0]     # vec.mean(), the same float
     norm = np.sqrt((c ** 2).sum())
-    rows = table.centred
-    r = (rows * c).sum(axis=1)
+    r = (table.centred * c).sum(axis=1)
     # A product of two nonzero norms is at least 5e-324, so the denominator
-    # is zero on exactly the zero-variance rows (all rows for a flat probe),
-    # which the block at the end overwrites; without them it divides in place.
-    degenerate = norm == 0.0 or table.any_flat
-    if degenerate:
+    # is zero on exactly the zero-variance rows; without them it divides in place.
+    if norm == 0.0 or table.any_flat:
         den = norm * table.centred_norms
         np.divide(r, den, out=r, where=den != 0.0)
     else:
         r /= norm * table.centred_norms
+    return r, c, norm
+
+
+def _settle(table: LookupTable, r: np.ndarray, c: np.ndarray, norm) -> np.ndarray:
+    """Turn _raw_pearson's quotients into pearson()'s scores, in place: the
+    +-1 clip, the exact +-1 sentinels and the zero-variance sentinels."""
+    rows = table.centred
     # Within the range of SENTINEL_EDGE's bound, a row that needs a sentinel
     # scores within SENTINEL_EDGE of +-1, and the clip changes only scores
     # that near; a NaN score fails the test and takes the full path.
@@ -275,7 +293,7 @@ def _pearson_scores(table: LookupTable, vec: np.ndarray, total) -> np.ndarray:
             near_rows = rows[near]
             r[near[(near_rows == -c).all(axis=1)]] = -1.0
             r[near[(near_rows == c).all(axis=1)]] = 1.0
-    if degenerate:
+    if norm == 0.0 or table.any_flat:
         zero_var = table.flat | (norm == 0.0)
         flat = rows[zero_var]   # np.allclose(c, flat, atol=1e-12) per row, written out
         r[zero_var] = (np.abs(c - flat) <= 1e-12 + 1e-5 * np.abs(flat)).all(axis=1)
@@ -289,6 +307,14 @@ def match(table: LookupTable, incoming: DemandVector) -> MatchResult:
     to the lowest index. A hit requires the threshold to clear and, in
     correlation mode, the magnitude guard to pass; only hits carry a
     solution.
+
+    In correlation mode the best entry is taken from the raw quotients.
+    They are settled as entry_scores settles them only when a row is flat,
+    the probe's norm lies outside (1e-150, 1e150) (a flat probe's zero norm
+    included), or the best raw score is not strictly inside
+    +-(1 - SENTINEL_EDGE), NaN included. Otherwise settling could not move
+    the best entry or its score (see SENTINEL_EDGE), so the result is the
+    one the settled scores give.
     """
     vec = incoming.values
     if len(vec) != table.service_count:
@@ -299,8 +325,11 @@ def match(table: LookupTable, incoming: DemandVector) -> MatchResult:
         # Demand values are nonnegative, so their sum is the L1 norm up to
         # the sign of a zero, which _magnitude_ok's == 0.0 ignores.
         total = vec.sum()
-        scores = _pearson_scores(table, vec, total)
+        scores, c, norm = _raw_pearson(table, vec, total)
         best = int(scores.argmax())
+        edge = 1.0 - SENTINEL_EDGE
+        if table.any_flat or not (1e-150 < norm < 1e150 and -edge < scores[best] < edge):
+            best = int(_settle(table, scores, c, norm).argmax())
         hit = scores[best] >= table.threshold and _magnitude_ok(
             total, table.magnitudes[best], table.magnitude_ratio)
     else:

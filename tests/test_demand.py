@@ -195,6 +195,15 @@ class TestCheckedConstruction:
                 pytest.raises(ValueError) as exc:
             demand_for_period(counts, catalog)
         assert str(exc.value) == message
+        # The (n, S) path that build_offline takes, the row second of two
+        # periods; WorkloadTrace refuses such counts, so they are set past it.
+        row = np.asarray(counts, dtype=float)
+        trace = WorkloadTrace(np.zeros((2, 1), dtype=np.int64))
+        object.__setattr__(trace, "counts", np.stack([np.ones_like(row), row]))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError) as exc:
+            demand_patterns(trace, catalog)
+        assert str(exc.value) == message
 
     def test_negative_zero_count_accepted(self, five_service_catalog):
         counts = [1.0, -0.0, 3.0, 4.0, 5.0]

@@ -236,6 +236,13 @@ def all_rows_scores(table, vec):
     return r
 
 
+def raw_quotients(table, probe):
+    """The Pearson quotients before any clip or sentinel."""
+    c = probe - probe.mean()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (table.centred * c).sum(axis=1) / (np.sqrt((c ** 2).sum()) * table.centred_norms)
+
+
 class TestSentinelsOnLargeTables:
     """At 1000 entries: copies of the probe (centred rows equal to c),
     mirrored copies (often -c), power-of-two multiples and shifted copies,
@@ -269,9 +276,7 @@ class TestSentinelsOnLargeTables:
                 assert set(scores[exact].tolist()) <= {-1.0, 1.0}
                 # The raw quotient of an exact row falls short of +-1 in the
                 # last bits, which only the sentinel corrects.
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    raw = ((table.centred * c).sum(axis=1)
-                           / (np.sqrt((c ** 2).sum()) * table.centred_norms))
+                raw = raw_quotients(table, probe)
                 short_of_one += int((np.abs(raw[exact]) < 1.0).sum())
         assert short_of_one > 0
 
@@ -331,10 +336,112 @@ class TestSkippedClipAgainstReference:
                     table = _table(rows)
                     assert_same_as_reference(table, probe)
                     scores = entry_scores(table, probe)
-                    c = probe - probe.mean()
-                    raw = ((table.centred * c).sum(axis=1)
-                           / (np.sqrt((c ** 2).sum()) * table.centred_norms))
+                    raw = raw_quotients(table, probe)
                 assert np.isnan(scores[-1]) and np.isnan(raw[-1])
                 assert np.all(np.abs(scores[:-1]) <= 1.0)
                 past_one += int((np.abs(raw[:-1]) > 1.0).sum())
         assert past_one > 0
+
+
+def integer_mean_probe(rng, S):
+    """A positive integer probe whose mean is an integer, so that m - k * c
+    and m + k * c, for its mean m, centred part c and a power of two k, are
+    exact and centre to exactly -k * c and k * c."""
+    probe = rng.integers(1, 300, size=S).astype(float)
+    probe[-1] += -probe.sum() % S
+    return probe, probe.mean(), probe - probe.mean()
+
+
+POWERS = 2.0 ** np.arange(-3, 4)[:, None]
+
+
+class TestSettleDecision:
+    """match settles its raw quotients only when a row or the probe is flat,
+    the probe's norm is out of range, or the best raw score is not strictly
+    inside +-(1 - SENTINEL_EDGE). Each case holds it to the reference, which
+    settles on every call, at the tables where settling could matter."""
+
+    def check(self, patterns, probe):
+        table = _table(patterns)
+        return table, raw_quotients(table, probe), assert_same_as_reference(table, probe)
+
+    def test_best_inside_beside_minus_c_rows(self):
+        # Exact -c copies, and -k * c copies whose quotients pass -1 by ulps,
+        # lie outside the window but below a best score inside it.
+        rng = np.random.default_rng(71)
+        past_minus_one = 0
+        for S in (3, 5, 8, 12):
+            for _ in range(20):
+                probe, m, c = integer_mean_probe(rng, S)
+                patterns = np.vstack([rng.integers(1, 300, size=(4, S)), m - POWERS * c])
+                table, raw, result = self.check(patterns, probe)
+                assert (table.centred[7] == -c).all()
+                assert -1.0 + SENTINEL_EDGE < raw[result.best_index] < 1.0 - SENTINEL_EDGE
+                past_minus_one += int((raw[4:] < -1.0).sum())
+        assert past_minus_one > 0
+
+    def test_best_near_one_without_a_sentinel(self):
+        # Multiples k * c (k != 1) score within ulps of +1, some past it,
+        # and only the clip brings those back.
+        rng = np.random.default_rng(72)
+        past_one = 0
+        for S in (3, 5, 8, 12):
+            for _ in range(20):
+                probe, m, c = integer_mean_probe(rng, S)
+                patterns = np.vstack([rng.integers(1, 300, size=(3, S)),
+                                      m + POWERS[POWERS[:, 0] != 1.0] * c])
+                table, raw, result = self.check(patterns, probe)
+                assert not (table.centred == c).all(axis=1).any()
+                assert abs(raw[result.best_index] - 1.0) < 1e-9
+                past_one += int((raw > 1.0).sum())
+        assert past_one > 0
+
+    def test_exact_plus_c_row(self):
+        # A shifted copy centres to exactly c; its quotient can fall short
+        # of 1 or pass it, and only the sentinel makes it exactly 1.0.
+        rng = np.random.default_rng(73)
+        off_one = 0
+        for S in (3, 5, 8, 12):
+            for _ in range(20):
+                probe, m, c = integer_mean_probe(rng, S)
+                patterns = np.vstack([rng.integers(1, 300, size=(3, S)), probe + 7.0])
+                table, raw, result = self.check(patterns, probe)
+                assert (table.centred[3] == c).all()
+                assert result.best_index == 3 and result.score == 1.0
+                off_one += int(raw[3] != 1.0)
+        assert off_one > 0
+
+    def test_flat_rows_and_flat_probes(self):
+        # A flat row scores 0 raw but settles to 1.0 against a probe within
+        # 1e-12 of its mean; a flat probe settles every row by that test.
+        rng = np.random.default_rng(74)
+        for S in (3, 5, 12):
+            varying = rng.integers(1, 300, size=(3, S)).astype(float)
+            tiny = np.arange(1.0, S + 1.0) * 1e-13
+            for patterns, probe in (
+                    (np.vstack([varying, np.full(S, 5.0)]), varying[1] + 1.0),
+                    (np.vstack([varying, tiny]), np.full(S, 4.0)),
+                    (np.vstack([varying, np.full(S, 3.0)]), np.full(S, 4.0)),
+                    (varying, np.full(S, 4.0))):
+                self.check(patterns, probe)
+            table, raw, result = self.check(np.vstack([varying, np.full(S, 5.0)]), tiny)
+            assert result.best_index == 3 and result.score == 1.0 and raw[:3].max() > 0.0
+
+    def test_ties_at_the_best_score(self):
+        # Duplicates tie inside the window. Outside it, a multiple clipped
+        # to 1.0 and exact +c copies tie only once settled, where the raw
+        # argmax is often another of them.
+        rng = np.random.default_rng(75)
+        reordered = 0
+        for S in (3, 5, 8, 12):
+            for _ in range(20):
+                probe, m, c = integer_mean_probe(rng, S)
+                others = rng.integers(1, 300, size=(3, S)).astype(float)
+                best = others[int(raw_quotients(_table(others), probe).argmax())]
+                self.check(np.vstack([others, best, best]), probe)
+                table, raw, result = self.check(
+                    np.vstack([others, m + 2.0 * c, probe + 1.0, probe + 2.0]), probe)
+                assert result.score == 1.0
+                assert result.best_index == (3 if raw[3] >= 1.0 else 4)
+                reordered += int(int(raw.argmax()) != result.best_index)
+        assert reordered > 0
