@@ -49,14 +49,15 @@ TABLE_VERSION = "packwise-table-v1"
 #
 # So _settle, which turns raw quotients into pearson()'s scores, clips and
 # scans for +-1 sentinels only when the probe's norm is out of that range
-# or some score is not strictly inside +-(1 - SENTINEL_EDGE). match settles
-# nothing (no clip, no scan, no zero-variance block) unless a row or the
-# probe is flat, the norm is out of range, or its best raw score is not
-# strictly inside +-(1 - SENTINEL_EDGE); NaN fails both window tests. With
-# the best raw score inside, no row scores near +1, so none is +c or clipped
-# at +1, and the clip at -1 and the -1 sentinel write -1, below the best
-# score: the best entry, the lowest index among its ties, and its score are
-# those of the settled scores.
+# or some score is not strictly inside +-(1 - SENTINEL_EDGE). match writes
+# only the flat rows' zero-variance sentinels (0.0 or 1.0) into the raw
+# quotients, and settles nothing more (no clip, no scan) unless the norm is
+# out of range or its best score is not strictly inside
+# +-(1 - SENTINEL_EDGE); NaN fails both window tests. With the best score
+# inside, no flat row scores 1.0 and no other row scores near +1, so none is
+# +c or clipped at +1, and the clip at -1 and the -1 sentinel write -1,
+# below the best score: the best entry, the lowest index among its ties, and
+# its score are those of the settled scores.
 SENTINEL_EDGE = 1e-9
 
 
@@ -262,7 +263,7 @@ def _raw_pearson(table: LookupTable, vec: np.ndarray, total):
     """(r, c, norm): the unsettled Pearson quotients r of vec against every
     row, vec's centred copy c and its norm, given total = vec.sum(). On a
     zero-variance row, or every row for a flat probe, r holds the product
-    sum, which only _settle's zero-variance block overwrites."""
+    sum, which only a zero-variance sentinel overwrites."""
     c = vec - total / vec.shape[0]     # vec.mean(), the same float
     norm = np.sqrt((c ** 2).sum())
     r = (table.centred * c).sum(axis=1)
@@ -295,9 +296,14 @@ def _settle(table: LookupTable, r: np.ndarray, c: np.ndarray, norm) -> np.ndarra
             r[near[(near_rows == c).all(axis=1)]] = 1.0
     if norm == 0.0 or table.any_flat:
         zero_var = table.flat | (norm == 0.0)
-        flat = rows[zero_var]   # np.allclose(c, flat, atol=1e-12) per row, written out
-        r[zero_var] = (np.abs(c - flat) <= 1e-12 + 1e-5 * np.abs(flat)).all(axis=1)
+        r[zero_var] = _zero_variance_scores(rows[zero_var], c)
     return r
+
+
+def _zero_variance_scores(flat, c) -> np.ndarray:
+    """pearson()'s zero-variance sentinel of each centred row of flat
+    against the centred probe c: np.allclose(c, row, atol=1e-12), written out."""
+    return (np.abs(c - flat) <= 1e-12 + 1e-5 * np.abs(flat)).all(axis=1)
 
 
 def match(table: LookupTable, incoming: DemandVector) -> MatchResult:
@@ -308,10 +314,11 @@ def match(table: LookupTable, incoming: DemandVector) -> MatchResult:
     correlation mode, the magnitude guard to pass; only hits carry a
     solution.
 
-    In correlation mode the best entry is taken from the raw quotients.
-    They are settled as entry_scores settles them only when a row is flat,
-    the probe's norm lies outside (1e-150, 1e150) (a flat probe's zero norm
-    included), or the best raw score is not strictly inside
+    In correlation mode the best entry is taken from the raw quotients,
+    with the zero-variance sentinels of flat rows written in when the
+    probe's norm lies inside (1e-150, 1e150). They are settled as
+    entry_scores settles them only when that norm lies outside (a flat
+    probe's zero norm included) or the best score is not strictly inside
     +-(1 - SENTINEL_EDGE), NaN included. Otherwise settling could not move
     the best entry or its score (see SENTINEL_EDGE), so the result is the
     one the settled scores give.
@@ -326,9 +333,15 @@ def match(table: LookupTable, incoming: DemandVector) -> MatchResult:
         # the sign of a zero, which _magnitude_ok's == 0.0 ignores.
         total = vec.sum()
         scores, c, norm = _raw_pearson(table, vec, total)
+        bounded = 1e-150 < norm < 1e150
+        if bounded and table.any_flat:
+            # Past 2e-12 * sqrt(S), some entry of c lies more than 1e-12 from
+            # every flat row's (at most 1.6e-162), so each flat row scores 0.0.
+            scores[table.flat] = (0.0 if norm > 2e-12 * math.sqrt(vec.shape[0])
+                                  else _zero_variance_scores(table.centred[table.flat], c))
         best = int(scores.argmax())
         edge = 1.0 - SENTINEL_EDGE
-        if table.any_flat or not (1e-150 < norm < 1e150 and -edge < scores[best] < edge):
+        if not (bounded and -edge < scores[best] < edge):
             best = int(_settle(table, scores, c, norm).argmax())
         hit = scores[best] >= table.threshold and _magnitude_ok(
             total, table.magnitudes[best], table.magnitude_ratio)

@@ -10,7 +10,7 @@ hourly cost times period length in hours.
 Solvers:
 
 * ga_pack        - genetic algorithm over fixed-slot genomes, penalty fitness,
-                   stopped at mix_lower_bound
+                   stopped at the cheapest mix that packs (_stop_price)
 * first_fit_pack - greedy, decreasing demand, first instance that fits
 * best_fit_pack  - greedy, decreasing demand, tightest instance that fits
 * brute_force_pack - exhaustive optimum for tiny instances (the oracle)
@@ -19,11 +19,16 @@ Every solver yields a slot genome: one VM type index per slot and a
 (slots, S) uint8 matrix of assignment rows. _decode builds every solution
 from one; the greedy genomes also seed the GA's population as they are.
 
-The GA's champion and mix_lower_bound price a mix (instances per VM
-type) with one function, _mix_price, so a champion at the bound is final.
-The GA and brute force score genomes with one evaluator,
-_evaluate_population, so both count a packing as feasible alike: capacity
-overflow plus uncovered demand at most FEASIBILITY_TOL.
+The GA's champion, its stop and mix_lower_bound price a mix (instances
+per VM type) with one function, _mix_price. A GA run stops once its
+champion prices at or below _stop_price: the cheapest mix within the
+slot budget that an exhaustive search can pack, with the services split
+as the GA splits them. Every feasible genome is such a packing, so no
+later one prices lower and the result is the full run's.
+mix_lower_bound stays the covering bound, which _stop_price falls back
+to past its budgets. The GA and brute force score genomes with one
+evaluator, _evaluate_population, so both count a packing as feasible
+alike: capacity overflow plus uncovered demand at most FEASIBILITY_TOL.
 
 verify_solution re-checks coverage and capacity with plain loops,
 independent of the solvers' vectorized arithmetic.
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,9 +49,10 @@ from .validation import as_float_vector, check_positive_int
 from .workload import DEFAULT_PERIOD_SECONDS, TraceParseError
 
 FEASIBILITY_TOL = 1e-9
-BOUND_BUDGET = 1 << 16  # most mixes mix_lower_bound enumerates before a fractional bound
+BOUND_BUDGET = 1 << 16  # most mixes mix_lower_bound or the GA's stop enumerates before a fallback
+SEARCH_BUDGET = 1 << 10  # most instance subsets the GA's stop tests before it falls back
 BRUTE_FORCE_MAX_BITS = 12   # most assignment bits (services x slots) brute_force_pack takes
-NEAR_TIE = 1e-9         # relative margin that keeps the fractional bound below every mix price
+NEAR_TIE = 1e-9         # relative margin: fractional bound below mix prices, stop's room above loads
 CROSSOVER_RATE = 0.9    # chance that a pair of ga_evolve's tournament winners crosses over
 MUTATION_RATE = 0.05    # ga_evolve's per-gene mutation chance
 ELITISM = 2             # fittest individuals ga_evolve keeps unchanged each generation
@@ -272,6 +279,163 @@ def _price_bound(demand, vm_catalog) -> float:
     return float(_mix_price(mixes, costs).min())
 
 
+def _stop_price(demand, vm_catalog, M: int) -> float:
+    """The hourly price ga_evolve stops at: the least _mix_price of a mix
+    of at most M instances that can hold demand as the GA packs it, every
+    service with positive demand split equally over a nonempty set of the
+    mix's instances; inf when no such mix can.
+
+    The covering mixes of at most M instances are tried in _mix_price
+    order by _packable's exhaustive search until one packs. A type's count
+    runs only up to the instances that hold everything alone, each
+    service split over all of them: a mix with more prices no lower. Every
+    load is held to capacity plus FEASIBILITY_TOL, widened by NEAR_TIE
+    relative, so no difference in rounding between this search and the
+    evaluator rejects a packing the evaluator accepts (for fewer than
+    about a million services).
+
+    No mix that ga_evolve scores as feasible prices below it, so a
+    champion at this price is final: such a mix has at most M on,
+    non-empty slots and holds every service with positive demand within
+    capacity plus FEASIBILITY_TOL, so the search packs it. Past
+    BOUND_BUDGET mixes or SEARCH_BUDGET tested instance subsets the stop
+    is _price_bound instead, the covering bound, which no packing beats
+    either.
+    """
+    caps, costs = _catalog_arrays(vm_catalog, demand.dimension_count)
+    need = demand.per_dim.sum(axis=0)
+    room = (caps + FEASIBILITY_TOL) * (1 + NEAR_TIE)
+    alone = np.ceil(need / (caps + FEASIBILITY_TOL)).max(axis=1)
+    widths = np.minimum(alone, M).astype(np.int64) + 1
+    # Count the mixes of at most M instances within the widths before
+    # building any: ways[u] of them rent u instances, capped past the
+    # budget. The single-type mixes alone number 1 + (widths - 1).sum().
+    spread = int((widths - 1).sum())
+    if spread >= BOUND_BUDGET:
+        return _price_bound(demand, vm_catalog)
+    ways = np.zeros(min(M, spread) + 1, dtype=np.int64)
+    ways[0] = 1
+    for width in widths.tolist():
+        run = np.concatenate([[0], np.cumsum(ways)])
+        ways = np.minimum(run[1:] - run[np.maximum(np.arange(1, ways.size + 1) - width, 0)],
+                          BOUND_BUDGET + 1)
+    if ways.sum() > BOUND_BUDGET:
+        return _price_bound(demand, vm_catalog)
+    mixes = np.zeros((1, 0), dtype=np.int64)
+    used = np.zeros(1, dtype=np.int64)
+    for width in widths.tolist():
+        reps = np.minimum(width, M + 1 - used)
+        count = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        mixes = np.column_stack([np.repeat(mixes, reps, axis=0), count])
+        used = np.repeat(used, reps) + count
+    mixes = mixes[(mixes @ room >= need).all(axis=1)]
+    prices = _mix_price(mixes, costs)
+    order = (-demand.values).argsort(kind="stable")
+    services = [tuple(row) for row in demand.per_dim[order][demand.values[order] > 0].tolist()]
+    rooms = [tuple(row) for row in room.tolist()]
+    budget = SEARCH_BUDGET
+    for i in prices.argsort(kind="stable").tolist():
+        slots = [rooms[t] for t, n in enumerate(mixes[i].tolist()) for _ in range(n)]
+        packs, tested = _packable(slots, services, budget)
+        budget -= tested
+        if packs is None:
+            return _price_bound(demand, vm_catalog)
+        if packs:
+            return float(prices[i])
+    return math.inf
+
+
+def _packable(rooms, services, budget: int):
+    """(packs, tested): whether instances of the given rooms hold the
+    services (per-dimension demand tuples), each split equally over a
+    nonempty set of instances, and how many instance subsets the search
+    tested. packs is None when budget tests did not decide it.
+
+    Depth-first over the services in order, fewest hosts first. Instances
+    of one room that carry equal loads are interchangeable, so the search
+    state counts the instances per (room, load) class, a subset is a count
+    per class, and a split over h hosts draws only on the classes that hold
+    a 1/h share. A state fails at once when the demand left exceeds, in
+    some dimension, the free room of the classes that could still take the
+    least share of any service left.
+    """
+    m, n = len(rooms), len(services)
+    shares = [[()] + [tuple(x / h for x in dem) for h in range(1, m + 1)] for dem in services]
+    left = [tuple(map(sum, zip(*services[s:]))) for s in range(n)]
+    least = [tuple(map(min, zip(*(split[m] for split in shares[s:])))) for s in range(n)]
+    start = {}
+    for room in rooms:
+        key = (room, (0.0,) * len(room))
+        start[key] = start.get(key, 0) + 1
+    tested = 0
+
+    def holds(room, load, share):
+        return all(map(operator.le, map(operator.add, load, share), room))
+
+    def place(s, state):
+        nonlocal tested
+        if s == n:
+            return True
+        split = shares[s]
+        free = [0.0] * len(left[s])
+        fewest = []     # (h, room, load, count) of each class that holds some 1/h share
+        for (room, load), count in state.items():
+            if not holds(room, load, least[s]):
+                continue
+            free = [f + count * (r - a) for f, a, r in zip(free, load, room)]
+            # The fewest hosts h whose 1/h share the class holds; a share only
+            # shrinks as h grows, so the class holds every larger h too.
+            lo, hi = 1, 1 if holds(room, load, split[1]) else m + 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if holds(room, load, split[mid]):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            if lo <= m:
+                fewest.append((lo, room, load, count))
+        if any(map(operator.gt, left[s], free)):
+            return False
+        fewest.sort(key=operator.itemgetter(0))
+        hosts = opened = 0
+        for h in range(1, m + 1):
+            while opened < len(fewest) and fewest[opened][0] <= h:
+                hosts += fewest[opened][3]
+                opened += 1
+            if hosts < h:
+                continue
+            for counts in _counts_summing_to(h, [c[3] for c in fewest[:opened]]):
+                tested += 1
+                if tested > budget:
+                    return None
+                child = dict(state)
+                for (_, room, load, _), c in zip(fewest, counts):
+                    if c:
+                        child[room, load] -= c
+                        if not child[room, load]:
+                            del child[room, load]
+                        new = (room, tuple(map(operator.add, load, split[h])))
+                        child[new] = child.get(new, 0) + c
+                packs = place(s + 1, child)
+                if packs is not False:
+                    return packs
+        return False
+
+    return place(0, start), tested
+
+
+def _counts_summing_to(total: int, sizes):
+    """Every tuple of counts, count i in 0..sizes[i], that sums to total."""
+    if not sizes:
+        if total == 0:
+            yield ()
+        return
+    rest = sum(sizes[1:])
+    for c in range(min(sizes[0], total), max(0, total - rest) - 1, -1):
+        for tail in _counts_summing_to(total - c, sizes[1:]):
+            yield (c,) + tail
+
+
 def evaluate_genome(slot_types, slot_bits, demand: DemandVector, vm_catalog,
                     period_seconds: float = DEFAULT_PERIOD_SECONDS):
     """Score one genome: (cost, violation).
@@ -403,9 +567,12 @@ def ga_evolve(demand: DemandVector, vm_catalog, params: GaParams,
     Each generation's feasible individual with the least slot cost
     replaces the champion only if its mix (on, non-empty slots per type)
     has a strictly lower _mix_price, so a rearranged mix never does. The
-    run stops once the champion prices at or below _price_bound: no later
-    feasible individual prices lower, so only the trace is shorter than
-    the full run's.
+    run stops once the champion prices at or below _stop_price, the
+    cheapest mix of at most max_instances instances that can hold the
+    demand with equal splits (or the covering bound _price_bound, past the
+    search's budgets). A feasible individual is such a packing, so no
+    later one prices lower: the solution is the full run's, bit for bit,
+    and only the trace is shorter.
 
     With no feasible individual after the last generation, the
     least-violating one is returned flagged feasible=False.
@@ -424,7 +591,7 @@ def ga_evolve(demand: DemandVector, vm_catalog, params: GaParams,
     T = len(vm_catalog)
     P = params.population
     rng = np.random.default_rng(seed)
-    stop_at = _price_bound(demand, vm_catalog)
+    stop_at = _stop_price(demand, vm_catalog, M)
 
     types = rng.integers(-1, T, size=(P, M))
     bits = rng.integers(0, 2, size=(P, M, S), dtype=np.uint8)

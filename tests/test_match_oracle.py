@@ -20,6 +20,7 @@ from packwise import (
     match,
     pearson,
 )
+from packwise import lookup
 from packwise.lookup import (
     SENTINEL_EDGE,
     FingerprintMismatchError,
@@ -426,6 +427,43 @@ class TestSettleDecision:
                 self.check(patterns, probe)
             table, raw, result = self.check(np.vstack([varying, np.full(S, 5.0)]), tiny)
             assert result.best_index == 3 and result.score == 1.0 and raw[:3].max() > 0.0
+
+    def test_flat_rows_settle_only_when_the_window_test_fails(self, monkeypatch):
+        # Tables with flat rows (idle all-zero centroids among them) score
+        # the flat rows' sentinels and settle nothing more while the best
+        # score lies inside the window: beside a varying best row, and
+        # where every varying row scores below 0 so a flat row is best at
+        # 0.0. A probe within 1e-12 of its centre scores a flat row 1.0,
+        # outside the window, and that query settles everything.
+        settled = []
+        original = lookup._settle
+        monkeypatch.setattr(lookup, "_settle", lambda *a: settled.append(1) or original(*a))
+        rng = np.random.default_rng(76)
+        flat_best = 0
+        for S in (3, 5, 8):
+            for _ in range(20):
+                probe, m, c = integer_mean_probe(rng, S)
+                flats = np.outer(rng.integers(0, 300, size=3), np.ones(S))
+                flats[0] = 0.0
+                others = rng.integers(1, 300, size=(3, S)).astype(float)
+                mirrored = (m - rng.integers(1, 4, size=(3, 1)) * c
+                            + rng.integers(-2, 3, size=(3, S)))
+                for patterns in (np.vstack([flats[:2], others, flats[2:]]),
+                                 np.vstack([mirrored, flats])):
+                    settled.clear()
+                    table, _, result = self.check(patterns, probe)
+                    assert table.flat.sum() == 3
+                    if -1.0 + SENTINEL_EDGE < result.score < 1.0 - SENTINEL_EDGE:
+                        assert settled == [1]     # entry_scores only, not match
+                    flat_best += int(table.flat[result.best_index])
+            tiny = np.arange(1.0, S + 1.0) * 1e-13
+            settled.clear()
+            table, _, result = self.check(np.vstack([others, flats]), tiny)
+            assert table.flat[result.best_index] and result.score == 1.0
+            assert settled == [1, 1]
+            for scale in (10.0, 30.0, 100.0):   # about 1e-12 from the flat rows' centre
+                self.check(np.vstack([others, flats]), scale * tiny)
+        assert flat_best > 0
 
     def test_ties_at_the_best_score(self):
         # Duplicates tie inside the window. Outside it, a multiple clipped

@@ -37,9 +37,11 @@ from packwise import packing
 from packwise.packing import (
     BOUND_BUDGET,
     FEASIBILITY_TOL,
+    SEARCH_BUDGET,
     _evaluate_population,
     _mix_price,
     _price_bound,
+    _stop_price,
     default_max_instances,
     feasibility_violations,
     ga_evolve,
@@ -113,6 +115,14 @@ def ga_fingerprint(solution, trace):
 # not, so a run stops at the bound with the arrangement it found first.
 FLOAT_ORDER = (make_demand([[0.0, 0.0, 0.0], [0.0, 278.4, 626.4]]),
                [VmType("t0", np.array([52.0, 58.0, 99.0]), 0.1)], 60.0)
+
+
+# One 1-dimension service of 11 units. A large and a small instance cover
+# it at 5 per hour, but split over both the small one carries 5.5 of its 2;
+# no mix of at most 4 instances (the slot budget) packs it below two larges
+# at 8, so only a stop that packs mixes ends a run at that champion.
+SPLIT_11 = (make_demand([[11.0]]),
+            [VmType("small", np.array([2.0]), 1.0), VmType("large", np.array([10.0]), 4.0)])
 
 
 # ga_fingerprint of ga_evolve(demand, vms, GaParams(), seed=seed) per
@@ -459,6 +469,7 @@ class TestGaPack:
         ("mode0-1x", dict(seed=7)), ("mode3-1x", dict(seed=0)), ("tie-0.3", dict(seed=0)),
         ("tiny-5", dict(seed=3)), ("wide-20", dict(seed=1, generations=60)),
         ("float-order", dict(seed=711, population=4)), ("tie-60", dict(seed=0)),
+        ("split-11", dict(seed=0)),
     ])
     def test_stop_keeps_the_full_run_result(self, name, params, monkeypatch,
                                             five_service_catalog, three_vm_catalog):
@@ -468,11 +479,14 @@ class TestGaPack:
         # 0.3 + 0.3 covers 60, and so does 0.1 + 0.2 + 0.3, whose float sum
         # depends on the order its prices are added in.
         cases["tie-60"] = (make_demand([[30.0], [30.0]]), cases["tie-0.3"][1], 600.0)
+        cases["split-11"] = SPLIT_11 + (600.0,)
         demand, vms, period = cases[name]
         budget = {"generations": 100, **params}
         seed = budget.pop("seed")
         ga = GaParams(**budget)
         stopped = ga_evolve(demand, vms, ga, period, seed=seed)
+        # Both stops off: the packing search and the covering bound it falls back to.
+        monkeypatch.setattr(packing, "_stop_price", lambda *a: -math.inf)
         monkeypatch.setattr(packing, "_price_bound", lambda *a: -math.inf)
         full = ga_evolve(demand, vms, ga, period, seed=seed)
         assert ga_fingerprint(*stopped)[:4] == ga_fingerprint(*full)[:4]
@@ -666,6 +680,96 @@ class TestMixLowerBound:
         assert repr(bound) == "241.7"
         assert mix_lower_bound(demand, vms, 600.0) == pytest.approx(milp_bound(demand, vms),
                                                                     rel=1e-9, abs=0)
+
+
+def mix_price(solution, vms):
+    """_mix_price of a packing's mix: its instances counted per type."""
+    ids = [t.id for t in vms]
+    mix = np.bincount([ids.index(inst.vm_type.id) for inst in solution.instances],
+                      minlength=len(vms))
+    return float(_mix_price(mix[None], np.array([t.hourly_cost for t in vms]))[0])
+
+
+# Eleven two-dimension services on two types: refuting the cheapest
+# covering mixes takes the packing search past SEARCH_BUDGET subsets.
+PAST_SEARCH_BUDGET = (
+    make_demand([[6, 7], [6, 6], [7, 5], [7, 7], [7, 3], [5, 7], [4, 5], [7, 7], [6, 5], [7, 8],
+                 [4, 4]]),
+    [VmType("a", np.array([10.0, 10.0]), 1.0), VmType("b", np.array([17.0, 15.0]), 1.6)])
+
+
+class TestStopPrice:
+    def test_equals_brute_force_on_tiny_instances(self):
+        found = 0
+        for seed in range(30):
+            demand, vms = tiny_instance(seed)
+            for m_cap in (1, 2, 3):
+                oracle = brute_force_pack(demand, vms, m_cap)
+                want = mix_price(oracle, vms) if oracle.feasible else math.inf
+                assert _stop_price(demand, vms, m_cap) == want
+                found += oracle.feasible
+        assert 0 < found < 90
+
+    def test_below_every_feasible_packing(self):
+        cases = [tiny_instance(seed) + (600.0, seed, True) for seed in range(30)]
+        cases.append(FLOAT_ORDER + (711, False))
+        for demand, vms, period, seed, tiny in cases:
+            packings = [first_fit_pack(demand, vms, period), best_fit_pack(demand, vms, period)]
+            if tiny:
+                packings += [brute_force_pack(demand, vms, 3, period),
+                             ga_pack(demand, vms, GaParams(max_instances=3), period, seed=seed),
+                             ga_pack(demand, vms, GaParams(), period, seed=seed)]
+            else:
+                packings.append(ga_pack(demand, vms, GaParams(population=4), period, seed=seed))
+            for sol in packings:
+                if sol.feasible:
+                    assert _stop_price(demand, vms, sol.instance_count) <= mix_price(sol, vms)
+
+    def test_load_within_the_tolerance_packs(self):
+        # 5e-10 in a dimension where A has no capacity fits in the
+        # feasibility tolerance, as in the evaluator, so A alone packs.
+        vms = [VmType("A", np.array([10.0, 0.0]), 1.0), VmType("B", np.array([10.0, 10.0]), 2.0)]
+        assert _stop_price(make_demand([[5.0, 5e-10]]), vms, 2) == 1.0
+        assert _stop_price(make_demand([[5.0, 3e-9]]), vms, 2) == 2.0
+
+    def test_a_split_the_covering_bound_misses(self):
+        demand, vms = SPLIT_11
+        assert default_max_instances(demand, vms) == 4
+        assert _price_bound(demand, vms) == 5.0
+        assert _stop_price(demand, vms, 4) == 8.0
+        assert _stop_price(demand, vms, 1) == math.inf
+        solution, trace = ga_evolve(demand, vms, GaParams(), seed=0)
+        assert len(trace) == 1      # 300 generations on the covering bound alone
+        assert [inst.vm_type.id for inst in solution.instances] == ["large", "large"]
+
+    def test_stop_past_its_budgets_costs_next_to_nothing(self, monkeypatch):
+        # Six power-of-two types over 500 units allow about 2.8e6 mixes of at
+        # most 32 instances, past BOUND_BUDGET, so the stop gives up on the
+        # count; PAST_SEARCH_BUDGET gives up in the packing search. Either
+        # way the stop is the covering bound, and a run costs about what a
+        # run without any stop does.
+        powers = [VmType(f"c{s}", np.array([float(s)]), float(s)) for s in (1, 2, 4, 8, 16, 32)]
+        packable = packing._packable
+        for (demand, vms), params, subsets in (
+                ((make_demand([[125.0]] * 4), powers), GaParams(generations=40), 0),
+                (PAST_SEARCH_BUDGET, GaParams(), SEARCH_BUDGET + 1)):
+            searches = []
+            with monkeypatch.context() as patch:
+                patch.setattr(packing, "_packable",
+                              lambda *a: searches.append(packable(*a)) or searches[-1])
+                M = default_max_instances(demand, vms)
+                assert _stop_price(demand, vms, M) == _price_bound(demand, vms)
+            assert sum(tested for _, tested in searches) == subsets
+            runs = {packing._stop_price: [], (lambda *a: -math.inf): []}
+            for _ in range(5):    # alternating, so load on the host slows both alike
+                for stop, times in runs.items():
+                    monkeypatch.setattr(packing, "_stop_price", stop)
+                    start = time.perf_counter()
+                    output = ga_fingerprint(*ga_evolve(demand, vms, params))
+                    times.append((time.perf_counter() - start, output))
+            (with_stop, output), (without_stop, unbounded) = (min(t) for t in runs.values())
+            assert with_stop < 1.5 * without_stop
+            assert output == unbounded
 
 
 class TestGreedy:
